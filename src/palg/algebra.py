@@ -12,8 +12,10 @@ negative-control corpora only.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .fields import FieldSpec
@@ -22,7 +24,7 @@ from .linalg import (
     Subspace,
     basis_vector,
     kernel,
-    rref,
+    rref,  # unused here; kept because perfbench/test_tracer.py asserts this binding
     stack_rows,
     subspace_sum,
     vec_add,
@@ -221,84 +223,74 @@ def validate(tensors: DialgebraTensors, name: str = "", basis_labels: tuple = ()
 
 
 def find_axiom_violation(alg: PoissonAlgebra) -> AxiomViolation | None:
-    f = alg.field
-    n = alg.dim
-    e = [alg.basis_element(i) for i in range(n)]
-    # commutativity of the dot
-    for i in range(n):
-        for j in range(i + 1, n):
-            res = vec_sub(f, alg.mul_dot(e[i], e[j]), alg.mul_dot(e[j], e[i]))
-            if not vec_is_zero(res):
-                return AxiomViolation("commutativity", (i, j), res)
-    # associativity of the dot
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = alg.mul_dot(alg.mul_dot(e[i], e[j]), e[k])
-                rhs = alg.mul_dot(e[i], alg.mul_dot(e[j], e[k]))
-                res = vec_sub(f, lhs, rhs)
-                if not vec_is_zero(res):
-                    return AxiomViolation("associativity", (i, j, k), res)
-    # alternating bracket: zero on the diagonal and antisymmetric off it,
-    # which together give [x, x] = 0 for every x in every characteristic
-    for i in range(n):
-        res = alg.mul_bracket(e[i], e[i])
+    e = [alg.basis_element(i) for i in range(alg.dim)]
+    for axiom, witness, residual in _axiom_witnesses(alg.dim):
+        res = residual(alg, e, *witness)
         if not vec_is_zero(res):
-            return AxiomViolation("alternating", (i, i), res)
-    for i in range(n):
-        for j in range(i + 1, n):
-            res = vec_add(f, alg.mul_bracket(e[i], e[j]), alg.mul_bracket(e[j], e[i]))
-            if not vec_is_zero(res):
-                return AxiomViolation("alternating", (i, j), res)
-    # Jacobi; alternating already holds so distinct index triples suffice
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                res = alg.mul_bracket(alg.mul_bracket(e[i], e[j]), e[k])
-                res = vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[j], e[k]), e[i]))
-                res = vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[k], e[i]), e[j]))
-                if not vec_is_zero(res):
-                    return AxiomViolation("jacobi", (i, j, k), res)
-    # Leibniz compatibility of the two multiplications
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = alg.mul_bracket(alg.mul_dot(e[i], e[j]), e[k])
-                rhs = vec_add(f, alg.mul_dot(alg.mul_bracket(e[i], e[k]), e[j]),
-                              alg.mul_dot(e[i], alg.mul_bracket(e[j], e[k])))
-                res = vec_sub(f, lhs, rhs)
-                if not vec_is_zero(res):
-                    return AxiomViolation("leibniz", (i, j, k), res)
+            return AxiomViolation(axiom, witness, res)
     return None
 
 
 def evaluate_axiom(alg: PoissonAlgebra, axiom: str, witness: tuple) -> tuple:
     """Re-evaluate a named identity at basis indices; returns the residual."""
+    if axiom not in _RESIDUALS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    return _RESIDUALS[axiom](alg, [alg.basis_element(i) for i in range(alg.dim)], *witness)
+
+
+# One residual per identity, evaluated on the basis e; zero iff it holds.
+
+def _commutativity(alg: PoissonAlgebra, e: list, i: int, j: int) -> tuple:
+    return vec_sub(alg.field, alg.mul_dot(e[i], e[j]), alg.mul_dot(e[j], e[i]))
+
+
+def _associativity(alg: PoissonAlgebra, e: list, i: int, j: int, k: int) -> tuple:
+    return vec_sub(alg.field, alg.mul_dot(alg.mul_dot(e[i], e[j]), e[k]),
+                   alg.mul_dot(e[i], alg.mul_dot(e[j], e[k])))
+
+
+def _alternating(alg: PoissonAlgebra, e: list, i: int, j: int) -> tuple:
+    # zero on the diagonal and antisymmetric off it, which together give
+    # [x, x] = 0 for every x in every characteristic
+    if i == j:
+        return alg.mul_bracket(e[i], e[i])
+    return vec_add(alg.field, alg.mul_bracket(e[i], e[j]), alg.mul_bracket(e[j], e[i]))
+
+
+def _jacobi(alg: PoissonAlgebra, e: list, i: int, j: int, k: int) -> tuple:
     f = alg.field
-    e = [alg.basis_element(i) for i in range(alg.dim)]
-    if axiom == "commutativity":
-        i, j = witness
-        return vec_sub(f, alg.mul_dot(e[i], e[j]), alg.mul_dot(e[j], e[i]))
-    if axiom == "alternating":
-        i, j = witness
-        if i == j:
-            return alg.mul_bracket(e[i], e[i])
-        return vec_add(f, alg.mul_bracket(e[i], e[j]), alg.mul_bracket(e[j], e[i]))
-    if axiom == "associativity":
-        i, j, k = witness
-        return vec_sub(f, alg.mul_dot(alg.mul_dot(e[i], e[j]), e[k]),
-                       alg.mul_dot(e[i], alg.mul_dot(e[j], e[k])))
-    if axiom == "jacobi":
-        i, j, k = witness
-        res = alg.mul_bracket(alg.mul_bracket(e[i], e[j]), e[k])
-        res = vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[j], e[k]), e[i]))
-        return vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[k], e[i]), e[j]))
-    if axiom == "leibniz":
-        i, j, k = witness
-        rhs = vec_add(f, alg.mul_dot(alg.mul_bracket(e[i], e[k]), e[j]),
-                      alg.mul_dot(e[i], alg.mul_bracket(e[j], e[k])))
-        return vec_sub(f, alg.mul_bracket(alg.mul_dot(e[i], e[j]), e[k]), rhs)
-    raise ValueError(f"unknown axiom {axiom!r}")
+    res = alg.mul_bracket(alg.mul_bracket(e[i], e[j]), e[k])
+    res = vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[j], e[k]), e[i]))
+    return vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[k], e[i]), e[j]))
+
+
+def _leibniz(alg: PoissonAlgebra, e: list, i: int, j: int, k: int) -> tuple:
+    f = alg.field
+    rhs = vec_add(f, alg.mul_dot(alg.mul_bracket(e[i], e[k]), e[j]),
+                  alg.mul_dot(e[i], alg.mul_bracket(e[j], e[k])))
+    return vec_sub(f, alg.mul_bracket(alg.mul_dot(e[i], e[j]), e[k]), rhs)
+
+
+_RESIDUALS = {"commutativity": _commutativity, "associativity": _associativity,
+              "alternating": _alternating, "jacobi": _jacobi, "leibniz": _leibniz}
+
+
+@lru_cache(maxsize=None)
+def _axiom_witnesses(n: int) -> tuple:
+    """Every (axiom, witness, residual) in the fixed order validation reports.
+
+    Jacobi needs only distinct index triples because the alternating law is
+    checked first.
+    """
+    r = range(n)
+    pairs = [(i, j) for i in r for j in range(i + 1, n)]
+    order = ([("commutativity", w) for w in pairs]
+             + [("associativity", w) for w in itertools.product(r, repeat=3)]
+             + [("alternating", (i, i)) for i in r]
+             + [("alternating", w) for w in pairs]
+             + [("jacobi", w) for w in itertools.combinations(r, 3)]
+             + [("leibniz", w) for w in itertools.product(r, repeat=3)])
+    return tuple((axiom, w, _RESIDUALS[axiom]) for axiom, w in order)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +375,6 @@ def is_zero_subspace_product(alg: PoissonAlgebra, u: Subspace) -> bool:
     return subspace_square(alg, u).is_zero()
 
 
-def as_subalgebra(alg: PoissonAlgebra, u: Subspace) -> AlgebraSubspace:
-    defect = subalgebra_defect(alg, u)
-    if defect is not None:
-        raise ValueError(f"not a subalgebra: {defect[2]} product escapes")
-    return AlgebraSubspace(alg, u, VERIFIED_SUBALGEBRA)
-
-
 def as_ideal(alg: PoissonAlgebra, u: Subspace) -> AlgebraSubspace:
     defect = ideal_defect(alg, u)
     if defect is not None:
@@ -403,45 +388,36 @@ def as_ideal(alg: PoissonAlgebra, u: Subspace) -> AlgebraSubspace:
 
 
 def closure_subalgebra(alg: PoissonAlgebra, seed: Subspace) -> AlgebraSubspace:
-    """Least subalgebra containing the seed.
-
-    Each round multiplies only the newly added directions against the current
-    basis; bilinearity covers the rest.  Terminates because the dimension
-    strictly increases.
-    """
-    space = seed
-    frontier = list(seed.rows())
-    while frontier:
-        prods = []
-        for a in frontier:
-            for b in space.rows():
-                prods.append(alg.mul_dot(a, b))
-                prods.append(alg.mul_bracket(a, b))
-        bigger = subspace_sum(space, Subspace.from_vectors(alg.field, alg.dim, prods))
-        frontier = [r for r in bigger.rows() if not space.contains_vector(r)]
-        space = bigger
-    return AlgebraSubspace(alg, space, VERIFIED_SUBALGEBRA)
+    """Least subalgebra containing the seed."""
+    return AlgebraSubspace(alg, _close(alg, seed), VERIFIED_SUBALGEBRA)
 
 
 def closure_ideal(alg: PoissonAlgebra, seed: Subspace) -> AlgebraSubspace:
     """Least ideal containing the seed."""
-    space = rref_subspace(seed)
-    frontier = list(space.rows())
-    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    return AlgebraSubspace(alg, _close(alg, seed, alg.full_space()), VERIFIED_IDEAL)
+
+
+def _close(alg: PoissonAlgebra, seed: Subspace, against: Subspace | None = None) -> Subspace:
+    """Least subspace containing the seed that absorbs both products with
+    ``against``, or with itself when ``against`` is None.
+
+    Each round multiplies only the newly added directions; bilinearity,
+    commutativity and antisymmetry cover the rest.  Terminates because the
+    dimension strictly increases.
+    """
+    space = seed
+    frontier = list(seed.rows())
     while frontier:
+        others = (space if against is None else against).rows()
         prods = []
         for a in frontier:
-            for b in basis:
+            for b in others:
                 prods.append(alg.mul_dot(a, b))
                 prods.append(alg.mul_bracket(a, b))
         bigger = subspace_sum(space, Subspace.from_vectors(alg.field, alg.dim, prods))
         frontier = [r for r in bigger.rows() if not space.contains_vector(r)]
         space = bigger
-    return AlgebraSubspace(alg, space, VERIFIED_IDEAL)
-
-
-def rref_subspace(s: Subspace) -> Subspace:
-    return Subspace(s.ambient_dim, rref(s.basis))
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +463,7 @@ def quotient_maps(alg: PoissonAlgebra, ideal: Subspace) -> QuotientData:
                                  for r in range(m)))
     lift = Matrix(f, n, m, tuple(tuple(f.one() if i == reps[c] else z for c in range(m))
                                  for i in range(n)))
-    return QuotientData(q_alg, proj, lift, rref_subspace(ideal))
+    return QuotientData(q_alg, proj, lift, ideal)
 
 
 def quotient(alg: PoissonAlgebra, ideal: Subspace) -> tuple:
@@ -710,15 +686,4 @@ def is_subideal(alg: PoissonAlgebra, b: Subspace) -> bool:
 def _ideal_closure_within(alg: PoissonAlgebra, seed: Subspace, ambient: Subspace) -> Subspace:
     """Least subspace containing seed absorbing products with ambient
     (ambient must be a subalgebra containing seed)."""
-    space = seed
-    frontier = list(seed.rows())
-    while frontier:
-        prods = []
-        for a in frontier:
-            for b in ambient.rows():
-                prods.append(alg.mul_dot(a, b))
-                prods.append(alg.mul_bracket(a, b))
-        bigger = subspace_sum(space, Subspace.from_vectors(alg.field, alg.dim, prods))
-        frontier = [r for r in bigger.rows() if not space.contains_vector(r)]
-        space = bigger
-    return space
+    return _close(alg, seed, ambient)

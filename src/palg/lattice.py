@@ -23,7 +23,6 @@ from .algebra import (
     is_assoc_subalgebra,
     is_ideal,
     is_lie_subalgebra,
-    is_subalgebra,
     is_zero_subspace_product,
     preimage_subspace,
     quotient_maps,
@@ -101,13 +100,17 @@ def count_subspaces(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def _check_enumeration_budget(field: FieldSpec, n: int, budget: LatticeBudget) -> None:
+def _check_field_budget(field: FieldSpec, n: int, budget: LatticeBudget, task: str) -> None:
     if not field.is_finite:
-        raise FieldError("subspace enumeration needs a finite field")
+        raise FieldError(f"{task} needs a finite field")
     if n > budget.max_dim:
         raise BudgetExceededError("max_dim", f"dimension {n} > {budget.max_dim}")
     if field.order > budget.max_q:
         raise BudgetExceededError("max_q", f"modulus {field.order} > {budget.max_q}")
+
+
+def _check_enumeration_budget(field: FieldSpec, n: int, budget: LatticeBudget) -> None:
+    _check_field_budget(field, n, budget, "subspace enumeration")
     total = count_subspaces(n, field.order)
     if total > budget.max_subspaces:
         raise BudgetExceededError("max_subspaces", f"{total} > {budget.max_subspaces}")
@@ -176,9 +179,8 @@ class LatticeProfile:
     lie_flags: tuple
     ideal_flags: tuple
 
-    def subalgebras(self, proper: bool = False, ambient: int | None = None):
-        return [s for s, f in zip(self.subspaces, self.subalgebra_flags)
-                if f and (not proper or s.dim != ambient)]
+    def subalgebras(self):
+        return [s for s, f in zip(self.subspaces, self.subalgebra_flags) if f]
 
     def ideals(self):
         return [s for s, f in zip(self.subspaces, self.ideal_flags) if f]
@@ -187,9 +189,9 @@ class LatticeProfile:
 @lru_cache(maxsize=256)
 def lattice_profile(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> LatticeProfile:
     subspaces = tuple(enumerate_subspaces(alg.field, alg.dim, budget))
-    sub_flags = tuple(is_subalgebra(alg, s) for s in subspaces)
     assoc_flags = tuple(is_assoc_subalgebra(alg, s) for s in subspaces)
     lie_flags = tuple(is_lie_subalgebra(alg, s) for s in subspaces)
+    sub_flags = tuple(a and b for a, b in zip(assoc_flags, lie_flags))
     ideal_flags = tuple(flag and is_ideal(alg, s) for s, flag in zip(subspaces, sub_flags))
     return LatticeProfile(subspaces, sub_flags, assoc_flags, lie_flags, ideal_flags)
 
@@ -202,25 +204,26 @@ def _maximal_members(candidates) -> list:
     return out
 
 
+def _maximal(alg: PoissonAlgebra, budget: LatticeBudget, flags: str) -> list:
+    """Maximal members among the proper subspaces whose profile flag
+    (``subalgebra_flags``, ``assoc_flags`` or ``lie_flags``) is set."""
+    profile = lattice_profile(alg, budget)
+    proper = [s for s, f in zip(profile.subspaces, getattr(profile, flags))
+              if f and s.dim != alg.dim]
+    return _maximal_members(proper)
+
+
 def maximal_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> list:
     """All maximal members among the proper subalgebras."""
-    profile = lattice_profile(alg, budget)
-    proper = profile.subalgebras(proper=True, ambient=alg.dim)
-    return _maximal_members(proper)
+    return _maximal(alg, budget, "subalgebra_flags")
 
 
 def maximal_assoc_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> list:
-    profile = lattice_profile(alg, budget)
-    proper = [s for s, f in zip(profile.subspaces, profile.assoc_flags)
-              if f and s.dim != alg.dim]
-    return _maximal_members(proper)
+    return _maximal(alg, budget, "assoc_flags")
 
 
 def maximal_lie_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> list:
-    profile = lattice_profile(alg, budget)
-    proper = [s for s, f in zip(profile.subspaces, profile.lie_flags)
-              if f and s.dim != alg.dim]
-    return _maximal_members(proper)
+    return _maximal(alg, budget, "lie_flags")
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +293,7 @@ def minimal_ideals(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) 
     Complete because every nonzero ideal contains a line, and closing any
     line inside a minimal ideal recovers that ideal.
     """
-    if not alg.field.is_finite:
-        raise FieldError("minimal-ideal discovery needs a finite field")
-    if alg.dim > budget.max_dim:
-        raise BudgetExceededError("max_dim", f"dimension {alg.dim} > {budget.max_dim}")
-    if alg.field.order > budget.max_q:
-        raise BudgetExceededError("max_q", f"modulus {alg.field.order} > {budget.max_q}")
+    _check_field_budget(alg.field, alg.dim, budget, "minimal-ideal discovery")
     closures = []
     seen = set()
     for line in enumerate_lines(alg.field, alg.dim):
@@ -396,25 +394,20 @@ def oracle_nilradical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGE
 def verify_radical(alg: PoissonAlgebra, candidate: Subspace) -> bool:
     """Field-independent verification: an ideal, solvable, and not extendable
     by the ideal closure of any basis line outside it."""
-    if ideal_defect(alg, candidate) is not None:
-        return False
-    if not derived_series(alg, candidate).terminates:
-        return False
-    for i in range(alg.dim):
-        e = alg.basis_element(i)
-        if candidate.contains_vector(e):
-            continue
-        line = Subspace.from_vectors(alg.field, alg.dim, [e])
-        bigger = closure_ideal(alg, subspace_sum(candidate, line)).space
-        if derived_series(alg, bigger).terminates:
-            return False
-    return True
+    return _verify_largest(alg, candidate, derived_series)
 
 
 def verify_nilradical(alg: PoissonAlgebra, candidate: Subspace) -> bool:
+    """As verify_radical, with nilpotent in place of solvable."""
+    return _verify_largest(alg, candidate, lower_central_series)
+
+
+def _verify_largest(alg: PoissonAlgebra, candidate: Subspace, series) -> bool:
+    """An ideal whose ``series`` terminates, and no ideal closure of the
+    candidate plus a basis line outside it still terminates."""
     if ideal_defect(alg, candidate) is not None:
         return False
-    if not lower_central_series(alg, candidate).terminates:
+    if not series(alg, candidate).terminates:
         return False
     for i in range(alg.dim):
         e = alg.basis_element(i)
@@ -422,7 +415,7 @@ def verify_nilradical(alg: PoissonAlgebra, candidate: Subspace) -> bool:
             continue
         line = Subspace.from_vectors(alg.field, alg.dim, [e])
         bigger = closure_ideal(alg, subspace_sum(candidate, line)).space
-        if lower_central_series(alg, bigger).terminates:
+        if series(alg, bigger).terminates:
             return False
     return True
 

@@ -8,7 +8,6 @@ form is what makes series stabilisation and lattice deduplication exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -353,12 +352,8 @@ def _check_compatible(u: Subspace, v: Subspace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# kernels, images, row spaces
+# kernels and images
 # ---------------------------------------------------------------------------
-
-
-def row_space(m: Matrix) -> Subspace:
-    return Subspace(m.ncols, rref(m))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -398,13 +393,6 @@ def poly_mul(field: FieldSpec, a: Sequence, b: Sequence) -> tuple:
             if y != 0:
                 out[i + j] = field.add(out[i + j], field.mul(x, y))
     return tuple(out)
-
-
-def poly_eval(field: FieldSpec, poly: Sequence, x: Scalar) -> Scalar:
-    acc = field.zero()
-    for c in poly:
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def poly_eval_matrix(poly: Sequence, m: Matrix) -> Matrix:
@@ -567,9 +555,3 @@ def fitting_one(m: Matrix) -> Subspace:
     if m.nrows == 0:
         return Subspace.zero(m.field, 0)
     return image(m.pow(m.nrows))
-
-
-def enumerate_vectors(field: FieldSpec, n: int) -> Iterable[Vector]:
-    """All q^n vectors of GF(q)^n in lexicographic coordinate order."""
-    elems = list(field.elements())
-    return iter(tuple(v) for v in itertools.product(elems, repeat=n))

@@ -15,6 +15,7 @@ with exercised = 0 so coverage summaries can surface untested hypotheses.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -60,6 +61,7 @@ from .lattice import (
     verify_radical,
     zero_socle,
     CLASS_FAILS,
+    _is_idempotent_line_split,
 )
 from .linalg import Subspace, subspace_intersect, subspace_sum
 from .series import (
@@ -166,19 +168,6 @@ def _element_configs(alg: PoissonAlgebra, budget: LatticeBudget) -> list:
     return out
 
 
-def _capped_pairs(items: Sequence, limit: int):
-    """Deterministic diagonal enumeration of index pairs (i, j), i <= j."""
-    count = 0
-    for total in range(2 * len(items) - 1):
-        for i in range(len(items)):
-            j = total - i
-            if i <= j < len(items):
-                if count >= limit:
-                    return
-                count += 1
-                yield items[i], items[j]
-
-
 def _meta_subspace(alg: PoissonAlgebra, key: str) -> Subspace | None:
     rows = alg.meta_value(key)
     if rows is None:
@@ -219,7 +208,7 @@ def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget,
                                limit: int) -> TheoremResult:
     subs = _subalgebra_configs(alg, budget)
     failures, exercised = [], 0
-    for b, c in _capped_pairs(subs, limit):
+    for b, c in itertools.islice(_diagonal_pairs(subs), limit):
         bc = subspace_product_bracket(alg, b, c)
         power = b
         for n in range(1, alg.dim + 2):
@@ -241,7 +230,7 @@ def _check_ideal_dot_product(alg: PoissonAlgebra, budget: LatticeBudget,
                              limit: int) -> TheoremResult:
     ideals = _ideal_configs(alg, budget)
     failures, exercised = [], 0
-    for b, c in _capped_pairs(ideals, limit):
+    for b, c in itertools.islice(_diagonal_pairs(ideals), limit):
         product = subspace_product_dot(alg, b, c)
         exercised += 1
         defect = ideal_defect(alg, product)
@@ -772,12 +761,7 @@ def _check_max_ideal_classification(alg: PoissonAlgebra, budget: LatticeBudget,
     else:
         nil = nilradical(alg, budget)
         for e in idempotents(alg, budget):
-            line = Subspace.from_vectors(alg.field, alg.dim, [e])
-            if subspace_sum(line, nil).dim != alg.dim \
-                    or not subspace_intersect(line, nil).is_zero():
-                continue
-            if all(alg.mul_dot(e, r) == alg.zero_element()
-                   and alg.mul_bracket(e, r) == alg.zero_element() for r in nil.rows()):
+            if _is_idempotent_line_split(alg, e, nil):
                 failures.append({"clause": "decomposition exists despite non-ideal maximal",
                                  "idempotent": _fmt_vec(alg.field, e)})
                 break
@@ -940,6 +924,7 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
 
 
 def _diagonal_pairs(items: Sequence):
+    """Deterministic diagonal enumeration of the pairs (items[i], items[j]), i <= j."""
     for total in range(2 * len(items) - 1):
         for i in range(len(items)):
             j = total - i

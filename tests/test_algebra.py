@@ -1,7 +1,12 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palg.algebra import (
     AxiomViolation,
+    DialgebraTensors,
+    PoissonAlgebra,
     annihilator,
     assoc_idealiser,
     centre,
@@ -9,9 +14,11 @@ from palg.algebra import (
     closure_subalgebra,
     direct_sum,
     evaluate_axiom,
+    find_axiom_violation,
     idealiser,
     is_homomorphism,
     is_ideal,
+    is_subalgebra,
     is_subideal,
     kernel_of,
     lie_idealiser,
@@ -24,6 +31,8 @@ from palg.algebra import (
     validate,
 )
 from palg.corpus import (
+    curated_corpus,
+    enumerate_poisson_structures,
     fe_plus_nilpotent_line,
     heisenberg_zero_dot,
     idempotent_line,
@@ -32,7 +41,8 @@ from palg.corpus import (
     zero_algebra,
 )
 from palg.fields import FieldSpec
-from palg.linalg import Matrix, Subspace, vec_is_zero
+from palg.lattice import lattice_profile
+from palg.linalg import Matrix, Subspace, subspace_intersect, vec_add, vec_is_zero, vec_sub
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
@@ -112,6 +122,95 @@ def test_each_axiom_has_a_rejected_fixture(axiom, dot, bracket, dim):
     residual = evaluate_axiom(alg, violation.axiom, violation.witness)
     assert residual == violation.residual
     assert not vec_is_zero(residual)
+
+
+def _reference_axiom_violation(alg):
+    """A plain nested-loop search, one loop per identity in validation's
+    order; the table-driven find_axiom_violation must agree with it exactly."""
+    f = alg.field
+    n = alg.dim
+    e = [alg.basis_element(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            res = vec_sub(f, alg.mul_dot(e[i], e[j]), alg.mul_dot(e[j], e[i]))
+            if not vec_is_zero(res):
+                return AxiomViolation("commutativity", (i, j), res)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg.mul_dot(alg.mul_dot(e[i], e[j]), e[k])
+                rhs = alg.mul_dot(e[i], alg.mul_dot(e[j], e[k]))
+                res = vec_sub(f, lhs, rhs)
+                if not vec_is_zero(res):
+                    return AxiomViolation("associativity", (i, j, k), res)
+    for i in range(n):
+        res = alg.mul_bracket(e[i], e[i])
+        if not vec_is_zero(res):
+            return AxiomViolation("alternating", (i, i), res)
+    for i in range(n):
+        for j in range(i + 1, n):
+            res = vec_add(f, alg.mul_bracket(e[i], e[j]), alg.mul_bracket(e[j], e[i]))
+            if not vec_is_zero(res):
+                return AxiomViolation("alternating", (i, j), res)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res = alg.mul_bracket(alg.mul_bracket(e[i], e[j]), e[k])
+                res = vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[j], e[k]), e[i]))
+                res = vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[k], e[i]), e[j]))
+                if not vec_is_zero(res):
+                    return AxiomViolation("jacobi", (i, j, k), res)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg.mul_bracket(alg.mul_dot(e[i], e[j]), e[k])
+                rhs = vec_add(f, alg.mul_dot(alg.mul_bracket(e[i], e[k]), e[j]),
+                              alg.mul_dot(e[i], alg.mul_bracket(e[j], e[k])))
+                res = vec_sub(f, lhs, rhs)
+                if not vec_is_zero(res):
+                    return AxiomViolation("leibniz", (i, j, k), res)
+    return None
+
+
+@st.composite
+def raw_tensors(draw):
+    """Dense tensors written entry by entry, never symmetrised.  They are
+    sparse so that later identities get reached; when ``mirror`` is drawn an
+    entry also gets its (anti)symmetric partner, which lets the commutativity
+    and alternating checks pass."""
+    field = draw(st.sampled_from([GF2, GF3]))
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    entry = st.tuples(index, index, index, st.integers(1, field.order - 1))
+    tensors = []
+    for sign in (1, -1):
+        t = [[[0] * n for _ in range(n)] for _ in range(n)]
+        mirror = draw(st.booleans())
+        for i, j, k, c in draw(st.lists(entry, max_size=4)):
+            if mirror and sign == -1 and i == j:
+                continue
+            t[i][j][k] = c
+            if mirror:
+                t[j][i][k] = field.coerce(sign * c)
+        tensors.append(tuple(tuple(tuple(line) for line in plane) for plane in t))
+    return DialgebraTensors(field, n, tensors[0], tensors[1])
+
+
+@settings(max_examples=300)
+@given(raw_tensors())
+def test_first_violation_matches_the_nested_loop_reference(tensors):
+    alg = PoissonAlgebra(tensors.field, tensors.dim, tensors.dot, tensors.bracket)
+    got, want = find_axiom_violation(alg), _reference_axiom_violation(alg)
+    if want is None:
+        assert got is None
+        return
+    assert (got.axiom, got.witness, got.residual) == (want.axiom, want.witness, want.residual)
+    assert evaluate_axiom(alg, got.axiom, got.witness) == got.residual
+
+
+def test_evaluate_axiom_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown axiom 'symmetry'"):
+        evaluate_axiom(zero_algebra(GF2, 2), "symmetry", (0, 1))
 
 
 def test_xyz_constants_violate_compatibility_everywhere():
@@ -219,6 +318,26 @@ def test_ideal_closure_is_least(gf2):
         for ideal in profile.ideals():
             if ideal.contains(seed):
                 assert ideal.contains(closed)
+
+
+def _closure_corpus():
+    return enumerate_poisson_structures(2, 2) + [
+        a for a in curated_corpus() if a.dim <= 3 and a.field.is_finite and a.field.order <= 3]
+
+
+@pytest.mark.parametrize("alg", _closure_corpus(), ids=lambda a: a.name)
+def test_closures_are_the_lattice_meets(alg):
+    # every subspace as a seed: the closures equal the meet of the enumerated
+    # subalgebras (ideals) containing it, and the profile's subalgebra flag
+    # agrees with the direct test
+    profile = lattice_profile(alg)
+    subalgebras, ideals = profile.subalgebras(), profile.ideals()
+    for seed, flag in zip(profile.subspaces, profile.subalgebra_flags):
+        assert flag == is_subalgebra(alg, seed)
+        meet = functools.reduce(subspace_intersect, [s for s in subalgebras if s.contains(seed)])
+        assert closure_subalgebra(alg, seed).space == meet
+        meet = functools.reduce(subspace_intersect, [s for s in ideals if s.contains(seed)])
+        assert closure_ideal(alg, seed).space == meet
 
 
 # ---------------------------------------------------------------------------
