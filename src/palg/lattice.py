@@ -8,6 +8,7 @@ Discovery requires a finite field; over the rationals only the verify_*
 forms are offered, which check a candidate against the defining linear
 conditions and against the ideals reachable by closing basis lines.
 Budgets are hard limits: exceeding one raises instead of degrading.
+Discovery results are cached per (field, tensors, budget); see _structure.
 """
 
 from __future__ import annotations
@@ -165,8 +166,36 @@ def enumerate_elements(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDG
 
 
 # ---------------------------------------------------------------------------
-# cached lattice profile
+# the discovery cache: one entry per (field, tensors, budget)
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _structure(field: FieldSpec, dot_tensor: tuple, bracket_tensor: tuple,
+               budget: LatticeBudget) -> dict:
+    """The discovery results of one (field, dot tensor, bracket tensor,
+    budget), filled in lazily by name: the lattice profile, the maximal
+    subalgebras for each product, the three Frattini pairs, the minimal
+    ideals, the socles, the radical and the nilradical.
+
+    The key is exactly what discovery reads.  The budget is in it because it
+    decides whether a computation raises.  Name, basis labels and meta are
+    left out: discovery never reads them (only structure_report's branch over
+    the rationals reads meta, and that branch is not cached), so the renamed
+    quotient, subalgebra and summand copies the checks build share one entry.
+    ``lattice_profile.cache_info()`` and ``lattice_profile.cache_clear()``
+    report on and empty this one cache.
+    """
+    return {}
+
+
+def _memo(alg: PoissonAlgebra, budget: LatticeBudget, what: str, compute):
+    """The cached result ``what`` for the algebra's tensors, computing it on
+    first use; nothing is stored when ``compute`` raises."""
+    entry = _structure(alg.field, alg.dot_tensor, alg.bracket_tensor, budget)
+    if what not in entry:
+        entry[what] = compute()
+    return entry[what]
 
 
 @dataclass(frozen=True)
@@ -186,14 +215,19 @@ class LatticeProfile:
         return [s for s, f in zip(self.subspaces, self.ideal_flags) if f]
 
 
-@lru_cache(maxsize=256)
 def lattice_profile(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> LatticeProfile:
-    subspaces = tuple(enumerate_subspaces(alg.field, alg.dim, budget))
-    assoc_flags = tuple(is_assoc_subalgebra(alg, s) for s in subspaces)
-    lie_flags = tuple(is_lie_subalgebra(alg, s) for s in subspaces)
-    sub_flags = tuple(a and b for a, b in zip(assoc_flags, lie_flags))
-    ideal_flags = tuple(flag and is_ideal(alg, s) for s, flag in zip(subspaces, sub_flags))
-    return LatticeProfile(subspaces, sub_flags, assoc_flags, lie_flags, ideal_flags)
+    def compute():
+        subspaces = tuple(enumerate_subspaces(alg.field, alg.dim, budget))
+        assoc_flags = tuple(is_assoc_subalgebra(alg, s) for s in subspaces)
+        lie_flags = tuple(is_lie_subalgebra(alg, s) for s in subspaces)
+        sub_flags = tuple(a and b for a, b in zip(assoc_flags, lie_flags))
+        ideal_flags = tuple(flag and is_ideal(alg, s) for s, flag in zip(subspaces, sub_flags))
+        return LatticeProfile(subspaces, sub_flags, assoc_flags, lie_flags, ideal_flags)
+    return _memo(alg, budget, "profile", compute)
+
+
+lattice_profile.cache_info = _structure.cache_info
+lattice_profile.cache_clear = _structure.cache_clear
 
 
 def _maximal_members(candidates) -> list:
@@ -207,10 +241,11 @@ def _maximal_members(candidates) -> list:
 def _maximal(alg: PoissonAlgebra, budget: LatticeBudget, flags: str) -> list:
     """Maximal members among the proper subspaces whose profile flag
     (``subalgebra_flags``, ``assoc_flags`` or ``lie_flags``) is set."""
-    profile = lattice_profile(alg, budget)
-    proper = [s for s, f in zip(profile.subspaces, getattr(profile, flags))
-              if f and s.dim != alg.dim]
-    return _maximal_members(proper)
+    def compute():
+        profile = lattice_profile(alg, budget)
+        return tuple(_maximal_members([s for s, f in zip(profile.subspaces, getattr(profile, flags))
+                                       if f and s.dim != alg.dim]))
+    return list(_memo(alg, budget, flags, compute))
 
 
 def maximal_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> list:
@@ -266,20 +301,25 @@ def ideal_core(alg: PoissonAlgebra, w: Subspace, dot: bool = True, bracket: bool
         current = nxt
 
 
+def _frattini_pair(alg: PoissonAlgebra, maximal: list, dot: bool, bracket: bool) -> tuple:
+    f_space = _intersect_all(alg.field, alg.dim, maximal)
+    return f_space, ideal_core(alg, f_space, dot=dot, bracket=bracket)
+
+
 def frattini(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> tuple:
     """(F, phi): the intersection of the maximal subalgebras and its ideal core."""
-    f_space = _intersect_all(alg.field, alg.dim, maximal_subalgebras(alg, budget))
-    return f_space, ideal_core(alg, f_space)
+    return _memo(alg, budget, "frattini", lambda: _frattini_pair(
+        alg, maximal_subalgebras(alg, budget), True, True))
 
 
 def frattini_assoc(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> tuple:
-    f_space = _intersect_all(alg.field, alg.dim, maximal_assoc_subalgebras(alg, budget))
-    return f_space, ideal_core(alg, f_space, dot=True, bracket=False)
+    return _memo(alg, budget, "frattini_assoc", lambda: _frattini_pair(
+        alg, maximal_assoc_subalgebras(alg, budget), True, False))
 
 
 def frattini_lie(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> tuple:
-    f_space = _intersect_all(alg.field, alg.dim, maximal_lie_subalgebras(alg, budget))
-    return f_space, ideal_core(alg, f_space, dot=False, bracket=True)
+    return _memo(alg, budget, "frattini_lie", lambda: _frattini_pair(
+        alg, maximal_lie_subalgebras(alg, budget), False, True))
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +333,17 @@ def minimal_ideals(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) 
     Complete because every nonzero ideal contains a line, and closing any
     line inside a minimal ideal recovers that ideal.
     """
-    _check_field_budget(alg.field, alg.dim, budget, "minimal-ideal discovery")
-    closures = []
-    seen = set()
-    for line in enumerate_lines(alg.field, alg.dim):
-        closed = closure_ideal(alg, line).space
-        if closed not in seen:
-            seen.add(closed)
-            closures.append(closed)
-    minimal = _minimal_members(closures)
-    minimal.sort(key=_subspace_sort_key)
-    return minimal
+    def compute():
+        _check_field_budget(alg.field, alg.dim, budget, "minimal-ideal discovery")
+        closures = []
+        seen = set()
+        for line in enumerate_lines(alg.field, alg.dim):
+            closed = closure_ideal(alg, line).space
+            if closed not in seen:
+                seen.add(closed)
+                closures.append(closed)
+        return tuple(sorted(_minimal_members(closures), key=_subspace_sort_key))
+    return list(_memo(alg, budget, "minimal_ideals", compute))
 
 
 def _minimal_members(candidates) -> list:
@@ -321,17 +361,18 @@ def _scalar_key(x):
 
 
 def socle(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
-    acc = alg.zero_space()
-    for b in minimal_ideals(alg, budget):
-        acc = subspace_sum(acc, b)
-    return acc
+    return _memo(alg, budget, "socle", lambda: _sum_all(alg, minimal_ideals(alg, budget)))
 
 
 def zero_socle(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
+    return _memo(alg, budget, "zero_socle", lambda: _sum_all(
+        alg, [b for b in minimal_ideals(alg, budget) if is_zero_subspace_product(alg, b)]))
+
+
+def _sum_all(alg: PoissonAlgebra, spaces) -> Subspace:
     acc = alg.zero_space()
-    for b in minimal_ideals(alg, budget):
-        if is_zero_subspace_product(alg, b):
-            acc = subspace_sum(acc, b)
+    for s in spaces:
+        acc = subspace_sum(acc, s)
     return acc
 
 
@@ -344,29 +385,31 @@ def radical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subs
     """Largest solvable ideal, found recursively: quotient by any solvable
     minimal ideal and pull the radical of the quotient back; if no minimal
     ideal is solvable there is no nonzero solvable ideal at all."""
-    if alg.dim == 0:
+    def compute():
+        if alg.dim == 0:
+            return alg.zero_space()
+        for b in minimal_ideals(alg, budget):
+            if derived_series(alg, b).terminates:
+                data = quotient_maps(alg, b)
+                return preimage_subspace(data, radical(data.algebra, budget))
         return alg.zero_space()
-    for b in minimal_ideals(alg, budget):
-        if derived_series(alg, b).terminates:
-            data = quotient_maps(alg, b)
-            return preimage_subspace(data, radical(data.algebra, budget))
-    return alg.zero_space()
+    return _memo(alg, budget, "radical", compute)
 
 
 def nilradical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
     """Largest nilpotent ideal, as the sum of every nilpotent ideal in the
     lattice; the sum is re-verified nilpotent and maximal before returning."""
-    profile = lattice_profile(alg, budget)
-    nil_ideals = [s for s in profile.ideals() if lower_central_series(alg, s).terminates]
-    acc = alg.zero_space()
-    for s in nil_ideals:
-        acc = subspace_sum(acc, s)
-    if not lower_central_series(alg, acc).terminates:
-        raise StructureInconsistencyError("sum of nilpotent ideals is not nilpotent", acc)
-    for s in nil_ideals:
-        if not acc.contains(s):
-            raise StructureInconsistencyError("nilradical misses a nilpotent ideal", s)
-    return acc
+    def compute():
+        nil_ideals = [s for s in lattice_profile(alg, budget).ideals()
+                      if lower_central_series(alg, s).terminates]
+        acc = _sum_all(alg, nil_ideals)
+        if not lower_central_series(alg, acc).terminates:
+            raise StructureInconsistencyError("sum of nilpotent ideals is not nilpotent", acc)
+        for s in nil_ideals:
+            if not acc.contains(s):
+                raise StructureInconsistencyError("nilradical misses a nilpotent ideal", s)
+        return acc
+    return _memo(alg, budget, "nilradical", compute)
 
 
 def oracle_radical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:

@@ -876,6 +876,7 @@ def _run_guarded(check: TheoremCheck, args: tuple, budget: LatticeBudget,
 def check_one(theorem_id: str, algebras, budget: LatticeBudget = DEFAULT_BUDGET,
               config_limit: int = 256) -> TheoremResult:
     """Run one named check on an algebra (or a pair for per-pair checks)."""
+    _check_limit("config_limit", config_limit)
     if theorem_id not in _BY_ID:
         raise KeyError(f"unknown check {theorem_id!r}")
     check = _BY_ID[theorem_id]
@@ -897,6 +898,8 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
     Parallel execution only fans out independent pure calls, and results are
     ordered by (registry position, task position) regardless of jobs.
     """
+    _check_limit("config_limit", config_limit)
+    _check_limit("pair_limit", pair_limit)
     corpus = _uniquely_named(corpus)
     tasks = []
     for check in REGISTRY:
@@ -921,6 +924,13 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
     else:
         results = [run(t) for t in tasks]
     return results
+
+
+def _check_limit(name: str, value) -> None:
+    """Quantifier caps are counts: a negative one would silently drop the
+    last configurations of a slice."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
 def _diagonal_pairs(items: Sequence):

@@ -1,10 +1,18 @@
 import pytest
 from hypothesis import settings
 
+from palg import lattice
 from palg.fields import FieldSpec
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def cold_discovery_cache():
+    """Every test starts from an empty discovery cache, so no test is handed
+    a result another test computed, whatever the order."""
+    lattice.lattice_profile.cache_clear()
 
 
 @pytest.fixture(scope="session")

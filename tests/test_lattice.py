@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from palg.algebra import direct_sum, is_ideal, is_subalgebra, subspace_square
 from palg.corpus import (
+    curated_corpus,
     enumerate_poisson_structures,
     fe_plus_nilpotent_line,
     heisenberg_zero_dot,
@@ -22,6 +25,9 @@ from palg.lattice import (
     frattini_lie,
     gaussian_binomial,
     idempotents,
+    lattice_profile,
+    maximal_assoc_subalgebras,
+    maximal_lie_subalgebras,
     maximal_subalgebras,
     minimal_ideals,
     nilradical,
@@ -335,3 +341,78 @@ def test_structure_report_rejects_wrong_metadata():
     report = structure_report(s)
     assert report.radical is None
     assert "metadata-radical-rejected" in report.markers
+
+
+# ---------------------------------------------------------------------------
+# the discovery cache
+# ---------------------------------------------------------------------------
+
+# Every function that reads through the cache; radical last, because its
+# recursion also fills the entries of the quotients it visits.
+CACHED = (lattice_profile, maximal_subalgebras, maximal_assoc_subalgebras,
+          maximal_lie_subalgebras, frattini, frattini_assoc, frattini_lie,
+          minimal_ideals, socle, zero_socle, nilradical, radical)
+
+
+def _misses():
+    return lattice_profile.cache_info().misses
+
+
+def _renamed(alg):
+    """The same tensors under another name, other basis labels and a metadata
+    radical (read only over the rationals, never by discovery)."""
+    labels = tuple(f"v{i}" for i in range(alg.dim))
+    return replace(alg, basis_labels=labels).with_name(alg.name + "-copy").with_meta(
+        {"radical": [], "note": "renamed"})
+
+
+@pytest.mark.parametrize("alg", enumerate_poisson_structures(2, 2) + [
+    a for a in curated_corpus() if a.field.is_finite and a.dim <= 3], ids=lambda a: a.name)
+def test_cache_agrees_cold_warm_and_renamed(alg):
+    cold = []
+    for fn in CACHED:
+        lattice_profile.cache_clear()
+        cold.append(fn(alg))
+    lattice_profile.cache_clear()
+    first = [fn(alg) for fn in CACHED[:-1]]
+    assert _misses() == 1  # one entry serves every non-recursive function
+    first.append(radical(alg))
+    filled = _misses()
+    assert first == cold
+    assert [fn(alg) for fn in CACHED] == cold
+    copy = _renamed(alg)
+    assert copy.labels() != alg.labels() and copy.meta != alg.meta
+    assert [fn(copy) for fn in CACHED] == cold
+    assert _misses() == filled
+
+
+def test_cache_separates_fields_with_equal_integer_tensors():
+    a2, a3 = zero_algebra(GF2, 2), zero_algebra(GF3, 2)
+    assert (a2.dot_tensor, a2.bracket_tensor) == (a3.dot_tensor, a3.bracket_tensor)
+    assert len(lattice_profile(a2).subspaces) == 5
+    assert len(lattice_profile(a3).subspaces) == 6
+    assert len(minimal_ideals(a2)) == 3 and len(minimal_ideals(a3)) == 4
+    assert _misses() == 2
+
+
+def test_cached_result_does_not_lift_a_smaller_budget():
+    alg = heisenberg_zero_dot(GF2)
+    expected = frattini(alg)
+    tight = LatticeBudget(max_subspaces=1)
+    for _ in range(2):  # a failure is not cached either
+        with pytest.raises(BudgetExceededError):
+            frattini(alg, tight)
+        with pytest.raises(BudgetExceededError):
+            lattice_profile(alg, tight)
+    assert frattini(alg) == expected
+
+
+def test_mutating_a_returned_list_leaves_the_cache_intact():
+    alg = heisenberg_zero_dot(GF3)
+    for fn in (minimal_ideals, maximal_subalgebras, maximal_assoc_subalgebras,
+               maximal_lie_subalgebras):
+        first = fn(alg)
+        expected = list(first)
+        first.pop()
+        first.append(alg.full_space())
+        assert fn(alg) == expected

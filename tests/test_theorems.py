@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -12,7 +13,7 @@ from palg.corpus import (
     zero_algebra,
 )
 from palg.fields import FieldSpec
-from palg.lattice import LatticeBudget
+from palg.lattice import LatticeBudget, lattice_profile
 from palg.linalg import Subspace
 from palg.theorems import (
     NOT_APPLICABLE,
@@ -65,6 +66,28 @@ def test_check_one_against_named_algebras():
 
 def test_pair_check_on_direct_sums():
     res = check_one("Thm-3.5", (heisenberg_zero_dot(GF2), two_dim_nonabelian(GF2)))
+    assert res.status == PASS
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "3", True])
+def test_check_one_rejects_bad_config_limit(bad):
+    # a negative cap used to drop the last ideal of Lemma-3.3 silently
+    with pytest.raises(ValueError, match="config_limit"):
+        check_one("Lemma-3.3", two_dim_nonabelian(GF3), config_limit=bad)
+
+
+@pytest.mark.parametrize("param", ["config_limit", "pair_limit"])
+@pytest.mark.parametrize("bad", [-1, 1.5, True])
+def test_run_suite_rejects_bad_limits(param, bad):
+    with pytest.raises(ValueError, match=param):
+        run_suite([two_dim_nonabelian(GF3)], theorem_filter="Thm-3.5", **{param: bad})
+
+
+def test_zero_limits_are_accepted():
+    algs = [two_dim_nonabelian(GF3), heisenberg_zero_dot(GF3)]
+    assert run_suite(algs, theorem_filter="Thm-3.5", pair_limit=0) == []
+    assert len(run_suite(algs, theorem_filter="Thm-3.5", pair_limit=2)) == 2
+    res = check_one("Lemma-3.3", two_dim_nonabelian(GF3), config_limit=0)
     assert res.status == PASS
 
 
@@ -197,6 +220,21 @@ def test_suite_is_deterministic_across_jobs():
     assert [r.to_json() for r in one] == [r.to_json() for r in four]
     again = run_suite(corpus, jobs=1)
     assert json.dumps([r.to_json() for r in one]) == json.dumps([r.to_json() for r in again])
+
+
+def test_threads_fill_the_discovery_cache_safely():
+    # four workers start on an empty cache and switch often, so they race to
+    # fill the same entries; a lost or mixed-up entry would change a result
+    corpus = curated_corpus()[:8]
+    serial = [r.to_json() for r in run_suite(corpus, jobs=1)]
+    lattice_profile.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = [r.to_json() for r in run_suite(corpus, jobs=4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_duplicate_names_are_disambiguated():
