@@ -231,11 +231,18 @@ lattice_profile.cache_clear = _structure.cache_clear
 
 
 def _maximal_members(candidates) -> list:
-    out = []
-    for s in candidates:
-        if not any(other.dim > s.dim and other.contains(s) for other in candidates if other is not s):
-            out.append(s)
-    return out
+    """The candidates strictly inside no other one, in their given order.
+
+    Visited largest first, each candidate is tested only against the maxima
+    found so far: a candidate strictly inside some other one lies inside a
+    maximal candidate of larger dimension, which was visited earlier.
+    """
+    found = []
+    for i in sorted(range(len(candidates)), key=lambda i: -candidates[i].dim):
+        s = candidates[i]
+        if not any(candidates[j].dim > s.dim and candidates[j].contains(s) for j in found):
+            found.append(i)
+    return [candidates[i] for i in sorted(found)]
 
 
 def _maximal(alg: PoissonAlgebra, budget: LatticeBudget, flags: str) -> list:

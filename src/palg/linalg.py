@@ -8,6 +8,7 @@ form is what makes series stabilisation and lattice deduplication exact.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -218,28 +219,35 @@ def rref(m: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^n held as a canonical RREF basis (no zero rows)."""
+    """A subspace of F^n held as a canonical RREF basis (no zero rows).
+
+    ``pivots``, the pivot column of each basis row, is derived from the
+    basis when the subspace is built and takes no part in equality, hashing
+    or repr.
+    """
 
     ambient_dim: int
     basis: Matrix
+    pivots: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.basis.ncols != self.ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        last = -1
+        pivots = []
         for i in range(self.basis.nrows):
             row = self.basis.row(i)
             piv = _first_nonzero(row)
             if piv is None:
                 raise ValueError("zero row in a subspace basis")
-            if piv <= last:
+            if pivots and piv <= pivots[-1]:
                 raise ValueError("pivots not strictly increasing")
             if row[piv] != self.basis.field.one():
                 raise ValueError("pivot entry is not one")
             for r in range(self.basis.nrows):
                 if r != i and self.basis.entries[r][piv] != 0:
                     raise ValueError("nonzero entry above or below a pivot")
-            last = piv
+            pivots.append(piv)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     # -- constructors ------------------------------------------------------
 
@@ -266,10 +274,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.nrows
 
-    @property
-    def pivots(self) -> tuple:
-        return tuple(_first_nonzero(row) for row in self.basis.entries)
-
     def is_zero(self) -> bool:
         return self.dim == 0
 
@@ -294,6 +298,10 @@ class Subspace:
         return vec_is_zero(self.reduce_vector(v))
 
     def contains(self, other: "Subspace") -> bool:
+        # Every vector of this subspace leads at one of its pivots, so a
+        # row of other leading elsewhere already lies outside.
+        if not set(self.pivots).issuperset(other.pivots):
+            return False
         return all(self.contains_vector(r) for r in other.rows())
 
     def coordinates(self, v: Vector) -> Vector:

@@ -251,12 +251,15 @@ def _check_minimal_in_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
     nil_ideals = [s for s in lattice_profile(alg, budget).ideals()
                   if lower_central_series(alg, s).terminates]
     failures, exercised = [], 0
+    annihilators = {}  # n -> annihilator(alg, n).space, computed on first use
     for b in mins:
         for n in nil_ideals:
             if not n.contains(b):
                 continue
             exercised += 1
-            ann = annihilator(alg, n).space
+            if n not in annihilators:
+                annihilators[n] = annihilator(alg, n).space
+            ann = annihilators[n]
             if not ann.contains(b):
                 failures.append({"minimal": _fmt_space(b), "nilpotent": _fmt_space(n),
                                  "annihilator": _fmt_space(ann)})
@@ -564,6 +567,7 @@ def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget,
         if not is_subideal(alg, b):
             continue
         b_alg, embed = subalgebra_algebra(alg, b)
+        b_nilpotent = b_supersolvable = None  # computed on first use
         pivots = b.pivots
         for c in profile.subspaces:
             if exercised >= limit:
@@ -579,13 +583,17 @@ def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget,
             data = quotient_maps(b_alg, c_inside)
             if lower_central_series(data.algebra).terminates:
                 exercised += 1
-                if not is_nilpotent(b_alg):
+                if b_nilpotent is None:
+                    b_nilpotent = is_nilpotent(b_alg)
+                if not b_nilpotent:
                     failures.append({"subideal": _fmt_space(b), "ideal": _fmt_space(c),
                                      "clause": "nilpotent"})
                     break
             if is_supersolvable(data.algebra)[0]:
                 exercised += 1
-                if not is_supersolvable(b_alg)[0]:
+                if b_supersolvable is None:
+                    b_supersolvable = is_supersolvable(b_alg)[0]
+                if not b_supersolvable:
                     failures.append({"subideal": _fmt_space(b), "ideal": _fmt_space(c),
                                      "clause": "supersolvable"})
                     break

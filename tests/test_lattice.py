@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from palg.algebra import direct_sum, is_ideal, is_subalgebra, subspace_square
 from palg.corpus import (
@@ -42,12 +43,18 @@ from palg.lattice import (
     verify_nilradical,
     verify_radical,
     zero_socle,
+    _maximal_members,
 )
 from palg.linalg import Subspace
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
 Q = FieldSpec.rationals()
+
+# The 25 valid structures of dim 2 over GF(2) and the finite curated
+# algebras of dim <= 3.
+SMALL_FINITE = enumerate_poisson_structures(2, 2) + [
+    a for a in curated_corpus() if a.field.is_finite and a.dim <= 3]
 
 
 def span(alg, *vecs):
@@ -366,8 +373,7 @@ def _renamed(alg):
         {"radical": [], "note": "renamed"})
 
 
-@pytest.mark.parametrize("alg", enumerate_poisson_structures(2, 2) + [
-    a for a in curated_corpus() if a.field.is_finite and a.dim <= 3], ids=lambda a: a.name)
+@pytest.mark.parametrize("alg", SMALL_FINITE, ids=lambda a: a.name)
 def test_cache_agrees_cold_warm_and_renamed(alg):
     cold = []
     for fn in CACHED:
@@ -416,3 +422,38 @@ def test_mutating_a_returned_list_leaves_the_cache_intact():
         first.pop()
         first.append(alg.full_space())
         assert fn(alg) == expected
+
+
+# ---------------------------------------------------------------------------
+# the largest-first scan against the quadratic scan
+# ---------------------------------------------------------------------------
+
+
+def _quadratic_maximal(candidates):
+    return [s for s in candidates
+            if not any(o.dim > s.dim and o.contains(s) for o in candidates if o is not s)]
+
+
+def _assert_scans_agree(candidates):
+    assert _maximal_members(candidates) == _quadratic_maximal(candidates)
+
+
+@pytest.mark.parametrize("alg", SMALL_FINITE, ids=lambda a: a.name)
+def test_maximal_members_match_quadratic_scan_on_every_flag_set(alg):
+    profile = lattice_profile(alg)
+    for flags in ("subalgebra_flags", "assoc_flags", "lie_flags", "ideal_flags"):
+        members = [s for s, f in zip(profile.subspaces, getattr(profile, flags)) if f]
+        _assert_scans_agree(members)
+        _assert_scans_agree([s for s in members if s.dim != alg.dim])
+        _assert_scans_agree([s for s in members if s.dim != 0])
+
+
+SUBSPACES_GF2_4 = list(enumerate_subspaces(GF2, 4))
+SUBSPACES_GF3_3 = list(enumerate_subspaces(GF3, 3))
+
+
+@given(st.one_of(st.lists(st.sampled_from(SUBSPACES_GF2_4), unique=True),
+                 st.lists(st.sampled_from(SUBSPACES_GF3_3), unique=True)))
+def test_maximal_members_match_quadratic_scan_on_arbitrary_sets(candidates):
+    # distinct subspaces in any order, not necessarily a lattice
+    _assert_scans_agree(candidates)

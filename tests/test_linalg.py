@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from palg.fields import FieldError, FieldSpec
+from palg.lattice import enumerate_subspaces
 from palg.linalg import (
     Matrix,
     Subspace,
@@ -18,6 +19,7 @@ from palg.linalg import (
     rref,
     subspace_intersect,
     subspace_sum,
+    vec_is_zero,
 )
 
 GF2 = FieldSpec.prime(2)
@@ -153,6 +155,27 @@ def test_dimension_formula(m1, m2):
     assert u.dim + v.dim == total.dim + meet.dim
     assert total.contains(u) and total.contains(v)
     assert u.contains(meet) and v.contains(meet)
+
+
+@given(matrices(max_dim=4))
+def test_pivots_are_leading_columns_and_stay_out_of_equality(m):
+    s = Subspace(m.ncols, rref(m))
+    assert s.pivots == tuple(next(j for j, x in enumerate(row) if x != 0) for row in s.rows())
+    # the same space from another spanning set: reversed rows plus their sum
+    rows = list(reversed(m.entries))
+    rows.append(tuple(m.field.add(a, b) for a, b in zip(rows[0], rows[-1])))
+    t = Subspace.from_vectors(m.field, m.ncols, rows)
+    assert t is not s and t == s and hash(t) == hash(s) and t.pivots == s.pivots
+    assert "pivots" not in repr(s)
+
+
+@pytest.mark.parametrize("field,n", [(GF2, 4), (GF3, 3)])
+def test_contains_matches_reduce_only_reference(field, n):
+    spaces = list(enumerate_subspaces(field, n))
+    for big in spaces:
+        for small in spaces:
+            expected = all(vec_is_zero(big.reduce_vector(r)) for r in small.rows())
+            assert big.contains(small) == expected, (big, small)
 
 
 def test_quotient_basis_completes():

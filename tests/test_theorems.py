@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from palg.corpus import (
 )
 from palg.fields import FieldSpec
 from palg.lattice import LatticeBudget, lattice_profile
+from palg import theorems
 from palg.linalg import Subspace
 from palg.theorems import (
     NOT_APPLICABLE,
@@ -241,3 +243,40 @@ def test_duplicate_names_are_disambiguated():
     corpus = [zero_algebra(GF2, 1), zero_algebra(GF2, 1)]
     results = run_suite(corpus, theorem_filter="Prop-2.4")
     assert len({r.algebra for r in results}) == 2
+
+
+# ---------------------------------------------------------------------------
+# per-ideal properties computed once
+# ---------------------------------------------------------------------------
+
+
+def _record_calls(monkeypatch, name, position):
+    """Wrap theorems.<name>, recording the argument at ``position`` of each
+    call; the list keeps them alive, so their ids stay distinct."""
+    original = getattr(theorems, name)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(args[position])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, name, recording)
+    return seen
+
+
+# Each algebra below has a nilpotent ideal (Lemma-2.3) or a subideal
+# (Thm-4.2) that several counted pairs share, so computing the property per
+# pair would call it more than once for one argument.
+@pytest.mark.parametrize("theorem_id,alg,patched", [
+    ("Lemma-2.3", zero_algebra(GF3, 2), (("annihilator", 1),)),
+    ("Lemma-2.3", zero_algebra(GF2, 3), (("annihilator", 1),)),
+    ("Thm-4.2", heisenberg_zero_dot(GF3), (("is_nilpotent", 0), ("is_supersolvable", 0))),
+    ("Thm-4.2", heisenberg_zero_dot(GF2), (("is_nilpotent", 0), ("is_supersolvable", 0))),
+], ids=lambda p: p if isinstance(p, str) else getattr(p, "name", None))
+def test_per_ideal_properties_are_computed_once(monkeypatch, theorem_id, alg, patched):
+    expected = check_one(theorem_id, alg)
+    seen = {name: _record_calls(monkeypatch, name, pos) for name, pos in patched}
+    assert check_one(theorem_id, alg) == expected
+    for name, args in seen.items():
+        assert args, name
+        assert max(Counter(map(id, args)).values()) == 1, name
