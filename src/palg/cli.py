@@ -326,7 +326,11 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     started = time.monotonic()
-    algebras = enumerate_poisson_structures(args.dim, args.q)
+    try:
+        algebras = enumerate_poisson_structures(args.dim, args.q)
+    except ValueError as exc:  # a negative dim or, as FieldError, a non-prime q
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     filenames = []

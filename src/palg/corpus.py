@@ -7,7 +7,8 @@ coerce them to floats.  Dot entries are stored with i <= j and bracket
 entries with i < j; loading symmetrises and antisymmetrises accordingly.
 Random structure constants are useless here (they essentially never satisfy
 associativity, Jacobi and the compatibility identity simultaneously), so the
-corpus consists of closed constructions plus exhaustive small scans.
+corpus consists of closed constructions plus exhaustive small scans, which
+solve for the bracket once the dot is fixed (enumerate_poisson_structures).
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from .algebra import (
     AxiomViolation,
     DialgebraTensors,
     PoissonAlgebra,
+    _axiom_witnesses,
     direct_sum,
+    evaluate_axiom,
     tensors_from_maps,
     validate,
 )
 from .fields import FieldError, FieldSpec
 from .lattice import BudgetExceededError
+from .linalg import Matrix, kernel, vec_add, vec_scale, zero_vector
 
 SCHEMA_VERSION = "1"
 COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -365,9 +369,18 @@ def free_entry_count(n: int) -> tuple:
 
 def enumerate_poisson_structures(n: int, q: int, cap: int = ENUM_CANDIDATE_CAP) -> list:
     """Every assignment of canonical structure constants over GF(q) that
-    passes validation, in lexicographic tensor order, deduplicated only by
-    literal tensor equality (distinct assignments are distinct tensors, so
-    nothing collapses)."""
+    passes validation, in lexicographic (dot, bracket) order; distinct
+    assignments are distinct tensors, so nothing collapses.
+
+    Two exact stages: the dots that validate with the zero bracket (the
+    associative ones), in lexicographic order; then for each, the brackets
+    solving its Leibniz equations, linear once the dot is fixed, also in
+    lexicographic order.  That is the order of the full product scan, so
+    names are unchanged; each candidate is still validated (Jacobi filters
+    here), and the cap still counts all q^(dot + bracket) assignments.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"dimension n must be a nonnegative integer, got {n!r}")
     field = FieldSpec.prime(q)
     dot_free, bracket_free = free_entry_count(n)
     total = q ** (dot_free + bracket_free)
@@ -375,20 +388,42 @@ def enumerate_poisson_structures(n: int, q: int, cap: int = ENUM_CANDIDATE_CAP) 
         raise BudgetExceededError("enumeration-candidates", f"{total} > {cap}")
     dot_positions = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
     bracket_positions = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
-    elems = list(field.elements())
     out = []
-    for assignment in itertools.product(elems, repeat=len(dot_positions) + len(bracket_positions)):
-        dot_map = {pos: val for pos, val in zip(dot_positions, assignment) if val != 0}
-        bracket_map = {pos: val
-                       for pos, val in zip(bracket_positions, assignment[len(dot_positions):])
-                       if val != 0}
-        tensors = tensors_from_maps(field, n, dot_map, bracket_map)
+    for dot_values in itertools.product(field.elements(), repeat=len(dot_positions)):
+        dot_map = {pos: val for pos, val in zip(dot_positions, dot_values) if val != 0}
         try:
-            alg = validate(tensors, name=f"gf{q}-d{n}-{len(out):05d}")
+            validate(tensors_from_maps(field, n, dot_map, {}))
         except AxiomViolation:
             continue
-        out.append(alg)
+        for bracket_values in _leibniz_brackets(field, n, dot_map, bracket_positions):
+            bracket_map = {pos: val for pos, val in zip(bracket_positions, bracket_values)
+                           if val != 0}
+            tensors = tensors_from_maps(field, n, dot_map, bracket_map)
+            try:
+                alg = validate(tensors, name=f"gf{q}-d{n}-{len(out):05d}")
+            except AxiomViolation:
+                continue
+            out.append(alg)
     return out
+
+
+def _leibniz_brackets(field: FieldSpec, n: int, dot_map: dict, positions: Sequence) -> list:
+    """The bracket value tuples at ``positions`` with every Leibniz residual
+    zero under the dot, in lexicographic order: the kernel of the matrix
+    whose column p stacks the residuals of the unit bracket at p.  Its basis
+    is in RREF, so varying earlier rows' coefficients more slowly lists the
+    kernel already sorted (a pivot coordinate is its row's coefficient)."""
+    witnesses = [w for axiom, w, _ in _axiom_witnesses(n) if axiom == "leibniz"]
+    columns = []
+    for pos in positions:
+        t = tensors_from_maps(field, n, dot_map, {pos: 1})
+        unit = PoissonAlgebra(field, n, t.dot, t.bracket)
+        columns.append([c for w in witnesses for c in evaluate_axiom(unit, "leibniz", w)])
+    solutions = [zero_vector(field, len(positions))]
+    for row in kernel(Matrix.from_rows(field, list(zip(*columns)), ncols=len(positions))).rows():
+        solutions = [vec_add(field, v, vec_scale(field, c, row))
+                     for v in solutions for c in field.elements()]
+    return solutions
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ def test_enumerate_budget_exit(capsys, tmp_path):
     assert code == 3
 
 
+def test_enumerate_negative_dim_is_a_usage_error(capsys, tmp_path):
+    outdir = tmp_path / "x"
+    code, _, err = run_cli(capsys, "enumerate", "-1", "5", str(outdir))
+    assert code == 2
+    assert err.startswith("error: ") and "dimension n" in err
+    assert not outdir.exists()
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["series"]) == 2

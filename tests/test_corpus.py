@@ -1,10 +1,19 @@
+import itertools
 import json
 
 import pytest
 
-from palg.algebra import AxiomViolation, validate
+from palg.algebra import (
+    AxiomViolation,
+    PoissonAlgebra,
+    direct_sum,
+    evaluate_axiom,
+    tensors_from_maps,
+    validate,
+)
 from palg.corpus import (
     CorpusFormatError,
+    _leibniz_brackets,
     build,
     curated_corpus,
     enumerate_poisson_structures,
@@ -196,6 +205,7 @@ def test_enumeration_counts_are_frozen():
     assert len(enumerate_poisson_structures(1, 3)) == 3
     assert len(enumerate_poisson_structures(2, 2)) == 25
     assert len(enumerate_poisson_structures(2, 3)) == 113
+    assert len(enumerate_poisson_structures(2, 5)) == 769
 
 
 def test_enumeration_contains_zero_and_idempotent_patterns():
@@ -220,6 +230,103 @@ def test_enumeration_is_deterministic():
 def test_enumeration_candidate_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_poisson_structures(3, 5)
+
+
+def test_enumeration_budget_counts_every_candidate_tensor():
+    # (2, 3) has 6 dot and 2 bracket positions: the cap counts all 3^8
+    # assignments, not the dots or kernels actually visited
+    assert len(enumerate_poisson_structures(2, 3, cap=3 ** 8)) == 113
+    with pytest.raises(BudgetExceededError):
+        enumerate_poisson_structures(2, 3, cap=3 ** 8 - 1)
+
+
+@pytest.mark.parametrize("n", [-1, -5, 1.0, "2"])
+def test_enumeration_rejects_a_bad_dimension(n):
+    with pytest.raises(ValueError, match="dimension n"):
+        enumerate_poisson_structures(n, 5)
+
+
+def _product_scan(n, q):
+    """The single-stage scan: validate every one of the q^(dot + bracket)
+    assignments in itertools.product order."""
+    field = FieldSpec.prime(q)
+    dot_positions = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
+    bracket_positions = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    elems = list(field.elements())
+    out = []
+    for assignment in itertools.product(elems, repeat=len(dot_positions) + len(bracket_positions)):
+        dot_map = {pos: val for pos, val in zip(dot_positions, assignment) if val != 0}
+        bracket_map = {pos: val
+                       for pos, val in zip(bracket_positions, assignment[len(dot_positions):])
+                       if val != 0}
+        tensors = tensors_from_maps(field, n, dot_map, bracket_map)
+        try:
+            alg = validate(tensors, name=f"gf{q}-d{n}-{len(out):05d}")
+        except AxiomViolation:
+            continue
+        out.append(alg)
+    return out
+
+
+def _enumeration_record(algebras):
+    return [(a.name, a.dot_tensor, a.bracket_tensor, a.labels(), a.meta) for a in algebras]
+
+
+@pytest.mark.parametrize("n, q", [(0, 2), (0, 5), (1, 2), (1, 3), (1, 5), (1, 7),
+                                  (2, 2), (2, 3)])
+def test_two_stage_enumeration_matches_the_product_scan(n, q):
+    assert (_enumeration_record(enumerate_poisson_structures(n, q))
+            == _enumeration_record(_product_scan(n, q)))
+
+
+def _canonical_dot(alg):
+    n = alg.dim
+    return {(i, j, k): alg.dot_tensor[i][j][k]
+            for i in range(n) for j in range(i, n) for k in range(n)
+            if alg.dot_tensor[i][j][k] != 0}
+
+
+def _commutative_associative_dots(field, n):
+    positions = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
+    for values in itertools.product(field.elements(), repeat=len(positions)):
+        dot_map = {pos: val for pos, val in zip(positions, values) if val != 0}
+        try:
+            validate(tensors_from_maps(field, n, dot_map, {}))
+        except AxiomViolation:
+            continue
+        yield dot_map
+
+
+def _leibniz_brute_force(field, n, dot_map, positions):
+    witnesses = list(itertools.product(range(n), repeat=3))
+    out = []
+    for values in itertools.product(field.elements(), repeat=len(positions)):
+        t = tensors_from_maps(field, n, dot_map,
+                              {pos: val for pos, val in zip(positions, values) if val != 0})
+        alg = PoissonAlgebra(field, n, t.dot, t.bracket)
+        if all(all(c == 0 for c in evaluate_axiom(alg, "leibniz", w)) for w in witnesses):
+            out.append(values)
+    return out
+
+
+def _bracket_stage_cases():
+    for field in (GF2, GF3):
+        for dot_map in _commutative_associative_dots(field, 2):
+            yield field, 2, dot_map
+    for alg in (zero_algebra(GF2, 3),
+                direct_sum(idempotent_line(GF2), zero_algebra(GF2, 2)),
+                direct_sum(fe_plus_nilpotent_line(GF2), idempotent_line(GF2)),
+                direct_sum(fe_plus_nilpotent_line(GF3), idempotent_line(GF3))):
+        yield alg.field, 3, _canonical_dot(alg)
+
+
+def test_bracket_stage_lists_exactly_the_leibniz_solutions_in_order():
+    cases = list(_bracket_stage_cases())
+    assert len(cases) > 20
+    for field, n, dot_map in cases:
+        positions = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+        expected = _leibniz_brute_force(field, n, dot_map, positions)
+        assert _leibniz_brackets(field, n, dot_map, positions) == expected, (field, dot_map)
 
 
 # ---------------------------------------------------------------------------
