@@ -1,0 +1,45 @@
+"""The one per-tensor result cache shared by discovery and the series
+verdicts.
+
+An entry is keyed on (field, dot tensor, bracket tensor), which is exactly
+what every cached result reads; name, basis labels and meta are left out, so
+the renamed quotient, subalgebra and summand copies the checks build share
+one entry.  Inside the entry each result sits under its own key:
+
+* lattice discovery (``lattice``) stores under ``(name, budget)``, because
+  the budget decides whether a computation raises, and a result computed
+  under a generous budget must not stop a tighter one from raising;
+* whole-algebra series verdicts (``series``) store under a name alone,
+  because they never read a budget.
+
+One entry per tensor, not one per (tensor, budget), keeps the series
+verdicts from competing with the lattice profiles for the ``maxsize`` slots.
+Nothing is stored when a computation raises, so a budget overrun or a
+``SeriesConsistencyError`` from a negative control raises again next time.
+``lattice.lattice_profile.cache_info()`` and ``cache_clear()`` report on and
+empty this cache.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+
+@lru_cache(maxsize=256)
+def _structure(field, dot_tensor: tuple, bracket_tensor: tuple) -> dict:
+    """The results cached for one (field, dot tensor, bracket tensor),
+    filled in lazily by key."""
+    return {}
+
+
+def memo(alg, key, compute):
+    """The cached result ``key`` for the algebra's tensors, computing it on
+    first use; nothing is stored when ``compute`` raises."""
+    entry = _structure(alg.field, alg.dot_tensor, alg.bracket_tensor)
+    if key not in entry:
+        entry[key] = compute()
+    return entry[key]
+
+
+cache_info = _structure.cache_info
+cache_clear = _structure.cache_clear

@@ -214,14 +214,23 @@ def _load_algebra(path: str, allow_invalid: bool) -> PoissonAlgebra:
     return parse_document(Path(path).read_text(encoding="utf-8"), allow_invalid=allow_invalid)
 
 
+def _usage_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_analyze(args) -> int:
     started = time.monotonic()
+    try:
+        budget = _budget_from(args)
+    except ValueError as exc:  # a negative --budget-* value
+        return _usage_error(exc)
     try:
         alg = _load_algebra(args.path, args.allow_invalid)
     except AxiomViolation as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_MATH
-    report = structure_report(alg, _budget_from(args))
+    report = structure_report(alg, budget)
     result = _report_json(report)
     labels = alg.labels()
     lines = [f"algebra {alg.name or args.path} over {alg.field} (dim {alg.dim})"]
@@ -299,6 +308,10 @@ def cmd_check(args) -> int:
         for check in REGISTRY:
             print(f"{check.id:12s} {check.statement}")
         return EXIT_OK
+    try:
+        budget = _budget_from(args)
+    except ValueError as exc:  # a negative --budget-* value
+        return _usage_error(exc)
     manifest_path = Path(args.manifest)
     members = parse_manifest(manifest_path.read_text(encoding="utf-8"))
     corpus = []
@@ -308,8 +321,10 @@ def cmd_check(args) -> int:
         inputs.append(str(member_path))
         corpus.append(parse_document(member_path.read_text(encoding="utf-8"),
                                      allow_invalid=args.allow_invalid))
-    results = run_suite(corpus, theorem_filter=args.theorem,
-                        budget=_budget_from(args), jobs=args.jobs)
+    try:
+        results = run_suite(corpus, theorem_filter=args.theorem, budget=budget, jobs=args.jobs)
+    except ValueError as exc:  # run_suite rejects --jobs below 1
+        return _usage_error(exc)
     counts = summarise(results)
     payload = {"results": [r.to_json() for r in results], "summary": counts}
     lines = []
@@ -329,8 +344,7 @@ def cmd_enumerate(args) -> int:
     try:
         algebras = enumerate_poisson_structures(args.dim, args.q)
     except ValueError as exc:  # a negative dim or, as FieldError, a non-prime q
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     filenames = []

@@ -8,15 +8,22 @@ Discovery requires a finite field; over the rationals only the verify_*
 forms are offered, which check a candidate against the defining linear
 conditions and against the ideals reachable by closing basis lines.
 Budgets are hard limits: exceeding one raises instead of degrading.
-Discovery results are cached per (field, tensors, budget); see _structure.
+
+Discovery results are cached in the one per-tensor cache of ``_cache``: the
+entry is keyed on (field, dot tensor, bracket tensor), the fields of the
+algebra that discovery reads, and each result sits inside it under
+(name, budget).  The budget is part of the result's key, not the entry's,
+because it decides whether a computation raises; keeping it inside lets the
+series verdicts, which read no budget, share the entry instead of taking
+cache slots of their own.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
 
+from ._cache import cache_clear, cache_info, memo
 from .algebra import (
     PoissonAlgebra,
     closure_ideal,
@@ -77,6 +84,13 @@ class LatticeBudget:
     max_q: int = 3
     max_subspaces: int = 10 ** 6
     max_elements: int = 10 ** 5
+
+    def __post_init__(self) -> None:
+        # a negative limit would turn every request into a budget overrun
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
 DEFAULT_BUDGET = LatticeBudget()
@@ -166,36 +180,8 @@ def enumerate_elements(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDG
 
 
 # ---------------------------------------------------------------------------
-# the discovery cache: one entry per (field, tensors, budget)
+# the lattice profile and maximal subalgebras, cached per tensor
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _structure(field: FieldSpec, dot_tensor: tuple, bracket_tensor: tuple,
-               budget: LatticeBudget) -> dict:
-    """The discovery results of one (field, dot tensor, bracket tensor,
-    budget), filled in lazily by name: the lattice profile, the maximal
-    subalgebras for each product, the three Frattini pairs, the minimal
-    ideals, the socles, the radical and the nilradical.
-
-    The key is exactly what discovery reads.  The budget is in it because it
-    decides whether a computation raises.  Name, basis labels and meta are
-    left out: discovery never reads them (only structure_report's branch over
-    the rationals reads meta, and that branch is not cached), so the renamed
-    quotient, subalgebra and summand copies the checks build share one entry.
-    ``lattice_profile.cache_info()`` and ``lattice_profile.cache_clear()``
-    report on and empty this one cache.
-    """
-    return {}
-
-
-def _memo(alg: PoissonAlgebra, budget: LatticeBudget, what: str, compute):
-    """The cached result ``what`` for the algebra's tensors, computing it on
-    first use; nothing is stored when ``compute`` raises."""
-    entry = _structure(alg.field, alg.dot_tensor, alg.bracket_tensor, budget)
-    if what not in entry:
-        entry[what] = compute()
-    return entry[what]
 
 
 @dataclass(frozen=True)
@@ -223,11 +209,11 @@ def lattice_profile(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET)
         sub_flags = tuple(a and b for a, b in zip(assoc_flags, lie_flags))
         ideal_flags = tuple(flag and is_ideal(alg, s) for s, flag in zip(subspaces, sub_flags))
         return LatticeProfile(subspaces, sub_flags, assoc_flags, lie_flags, ideal_flags)
-    return _memo(alg, budget, "profile", compute)
+    return memo(alg, ("profile", budget), compute)
 
 
-lattice_profile.cache_info = _structure.cache_info
-lattice_profile.cache_clear = _structure.cache_clear
+lattice_profile.cache_info = cache_info
+lattice_profile.cache_clear = cache_clear
 
 
 def _maximal_members(candidates) -> list:
@@ -252,7 +238,7 @@ def _maximal(alg: PoissonAlgebra, budget: LatticeBudget, flags: str) -> list:
         profile = lattice_profile(alg, budget)
         return tuple(_maximal_members([s for s, f in zip(profile.subspaces, getattr(profile, flags))
                                        if f and s.dim != alg.dim]))
-    return list(_memo(alg, budget, flags, compute))
+    return list(memo(alg, (flags, budget), compute))
 
 
 def maximal_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> list:
@@ -315,17 +301,17 @@ def _frattini_pair(alg: PoissonAlgebra, maximal: list, dot: bool, bracket: bool)
 
 def frattini(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> tuple:
     """(F, phi): the intersection of the maximal subalgebras and its ideal core."""
-    return _memo(alg, budget, "frattini", lambda: _frattini_pair(
+    return memo(alg, ("frattini", budget), lambda: _frattini_pair(
         alg, maximal_subalgebras(alg, budget), True, True))
 
 
 def frattini_assoc(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> tuple:
-    return _memo(alg, budget, "frattini_assoc", lambda: _frattini_pair(
+    return memo(alg, ("frattini_assoc", budget), lambda: _frattini_pair(
         alg, maximal_assoc_subalgebras(alg, budget), True, False))
 
 
 def frattini_lie(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> tuple:
-    return _memo(alg, budget, "frattini_lie", lambda: _frattini_pair(
+    return memo(alg, ("frattini_lie", budget), lambda: _frattini_pair(
         alg, maximal_lie_subalgebras(alg, budget), False, True))
 
 
@@ -350,7 +336,7 @@ def minimal_ideals(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) 
                 seen.add(closed)
                 closures.append(closed)
         return tuple(sorted(_minimal_members(closures), key=_subspace_sort_key))
-    return list(_memo(alg, budget, "minimal_ideals", compute))
+    return list(memo(alg, ("minimal_ideals", budget), compute))
 
 
 def _minimal_members(candidates) -> list:
@@ -368,11 +354,11 @@ def _scalar_key(x):
 
 
 def socle(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
-    return _memo(alg, budget, "socle", lambda: _sum_all(alg, minimal_ideals(alg, budget)))
+    return memo(alg, ("socle", budget), lambda: _sum_all(alg, minimal_ideals(alg, budget)))
 
 
 def zero_socle(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
-    return _memo(alg, budget, "zero_socle", lambda: _sum_all(
+    return memo(alg, ("zero_socle", budget), lambda: _sum_all(
         alg, [b for b in minimal_ideals(alg, budget) if is_zero_subspace_product(alg, b)]))
 
 
@@ -400,7 +386,7 @@ def radical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subs
                 data = quotient_maps(alg, b)
                 return preimage_subspace(data, radical(data.algebra, budget))
         return alg.zero_space()
-    return _memo(alg, budget, "radical", compute)
+    return memo(alg, ("radical", budget), compute)
 
 
 def nilradical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
@@ -416,7 +402,7 @@ def nilradical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> S
             if not acc.contains(s):
                 raise StructureInconsistencyError("nilradical misses a nilpotent ideal", s)
         return acc
-    return _memo(alg, budget, "nilradical", compute)
+    return memo(alg, ("nilradical", budget), compute)
 
 
 def oracle_radical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:

@@ -5,6 +5,11 @@ central series, and the four single-multiplication variants.  A series is
 computed until it repeats; the report's last two terms are equal unless the
 last term is zero.  All series accept an optional starting subspace so they
 double as series of subalgebras in ambient coordinates.
+
+The whole-algebra verdicts (``is_solvable`` and ``is_nilpotent`` without a
+start, and ``is_supersolvable``) are cached per (field, dot tensor, bracket
+tensor) in the cache the lattice discovery uses, so the many renamed
+quotient and subalgebra copies the checks build are decided once.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ._cache import memo
 from .algebra import (
     PoissonAlgebra,
     quotient_maps,
@@ -154,10 +160,14 @@ def series_by_kind(alg: PoissonAlgebra, kind: str, start: Subspace | None = None
 
 
 def is_solvable(alg: PoissonAlgebra, start: Subspace | None = None) -> bool:
+    if start is None:
+        return memo(alg, "solvable", lambda: derived_series(alg).terminates)
     return derived_series(alg, start).terminates
 
 
 def is_nilpotent(alg: PoissonAlgebra, start: Subspace | None = None) -> bool:
+    if start is None:
+        return memo(alg, "nilpotent", lambda: lower_central_series(alg).terminates)
     return lower_central_series(alg, start).terminates
 
 
@@ -193,14 +203,21 @@ def nilpotency_class(alg: PoissonAlgebra, start: Subspace | None = None) -> int 
 
 
 def is_supersolvable(alg: PoissonAlgebra) -> tuple:
-    """Search for a full flag of ideals, one per dimension.
+    """(verdict, flag): whether the algebra has a full flag of ideals, one
+    per dimension, and the flag listing them by dimension; cached per tensor,
+    the search itself is _supersolvable."""
+    return memo(alg, "supersolvable", lambda: _supersolvable(alg))
+
+
+def _supersolvable(alg: PoissonAlgebra) -> tuple:
+    """The uncached flag search behind is_supersolvable.
 
     Any one-dimensional ideal is spanned by a common eigenvector of all the
     left multiplication operators, so candidates are found by intersecting
     one eigenspace per operator, pruning as soon as the running intersection
     dies.  Quotienting by a found line and pulling the rest of the flag back
     is complete: every quotient of a flag algebra again has a full flag.
-    Returns (verdict, flag) where the flag lists the ideals by dimension.
+    The quotient's flag comes through the cached is_supersolvable.
     """
     if alg.dim == 0:
         return True, ()

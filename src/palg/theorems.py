@@ -364,6 +364,7 @@ def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget,
         lie_subs = [s for s, f in zip(profile.subspaces, profile.lie_flags) if f]
     else:
         lie_subs = None
+    idealisers = {}  # u -> lie_idealiser(alg, u).space, computed on first use
     for a in _element_configs(alg, budget):
         e_space = engel_lie_space(alg, a)
         if lie_subs is not None:
@@ -373,7 +374,9 @@ def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget,
                           if subalgebra_defect(alg, u) is None or u.is_full()]
         for u in candidates:
             exercised += 1
-            idealiser_space = lie_idealiser(alg, u).space
+            if u not in idealisers:
+                idealisers[u] = lie_idealiser(alg, u).space
+            idealiser_space = idealisers[u]
             if idealiser_space != u:
                 failures.append({"element": _fmt_vec(alg.field, a),
                                  "subalgebra": _fmt_space(u),
@@ -518,7 +521,9 @@ def _check_minimal_supplement(alg: PoissonAlgebra, budget: LatticeBudget,
     for b in _ideal_configs(alg, budget):
         if exercised >= limit:
             break
-        supplements = [u for u in subalgebras if subspace_sum(b, u) == full]
+        # dim(b + u) <= dim b + dim u, so the sum test only runs where it can pass
+        supplements = [u for u in subalgebras
+                       if b.dim + u.dim >= alg.dim and subspace_sum(b, u) == full]
         for u in supplements:
             if any(other.dim < u.dim and u.contains(other) for other in supplements):
                 continue  # not minimal
@@ -559,29 +564,19 @@ def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget,
     if na:
         return na
     phi = frattini(alg, budget)[1]
-    profile = lattice_profile(alg, budget)
     failures, exercised = [], 0
-    for b in profile.subalgebras():
+    for b in lattice_profile(alg, budget).subalgebras():
         if exercised >= limit or failures:
             break
         if not is_subideal(alg, b):
             continue
         b_alg, embed = subalgebra_algebra(alg, b)
         b_nilpotent = b_supersolvable = None  # computed on first use
-        pivots = b.pivots
-        for c in profile.subspaces:
+        for c, c_inside in _frattini_ideals_of(b_alg, embed, phi, budget):
             if exercised >= limit:
                 break
-            if not (phi.contains(c) and b.contains(c)):
-                continue
-            if any(not c.contains_vector(alg.mul_dot(x, y))
-                   or not c.contains_vector(alg.mul_bracket(x, y))
-                   for x in c.rows() for y in b.rows()):
-                continue  # not an ideal of b
-            c_inside = Subspace.from_vectors(b_alg.field, b_alg.dim,
-                                             [tuple(r[p] for p in pivots) for r in c.rows()])
             data = quotient_maps(b_alg, c_inside)
-            if lower_central_series(data.algebra).terminates:
+            if is_nilpotent(data.algebra):
                 exercised += 1
                 if b_nilpotent is None:
                     b_nilpotent = is_nilpotent(b_alg)
@@ -598,6 +593,22 @@ def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget,
                                      "clause": "supersolvable"})
                     break
     return _outcome(alg, "Thm-4.2", failures, exercised)
+
+
+def _frattini_ideals_of(b_alg: PoissonAlgebra, embed, phi: Subspace,
+                        budget: LatticeBudget) -> list:
+    """The ideals c of the subalgebra b_alg that lie in phi, as pairs
+    (c in ambient coordinates, c in b_alg's coordinates), in the order
+    enumerate_subspaces gives the ambient subspaces.
+
+    Embedding keeps that order, so no sort is needed: b's RREF rows lead at
+    increasing pivots, so the pivots of c map increasingly, and ambient
+    columns before b's j-th pivot depend only on the first j coordinates,
+    with the j-th coordinate itself at that pivot; rows compare as their
+    coordinates do.
+    """
+    pairs = [(embed_subspace(embed, c), c) for c in lattice_profile(b_alg, budget).ideals()]
+    return [(c, inside) for c, inside in pairs if phi.contains(c)]
 
 
 def _check_phi_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
@@ -908,6 +919,7 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
     """
     _check_limit("config_limit", config_limit)
     _check_limit("pair_limit", pair_limit)
+    _check_limit("jobs", jobs, least=1)
     corpus = _uniquely_named(corpus)
     tasks = []
     for check in REGISTRY:
@@ -934,11 +946,11 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
     return results
 
 
-def _check_limit(name: str, value) -> None:
+def _check_limit(name: str, value, least: int = 0) -> None:
     """Quantifier caps are counts: a negative one would silently drop the
-    last configurations of a slice."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    last configurations of a slice.  A worker count starts at ``least=1``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def _diagonal_pairs(items: Sequence):

@@ -151,6 +151,26 @@ def test_check_determinism_across_jobs(capsys, tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_check_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    manifest = _write_corpus(tmp_path, [zero_algebra(GF2, 1)])
+    code, out, err = run_cli(capsys, "check", str(manifest), "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "jobs" in err
+
+
+@pytest.mark.parametrize("flag,name", [("--budget-dim", "max_dim"), ("--budget-q", "max_q"),
+                                       ("--budget-subspaces", "max_subspaces")])
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_negative_budget_is_a_usage_error(capsys, tmp_path, heis_file, command, flag, name):
+    # analyze --budget-dim -3 used to exit 3, reported as a budget overrun
+    target = heis_file if command == "analyze" else _write_corpus(
+        tmp_path, [heisenberg_zero_dot(GF2)])
+    code, out, err = run_cli(capsys, command, str(target), flag, "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and name in err
+
+
 def test_enumerate_writes_files_and_manifest(capsys, tmp_path):
     outdir = tmp_path / "corpus"
     code, out, _ = run_cli(capsys, "enumerate", "1", "2", str(outdir))

@@ -413,6 +413,16 @@ def test_cached_result_does_not_lift_a_smaller_budget():
     assert frattini(alg) == expected
 
 
+@pytest.mark.parametrize("name", ["max_dim", "max_q", "max_subspaces", "max_elements"])
+def test_budget_rejects_a_negative_limit(name):
+    # a negative limit used to surface later as a budget overrun
+    with pytest.raises(ValueError, match=name):
+        LatticeBudget(**{name: -3})
+    with pytest.raises(ValueError, match=name):
+        LatticeBudget(**{name: 2.5})
+    assert getattr(LatticeBudget(**{name: 0}), name) == 0
+
+
 def test_mutating_a_returned_list_leaves_the_cache_intact():
     alg = heisenberg_zero_dot(GF3)
     for fn in (minimal_ideals, maximal_subalgebras, maximal_assoc_subalgebras,

@@ -1,14 +1,19 @@
+from collections import Counter
+
 import pytest
 
+from palg import series
 from palg.algebra import PoissonAlgebra, is_ideal
 from palg.corpus import (
     fe_plus_nilpotent_line,
     heisenberg_zero_dot,
     idempotent_line,
+    rotation3,
     two_dim_nonabelian,
     zero_algebra,
 )
 from palg.fields import FieldSpec
+from palg.lattice import lattice_profile
 from palg.linalg import Subspace
 from palg.series import (
     SeriesConsistencyError,
@@ -130,17 +135,77 @@ def test_nilpotent_implies_solvable_implies_split_solvable():
             assert is_assoc_solvable(alg) and is_lie_solvable(alg)
 
 
-def test_lower_central_cross_check_fires_on_broken_commutativity():
+def _broken_commutativity():
     # x.y = y, y.x = 0 is not commutative; the one-step recursion then
     # underestimates the genuine lower central term
     f = GF3
     z = f.zero()
     dot = [[[z] * 2 for _ in range(2)] for _ in range(2)]
     dot[0][1][1] = f.one()
-    alg = PoissonAlgebra(f, 2, tuple(tuple(tuple(l) for l in p) for p in dot),
-                         zero_algebra(f, 2).bracket_tensor)
+    return PoissonAlgebra(f, 2, tuple(tuple(tuple(l) for l in p) for p in dot),
+                          zero_algebra(f, 2).bracket_tensor)
+
+
+def test_lower_central_cross_check_fires_on_broken_commutativity():
     with pytest.raises(SeriesConsistencyError):
-        lower_central_series(alg)
+        lower_central_series(_broken_commutativity())
+
+
+def test_a_series_inconsistency_is_not_cached():
+    alg = _broken_commutativity()
+    for _ in range(2):  # a cached verdict would silence the negative control
+        with pytest.raises(SeriesConsistencyError):
+            is_nilpotent(alg)
+
+
+# ---------------------------------------------------------------------------
+# the per-tensor cache of the whole-algebra verdicts
+# ---------------------------------------------------------------------------
+
+
+def _count_computations(monkeypatch):
+    """Count, by tensor, the series and flag searches behind the cached
+    verdicts."""
+    counts = Counter()
+    for name in ("derived_series", "lower_central_series", "_supersolvable"):
+        original = getattr(series, name)
+
+        def counting(alg, *args, _name=name, _original=original):
+            counts[(_name, alg.field, alg.dot_tensor, alg.bracket_tensor)] += 1
+            return _original(alg, *args)
+
+        monkeypatch.setattr(series, name, counting)
+    return counts
+
+
+def _verdicts(alg):
+    return is_solvable(alg), is_nilpotent(alg), is_supersolvable(alg)
+
+
+@pytest.mark.parametrize("alg", [heisenberg_zero_dot(GF3), two_dim_nonabelian(GF2),
+                                 fe_plus_nilpotent_line(GF3), rotation3(Q)],
+                         ids=lambda a: a.name)
+def test_verdicts_are_cached_per_tensor_and_dropped_by_cache_clear(monkeypatch, alg):
+    expected = _verdicts(alg)
+    lattice_profile.cache_clear()
+    counts = _count_computations(monkeypatch)
+    assert _verdicts(alg) == expected
+    cold = dict(counts)
+    assert cold and set(cold.values()) == {1}
+    copy = alg.with_name(alg.name + "-copy")
+    assert _verdicts(alg) == _verdicts(copy) == expected
+    assert counts == cold  # warm, and shared by a renamed copy
+    lattice_profile.cache_clear()
+    assert _verdicts(copy) == expected
+    assert counts == {key: 2 for key in cold}
+
+
+def test_verdicts_from_a_start_are_not_cached(monkeypatch):
+    alg = heisenberg_zero_dot(GF3)
+    counts = _count_computations(monkeypatch)
+    for _ in range(2):
+        assert is_nilpotent(alg, alg.full_space()) and is_solvable(alg, alg.full_space())
+    assert set(counts.values()) == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +249,6 @@ def test_supersolvable_matches_enumeration_oracle():
 def test_rotation_block_has_no_flag_over_q():
     # the only eigenvalue of the rotation generator in Q is 0 with eigenspace
     # span(a), and span(a) is not an ideal, so no one-dimensional ideal exists
-    from palg.corpus import rotation3
     rot = rotation3(Q)
     ok, flag = is_supersolvable(rot)
     assert not ok and flag == ()

@@ -4,9 +4,17 @@ from collections import Counter
 
 import pytest
 
-from palg.algebra import PoissonAlgebra, subspace_product_dot, tensors_from_maps
+from palg.algebra import (
+    PoissonAlgebra,
+    embed_subspace,
+    is_subideal,
+    subalgebra_algebra,
+    subspace_product_dot,
+    tensors_from_maps,
+)
 from palg.corpus import (
     curated_corpus,
+    enumerate_poisson_structures,
     heisenberg_zero_dot,
     idempotent_line,
     two_dim_nonabelian,
@@ -14,8 +22,8 @@ from palg.corpus import (
     zero_algebra,
 )
 from palg.fields import FieldSpec
-from palg.lattice import LatticeBudget, lattice_profile
-from palg import theorems
+from palg.lattice import DEFAULT_BUDGET, LatticeBudget, frattini, lattice_profile
+from palg import series, theorems
 from palg.linalg import Subspace
 from palg.theorems import (
     NOT_APPLICABLE,
@@ -76,6 +84,13 @@ def test_check_one_rejects_bad_config_limit(bad):
     # a negative cap used to drop the last ideal of Lemma-3.3 silently
     with pytest.raises(ValueError, match="config_limit"):
         check_one("Lemma-3.3", two_dim_nonabelian(GF3), config_limit=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -4, 1.5, True])
+def test_run_suite_rejects_jobs_below_one(bad):
+    # jobs=0 and jobs=-4 used to run serially without a word
+    with pytest.raises(ValueError, match="jobs"):
+        run_suite([two_dim_nonabelian(GF3)], theorem_filter="Prop-2.4", jobs=bad)
 
 
 @pytest.mark.parametrize("param", ["config_limit", "pair_limit"])
@@ -264,7 +279,8 @@ def _record_calls(monkeypatch, name, position):
     return seen
 
 
-# Each algebra below has a nilpotent ideal (Lemma-2.3) or a subideal
+# Each algebra below has a nilpotent ideal (Lemma-2.3), a Lie subalgebra
+# containing several elements' Engel spaces (Lemma-2.13) or a subideal
 # (Thm-4.2) that several counted pairs share, so computing the property per
 # pair would call it more than once for one argument.
 @pytest.mark.parametrize("theorem_id,alg,patched", [
@@ -272,6 +288,8 @@ def _record_calls(monkeypatch, name, position):
     ("Lemma-2.3", zero_algebra(GF2, 3), (("annihilator", 1),)),
     ("Thm-4.2", heisenberg_zero_dot(GF3), (("is_nilpotent", 0), ("is_supersolvable", 0))),
     ("Thm-4.2", heisenberg_zero_dot(GF2), (("is_nilpotent", 0), ("is_supersolvable", 0))),
+    ("Lemma-2.13", zero_algebra(GF2, 2), (("lie_idealiser", 1),)),
+    ("Lemma-2.13", two_dim_nonabelian(GF3), (("lie_idealiser", 1),)),
 ], ids=lambda p: p if isinstance(p, str) else getattr(p, "name", None))
 def test_per_ideal_properties_are_computed_once(monkeypatch, theorem_id, alg, patched):
     expected = check_one(theorem_id, alg)
@@ -280,3 +298,69 @@ def test_per_ideal_properties_are_computed_once(monkeypatch, theorem_id, alg, pa
     for name, args in seen.items():
         assert args, name
         assert max(Counter(map(id, args)).values()) == 1, name
+
+
+# ---------------------------------------------------------------------------
+# Thm-4.2 over the ideals of each subideal, and one flag search per tensor
+# ---------------------------------------------------------------------------
+
+# Every valid structure of dim 1-2 over GF(2) and GF(3), then the finite
+# curated algebras of dim <= 3.
+SUBIDEAL_CORPUS = [alg for n, q in ((1, 2), (1, 3), (2, 2), (2, 3))
+                   for alg in enumerate_poisson_structures(n, q)] + [
+    a for a in curated_corpus() if a.field.is_finite and a.dim <= 3]
+
+
+def _pairs_by_subspace_walk(alg, budget, phi):
+    """Test oracle: Thm-4.2's (b, c) pairs found by walking every subspace c
+    of the lattice and testing, inline, that it lies in phi and b and is an
+    ideal of b; with c in b's coordinates read off b's pivot columns."""
+    profile = lattice_profile(alg, budget)
+    for b in profile.subalgebras():
+        if not is_subideal(alg, b):
+            continue
+        for c in profile.subspaces:
+            if not (phi.contains(c) and b.contains(c)):
+                continue
+            if any(not c.contains_vector(alg.mul_dot(x, y))
+                   or not c.contains_vector(alg.mul_bracket(x, y))
+                   for x in c.rows() for y in b.rows()):
+                continue
+            inside = Subspace.from_vectors(alg.field, b.dim,
+                                           [tuple(r[p] for p in b.pivots) for r in c.rows()])
+            yield b, c, inside
+
+
+def _pairs_by_ideals_of_b(alg, budget, phi):
+    for b in lattice_profile(alg, budget).subalgebras():
+        if not is_subideal(alg, b):
+            continue
+        b_alg, embed = subalgebra_algebra(alg, b)
+        for c, inside in theorems._frattini_ideals_of(b_alg, embed, phi, budget):
+            assert embed_subspace(embed, inside) == c
+            yield b, c, inside
+
+
+@pytest.mark.parametrize("alg,budget", [(a, DEFAULT_BUDGET) for a in SUBIDEAL_CORPUS] + [
+    (a, LatticeBudget(max_q=5)) for a in AXIOM_VIOLATORS.values()],
+    ids=lambda p: getattr(p, "name", None))
+def test_subideal_candidates_match_the_subspace_walk(alg, budget):
+    # phi as Thm-4.2 uses it, and the whole space, so that every ideal of b
+    # is a candidate and the order is tested on more than a few per b
+    for phi in (frattini(alg, budget)[1], alg.full_space()):
+        expected = list(_pairs_by_subspace_walk(alg, budget, phi))
+        assert list(_pairs_by_ideals_of_b(alg, budget, phi)) == expected
+
+
+def test_each_tensor_gets_one_flag_search(monkeypatch):
+    keys = Counter()
+    search = series._supersolvable
+
+    def counting(alg):
+        keys[(alg.field, alg.dot_tensor, alg.bracket_tensor)] += 1
+        return search(alg)
+
+    monkeypatch.setattr(series, "_supersolvable", counting)
+    run_suite(SUBIDEAL_CORPUS)
+    assert keys and set(keys.values()) == {1}
+    assert lattice_profile.cache_info().currsize == lattice_profile.cache_info().misses
