@@ -28,9 +28,7 @@ from .algebra import (
     PoissonAlgebra,
     closure_ideal,
     ideal_defect,
-    is_assoc_subalgebra,
     is_ideal,
-    is_lie_subalgebra,
     is_zero_subspace_product,
     preimage_subspace,
     quotient_maps,
@@ -49,6 +47,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
     vec_is_zero,
+    vec_scale,
     vec_sub,
 )
 from .series import (
@@ -137,12 +136,42 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
     Subspaces are keyed by pivot-column pattern (one Schubert cell per
     pattern); within a cell the free entries run lexicographically, so the
     order is deterministic and each basis is born in reduced echelon form.
+
+    Each subspace carries its point ``mask`` (see ``Subspace``), built from
+    one yielded earlier: dropping the first basis row r leaves the basis of a
+    subspace S' of one dimension less, and the points r adds are r + v for v
+    in S', already normalised because v vanishes up to r's pivot.
     """
     _check_enumeration_budget(field, n, budget)
+    q = field.order
     elems = list(field.elements())
     one = field.one()
     zero = field.zero()
-    for k in range(n + 1):
+    # A vector is packed into an int, one field of `width` bits per
+    # coordinate: the coordinatewise sum of two reduced vectors never
+    # carries, and adding `lift` sets a field's top bit (`tops`) exactly
+    # where the coordinate sum is >= q, which `reduce` then subtracts.
+    top = (2 * q - 2).bit_length()
+    width = top + 1
+    lift = sum(((1 << top) - q) << (j * width) for j in range(n))
+    tops = sum(1 << (top + j * width) for j in range(n))
+
+    def pack(v) -> int:
+        return sum(x << (j * width) for j, x in enumerate(v))
+
+    def reduce(u: int) -> int:
+        return u - (((u + lift) & tops) >> top) * q
+
+    point_bit = {pack(line.rows()[0]): 1 << i for i, line in enumerate(enumerate_lines(field, n))}
+    zero_space = Subspace.zero(field, n)
+    object.__setattr__(zero_space, "mask", 0)
+    yield zero_space
+    # basis -> (mask, packed elements) for the subspaces of the previous
+    # dimension; only those with no pivot in column 0 are kept, because only
+    # they are what remains of a later basis without its first row
+    spans = {(): (0, [0])}
+    for k in range(1, n + 1):
+        below, spans = spans, {}
         for pivots in itertools.combinations(range(n), k):
             pivot_set = set(pivots)
             free_positions = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
@@ -153,7 +182,17 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
                     rows[i][pivots[i]] = one
                 for (i, j), val in zip(free_positions, values):
                     rows[i][j] = val
-                yield Subspace(n, Matrix(field, k, n, tuple(tuple(r) for r in rows)))
+                basis = tuple(tuple(r) for r in rows)
+                mask, elements = below[basis[1:]]
+                first = pack(basis[0])
+                for v in elements:
+                    mask |= point_bit[reduce(first + v)]
+                if pivots[0]:
+                    multiples = [pack([c * x % q for x in basis[0]]) for c in elems]
+                    spans[basis] = (mask, [reduce(m + v) for m in multiples for v in elements])
+                s = Subspace(n, Matrix(field, k, n, basis))
+                object.__setattr__(s, "mask", mask)
+                yield s
 
 
 def enumerate_lines(field: FieldSpec, n: int):
@@ -204,12 +243,58 @@ class LatticeProfile:
 def lattice_profile(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> LatticeProfile:
     def compute():
         subspaces = tuple(enumerate_subspaces(alg.field, alg.dim, budget))
-        assoc_flags = tuple(is_assoc_subalgebra(alg, s) for s in subspaces)
-        lie_flags = tuple(is_lie_subalgebra(alg, s) for s in subspaces)
+        assoc_flags, lie_flags, ideal_flags = _closure_flags(alg, subspaces)
         sub_flags = tuple(a and b for a, b in zip(assoc_flags, lie_flags))
-        ideal_flags = tuple(flag and is_ideal(alg, s) for s, flag in zip(subspaces, sub_flags))
         return LatticeProfile(subspaces, sub_flags, assoc_flags, lie_flags, ideal_flags)
     return memo(alg, ("profile", budget), compute)
+
+
+def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
+    """The assoc, Lie and ideal flags of enumerated subspaces, in one pass;
+    ``is_assoc_subalgebra``, ``is_lie_subalgebra`` and ``is_ideal`` are the
+    oracles, and an ideal flag is set only on a subalgebra.
+
+    A product lies in S iff its point bit lies in S's mask; the zero product
+    has no point, so its bit is 0 and it always lies in S.  Every RREF row
+    is a normalised point, and so is every basis vector, so each product is
+    computed once per ordered pair of points and kept as a point bit.  The
+    pairs stay ordered so that the flags stay exact on tensors that are not
+    commutative or alternating.
+    """
+    f = alg.field
+    lines = [line.rows()[0] for line in enumerate_lines(f, alg.dim)]
+    width = len(lines)
+    point = {v: i for i, v in enumerate(lines)}
+    bit = {vec_scale(f, c, v): 1 << i for i, v in enumerate(lines)
+           for c in list(f.elements())[1:]}
+    bit[alg.zero_element()] = 0
+    basis = [(e, point[e]) for e in map(alg.basis_element, range(alg.dim))]
+    dot_bits: dict = {}
+    bracket_bits: dict = {}
+
+    def closed(mul, bits: dict, left: list, right: list, outside: int) -> bool:
+        for a, pa in left:
+            for b, pb in right:
+                key = pa * width + pb
+                got = bits.get(key)
+                if got is None:
+                    got = bits[key] = bit[mul(a, b)]
+                if got & outside:
+                    return False
+        return True
+
+    assoc_flags, lie_flags, ideal_flags = [], [], []
+    for s in subspaces:
+        rows = [(r, point[r]) for r in s.rows()]
+        outside = ~s.mask
+        assoc = closed(alg.mul_dot, dot_bits, rows, rows, outside)
+        lie = closed(alg.mul_bracket, bracket_bits, rows, rows, outside)
+        assoc_flags.append(assoc)
+        lie_flags.append(lie)
+        ideal_flags.append(assoc and lie
+                           and closed(alg.mul_dot, dot_bits, rows, basis, outside)
+                           and closed(alg.mul_bracket, bracket_bits, rows, basis, outside))
+    return tuple(assoc_flags), tuple(lie_flags), tuple(ideal_flags)
 
 
 lattice_profile.cache_info = cache_info

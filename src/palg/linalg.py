@@ -222,13 +222,17 @@ class Subspace:
     """A subspace of F^n held as a canonical RREF basis (no zero rows).
 
     ``pivots``, the pivot column of each basis row, is derived from the
-    basis when the subspace is built and takes no part in equality, hashing
-    or repr.
+    basis when the subspace is built.  ``mask`` is set only on the subspaces
+    ``lattice.enumerate_subspaces`` yields: the bitmask of the projective
+    points the subspace contains, a point's bit being its position in
+    ``lattice.enumerate_lines`` order; it is None on every other subspace.
+    Neither takes part in equality, hashing or repr.
     """
 
     ambient_dim: int
     basis: Matrix
     pivots: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    mask: int | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.basis.ncols != self.ambient_dim:
@@ -298,6 +302,11 @@ class Subspace:
         return vec_is_zero(self.reduce_vector(v))
 
     def contains(self, other: "Subspace") -> bool:
+        _check_compatible(self, other)
+        # Over a finite field a subspace is the union of its points, so
+        # containment of the point sets is containment of the subspaces.
+        if self.mask is not None and other.mask is not None:
+            return not other.mask & ~self.mask
         # Every vector of this subspace leads at one of its pivots, so a
         # row of other leading elsewhere already lies outside.
         if not set(self.pivots).issuperset(other.pivots):
@@ -355,7 +364,7 @@ def quotient_basis(u: Subspace, v: Subspace) -> tuple:
 def _check_compatible(u: Subspace, v: Subspace) -> None:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if u.field != v.field:
+    if u.field is not v.field and u.field != v.field:
         raise ValueError("field mismatch")
 
 

@@ -208,19 +208,20 @@ def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget,
                                limit: int) -> TheoremResult:
     subs = _subalgebra_configs(alg, budget)
     failures, exercised = [], 0
+    powers = {}  # b -> [b, b.b, (b.b).b, ...], extended on first use
     for b, c in itertools.islice(_diagonal_pairs(subs), limit):
         bc = subspace_product_bracket(alg, b, c)
-        power = b
+        known = powers.setdefault(b, [b])
         for n in range(1, alg.dim + 2):
-            lhs = subspace_product_bracket(alg, power, c)
-            rhs = bc if n == 1 else subspace_product_dot(alg, prev_power, bc)
+            if len(known) < n:
+                known.append(subspace_product_dot(alg, known[-1], b))
+            lhs = subspace_product_bracket(alg, known[n - 1], c)
+            rhs = bc if n == 1 else subspace_product_dot(alg, known[n - 2], bc)
             exercised += 1
             if not rhs.contains(lhs):
                 failures.append({"b": _fmt_space(b), "c": _fmt_space(c), "n": n,
                                  "lhs": _fmt_space(lhs), "rhs": _fmt_space(rhs)})
                 break
-            prev_power = power
-            power = subspace_product_dot(alg, power, b)
         if failures:
             break
     return _outcome(alg, "Lemma-2.1", failures, exercised)

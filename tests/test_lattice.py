@@ -20,6 +20,7 @@ from palg.lattice import (
     chief_factors,
     classify_max_ideal_property,
     count_subspaces,
+    enumerate_lines,
     enumerate_subspaces,
     frattini,
     frattini_assoc,
@@ -79,6 +80,19 @@ def test_enumeration_is_exhaustive_and_canonical(n, q, expected):
     seen = list(enumerate_subspaces(field, n))
     assert len(seen) == expected
     assert len(set(seen)) == expected  # exactly once, canonical form dedupes
+
+
+@pytest.mark.parametrize("field,n", [(GF2, 4), (GF2, 5), (GF3, 3)])
+def test_point_masks_are_the_lines_each_subspace_contains(field, n):
+    lines = [line.rows()[0] for line in enumerate_lines(field, n)]
+    q = field.order
+    for s in enumerate_subspaces(field, n):
+        assert s.mask == sum(1 << i for i, v in enumerate(lines) if s.contains_vector(v)), s
+        assert s.mask.bit_count() == (q ** s.dim - 1) // (q - 1)
+        # the mask takes no part in equality, hashing or repr
+        copy = Subspace.from_vectors(field, n, s.rows())
+        assert copy.mask is None
+        assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
 
 
 def test_enumeration_budget_refusal():

@@ -171,11 +171,18 @@ def test_pivots_are_leading_columns_and_stay_out_of_equality(m):
 
 @pytest.mark.parametrize("field,n", [(GF2, 4), (GF3, 3)])
 def test_contains_matches_reduce_only_reference(field, n):
+    # enumerated subspaces carry point masks; their copies rebuilt from the
+    # same rows do not, so a mixed pair takes the reduce_vector path
     spaces = list(enumerate_subspaces(field, n))
-    for big in spaces:
-        for small in spaces:
+    copies = [Subspace.from_vectors(field, n, s.rows()) for s in spaces]
+    assert all(s.mask is not None for s in spaces)
+    assert all(c.mask is None for c in copies)
+    for big, big_copy in zip(spaces, copies):
+        for small, small_copy in zip(spaces, copies):
             expected = all(vec_is_zero(big.reduce_vector(r)) for r in small.rows())
             assert big.contains(small) == expected, (big, small)
+            assert big_copy.contains(small) == expected, (big, small)
+            assert big.contains(small_copy) == expected, (big, small)
 
 
 def test_quotient_basis_completes():
@@ -199,6 +206,18 @@ def test_mismatched_ambient_or_field_rejected():
     w = Subspace.full(GF2, 2)
     with pytest.raises(ValueError):
         subspace_intersect(u, w)
+    # containment used to answer these silently
+    with pytest.raises(ValueError, match="ambient"):
+        u.contains(Subspace.from_vectors(GF3, 3, [(1, 0, 0)]))
+    with pytest.raises(ValueError, match="field"):
+        Subspace.from_vectors(GF3, 2, [(1, 1)]).contains(Subspace.from_vectors(GF5, 2, [(1, 1)]))
+    # and so do enumerated subspaces, whose point numberings differ
+    gf2_line, gf3_line = (next(s for s in enumerate_subspaces(f, 2) if s.dim == 1)
+                          for f in (GF2, GF3))
+    with pytest.raises(ValueError, match="field"):
+        gf3_line.contains(gf2_line)
+    with pytest.raises(ValueError, match="ambient"):
+        next(enumerate_subspaces(GF3, 3)).contains(gf3_line)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ import pytest
 
 from palg.algebra import (
     PoissonAlgebra,
+    direct_sum,
     embed_subspace,
+    is_assoc_subalgebra,
+    is_ideal,
+    is_lie_subalgebra,
     is_subideal,
     subalgebra_algebra,
     subspace_product_dot,
@@ -300,6 +304,27 @@ def test_per_ideal_properties_are_computed_once(monkeypatch, theorem_id, alg, pa
         assert max(Counter(map(id, args)).values()) == 1, name
 
 
+# Lemma-2.1 multiplies each subalgebra b into its dot powers b, b.b,
+# (b.b).b, ...; every pair (b, c) reads them, and each algebra below has
+# several pairs per b.
+@pytest.mark.parametrize("alg", [zero_algebra(GF3, 2), heisenberg_zero_dot(GF3),
+                                 idempotent_line(GF3), two_dim_nonabelian(GF2)],
+                         ids=lambda a: a.name)
+def test_dot_powers_are_computed_once_per_subalgebra(monkeypatch, alg):
+    expected = check_one("Lemma-2.1", alg)
+    product = theorems.subspace_product_dot
+    seen = []  # keeps the factors alive, so their ids stay distinct
+
+    def recording(alg, u, v):
+        seen.append((u, v))
+        return product(alg, u, v)
+
+    monkeypatch.setattr(theorems, "subspace_product_dot", recording)
+    assert check_one("Lemma-2.1", alg) == expected
+    assert seen
+    assert max(Counter((id(u), id(v)) for u, v in seen).values()) == 1
+
+
 # ---------------------------------------------------------------------------
 # Thm-4.2 over the ideals of each subideal, and one flag search per tensor
 # ---------------------------------------------------------------------------
@@ -350,6 +375,25 @@ def test_subideal_candidates_match_the_subspace_walk(alg, budget):
     for phi in (frattini(alg, budget)[1], alg.full_space()):
         expected = list(_pairs_by_subspace_walk(alg, budget, phi))
         assert list(_pairs_by_ideals_of_b(alg, budget, phi)) == expected
+
+
+# The profile's closure flags, bit tests on point masks, against the flag
+# tests they replace, on a corpus holding the lattice tests' SMALL_FINITE;
+# two of the violators have products that depend on the order of a pair,
+# and the dim-5 sum is as large as the analyze workload's algebras.
+@pytest.mark.parametrize("alg,budget", [(a, DEFAULT_BUDGET) for a in SUBIDEAL_CORPUS] + [
+    (a, LatticeBudget(max_q=5)) for a in AXIOM_VIOLATORS.values()] + [
+    (direct_sum(heisenberg_zero_dot(GF3), two_dim_nonabelian(GF3)), DEFAULT_BUDGET)],
+    ids=lambda p: getattr(p, "name", None))
+def test_profile_flags_match_the_flag_tests(alg, budget):
+    profile = lattice_profile(alg, budget)
+    for s, assoc, lie, sub, ideal in zip(profile.subspaces, profile.assoc_flags,
+                                         profile.lie_flags, profile.subalgebra_flags,
+                                         profile.ideal_flags):
+        expected = is_assoc_subalgebra(alg, s), is_lie_subalgebra(alg, s)
+        assert (assoc, lie) == expected, s
+        assert sub == all(expected), s
+        assert ideal == (sub and is_ideal(alg, s)), s
 
 
 def test_each_tensor_gets_one_flag_search(monkeypatch):
