@@ -9,8 +9,10 @@ one entry.  Inside the entry each result sits under its own key:
 * lattice discovery (``lattice``) stores under ``(name, budget)``, because
   the budget decides whether a computation raises, and a result computed
   under a generous budget must not stop a tighter one from raising;
-* whole-algebra series verdicts (``series``) store under a name alone,
-  because they never read a budget.
+* whole-algebra series verdicts (``series``) and the ideal closures of
+  lines (``lattice._line_ideal_closures``, read by ``minimal_ideals`` and
+  ``nilradical`` after each checks its own budget) store under a name
+  alone, because they never read a budget.
 
 One entry per tensor, not one per (tensor, budget), keeps the series
 verdicts from competing with the lattice profiles for the ``maxsize`` slots.

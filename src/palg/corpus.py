@@ -16,15 +16,15 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import Counter
+from functools import lru_cache
 from typing import Sequence
 
 from .algebra import (
     AxiomViolation,
     DialgebraTensors,
     PoissonAlgebra,
-    _axiom_witnesses,
     direct_sum,
-    evaluate_axiom,
     tensors_from_maps,
     validate,
 )
@@ -372,29 +372,27 @@ def enumerate_poisson_structures(n: int, q: int, cap: int = ENUM_CANDIDATE_CAP) 
     passes validation, in lexicographic (dot, bracket) order; distinct
     assignments are distinct tensors, so nothing collapses.
 
-    Two exact stages: the dots that validate with the zero bracket (the
-    associative ones), in lexicographic order; then for each, the brackets
-    solving its Leibniz equations, linear once the dot is fixed, also in
-    lexicographic order.  That is the order of the full product scan, so
-    names are unchanged; each candidate is still validated (Jacobi filters
+    Two exact stages: the associative dots, found by a depth-first search
+    that cuts every partial assignment already breaking an associativity
+    coordinate (``_associative_dots``); then for each, the brackets solving
+    its Leibniz equations, linear once the dot is fixed.  Both stages list
+    in lexicographic order, the order of the full product scan, so names
+    are unchanged.  Each candidate is still validated (Jacobi filters
     here), and the cap still counts all q^(dot + bracket) assignments.
     """
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"dimension n must be a nonnegative integer, got {n!r}")
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        raise ValueError(f"cap must be an int >= 0, got {cap!r}")
     field = FieldSpec.prime(q)
     dot_free, bracket_free = free_entry_count(n)
     total = q ** (dot_free + bracket_free)
     if total > cap:
         raise BudgetExceededError("enumeration-candidates", f"{total} > {cap}")
-    dot_positions = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
-    bracket_positions = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    dot_positions, bracket_positions = _positions(n)
     out = []
-    for dot_values in itertools.product(field.elements(), repeat=len(dot_positions)):
+    for dot_values in _associative_dots(field, n):
         dot_map = {pos: val for pos, val in zip(dot_positions, dot_values) if val != 0}
-        try:
-            validate(tensors_from_maps(field, n, dot_map, {}))
-        except AxiomViolation:
-            continue
         for bracket_values in _leibniz_brackets(field, n, dot_map, bracket_positions):
             bracket_map = {pos: val for pos, val in zip(bracket_positions, bracket_values)
                            if val != 0}
@@ -407,20 +405,125 @@ def enumerate_poisson_structures(n: int, q: int, cap: int = ENUM_CANDIDATE_CAP) 
     return out
 
 
+# The two residuals the enumeration solves, compiled once per dimension over
+# the canonical positions: c[i][j][k] is the dot value at (min(i, j),
+# max(i, j), k), and d[i][j][k] the bracket value at (i, j, k) for i < j, its
+# negative at (j, i, k) for i > j, and 0 for i = j.
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int) -> tuple:
+    """The canonical (dot, bracket) positions, in lexicographic order."""
+    r = range(n)
+    return (tuple((i, j, k) for i in r for j in range(i, n) for k in r),
+            tuple((i, j, k) for i in r for j in range(i + 1, n) for k in r))
+
+
+def _dot_position(i: int, j: int, k: int) -> tuple:
+    return (min(i, j), max(i, j), k)
+
+
+@lru_cache(maxsize=None)
+def _associativity_by_depth(n: int) -> tuple:
+    """Every nonzero associativity residual coordinate
+    ((e_i e_j) e_k - e_i (e_j e_k))_l as terms (coefficient, a, b), meaning
+    coefficient * x_a * x_b over the dot values x in position order, a <= b.
+    Entry d holds the coordinates whose largest position read is d: those
+    that assigning position d completes."""
+    index = {pos: p for p, pos in enumerate(_positions(n)[0])}
+
+    def c(i, j, k):
+        return index[_dot_position(i, j, k)]
+
+    by_depth = [[] for _ in index]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        terms = Counter()
+        for m in range(n):
+            terms[tuple(sorted((c(i, j, m), c(m, k, l))))] += 1
+            terms[tuple(sorted((c(j, k, m), c(i, m, l))))] -= 1
+        cells = tuple((coef, a, b) for (a, b), coef in sorted(terms.items()) if coef)
+        if cells:
+            by_depth[max(b for _, _, b in cells)].append(cells)
+    return tuple(tuple(cells) for cells in by_depth)
+
+
+def _associative_dots(field: FieldSpec, n: int):
+    """The value tuples of every commutative associative dot over GF(q), in
+    itertools.product order: those that validate with the zero bracket.
+
+    A depth-first search assigns position 0 outermost, values ascending, and
+    at depth d tests only the coordinates filed under d, which read no later
+    position; so a leaf is an associative dot, and a partial assignment that
+    already breaks a coordinate is cut with its whole subtree.  Commutativity
+    holds by construction, and with the zero bracket every other identity is
+    vacuous.
+    """
+    q = field.order
+    by_depth = _associativity_by_depth(n)
+    values = [0] * len(by_depth)
+
+    def extend(d):
+        if d == len(values):
+            yield tuple(values)
+            return
+        for x in field.elements():
+            values[d] = x
+            if all(sum(coef * values[a] * values[b] for coef, a, b in cells) % q == 0
+                   for cells in by_depth[d]):
+                yield from extend(d + 1)
+
+    return extend(0)
+
+
+@lru_cache(maxsize=None)
+def _leibniz_cells(n: int) -> tuple:
+    """One row per Leibniz residual coordinate
+    ([e_i e_j, e_k] - [e_i, e_k] e_j - e_i [e_j, e_k])_l, in validation
+    order (the witness (i, j, k) in itertools.product order, then l): terms
+    (coefficient, dot position, bracket position), meaning coefficient times
+    the two values, so a row is linear in the bracket once the dot is fixed."""
+    rows = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for l in range(n):
+            terms = Counter()
+            for m in range(n):
+                for sign, dot, (a, b, t) in ((1, (i, j, m), (m, k, l)),
+                                             (-1, (m, j, l), (i, k, m)),
+                                             (-1, (i, m, l), (j, k, m))):
+                    if a != b:
+                        bracket = (a, b, t) if a < b else (b, a, t)
+                        terms[_dot_position(*dot), bracket] += sign if a < b else -sign
+            rows.append(tuple((coef, dot, bracket)
+                              for (dot, bracket), coef in sorted(terms.items()) if coef))
+    return tuple(rows)
+
+
+def _leibniz_rows(n: int, dot_map: dict, positions: Sequence) -> list:
+    """The Leibniz residuals under the dot as integer rows over the bracket
+    values at ``positions`` (every other bracket value zero), one per
+    coordinate in ``_leibniz_cells`` order: entry p of row r is coordinate r
+    of the residual of the unit bracket at p, before reduction."""
+    column = {pos: p for p, pos in enumerate(positions)}
+    rows = []
+    for cells in _leibniz_cells(n):
+        row = [0] * len(positions)
+        for coef, dot, bracket in cells:
+            value = dot_map.get(dot)
+            if value and bracket in column:
+                row[column[bracket]] += coef * value
+        rows.append(tuple(row))
+    return rows
+
+
 def _leibniz_brackets(field: FieldSpec, n: int, dot_map: dict, positions: Sequence) -> list:
     """The bracket value tuples at ``positions`` with every Leibniz residual
-    zero under the dot, in lexicographic order: the kernel of the matrix
-    whose column p stacks the residuals of the unit bracket at p.  Its basis
-    is in RREF, so varying earlier rows' coefficients more slowly lists the
-    kernel already sorted (a pivot coordinate is its row's coefficient)."""
-    witnesses = [w for axiom, w, _ in _axiom_witnesses(n) if axiom == "leibniz"]
-    columns = []
-    for pos in positions:
-        t = tensors_from_maps(field, n, dot_map, {pos: 1})
-        unit = PoissonAlgebra(field, n, t.dot, t.bracket)
-        columns.append([c for w in witnesses for c in evaluate_axiom(unit, "leibniz", w)])
+    zero under the dot, in lexicographic order: the kernel of the distinct
+    nonzero ``_leibniz_rows``.  Its basis is in RREF, so varying earlier
+    rows' coefficients more slowly lists the kernel already sorted (a pivot
+    coordinate is its row's coefficient)."""
+    rows = [row for row in dict.fromkeys(_leibniz_rows(n, dot_map, positions)) if any(row)]
     solutions = [zero_vector(field, len(positions))]
-    for row in kernel(Matrix.from_rows(field, list(zip(*columns)), ncols=len(positions))).rows():
+    for row in kernel(Matrix.from_rows(field, rows, ncols=len(positions))).rows():
         solutions = [vec_add(field, v, vec_scale(field, c, row))
                      for v in solutions for c in field.elements()]
     return solutions

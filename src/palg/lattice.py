@@ -413,15 +413,19 @@ def minimal_ideals(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) 
     """
     def compute():
         _check_field_budget(alg.field, alg.dim, budget, "minimal-ideal discovery")
-        closures = []
-        seen = set()
-        for line in enumerate_lines(alg.field, alg.dim):
-            closed = closure_ideal(alg, line).space
-            if closed not in seen:
-                seen.add(closed)
-                closures.append(closed)
+        closures = _line_ideal_closures(alg)
         return tuple(sorted(_minimal_members(closures), key=_subspace_sort_key))
     return list(memo(alg, ("minimal_ideals", budget), compute))
+
+
+def _line_ideal_closures(alg: PoissonAlgebra) -> tuple:
+    """The distinct ideal closures of the lines, in order of first
+    appearance along ``enumerate_lines``.  Budget-free: every caller checks
+    its own budget first."""
+    def compute():
+        return tuple(dict.fromkeys(closure_ideal(alg, line).space
+                                   for line in enumerate_lines(alg.field, alg.dim)))
+    return memo(alg, "line_ideal_closures", compute)
 
 
 def _minimal_members(candidates) -> list:
@@ -475,10 +479,17 @@ def radical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subs
 
 
 def nilradical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
-    """Largest nilpotent ideal, as the sum of every nilpotent ideal in the
-    lattice; the sum is re-verified nilpotent and maximal before returning."""
+    """Largest nilpotent ideal, as the sum of the nilpotent ideal closures
+    of lines; the sum is re-verified nilpotent and maximal before returning.
+
+    That is the sum of every nilpotent ideal: each is the sum of the
+    closures of its lines, and each of those closures is an ideal inside
+    it, so nilpotent too.  ``oracle_nilradical``, the reference, reads the
+    whole ideal lattice, and this keeps the budget that lattice needs.
+    """
     def compute():
-        nil_ideals = [s for s in lattice_profile(alg, budget).ideals()
+        _check_enumeration_budget(alg.field, alg.dim, budget)
+        nil_ideals = [s for s in _line_ideal_closures(alg)
                       if lower_central_series(alg, s).terminates]
         acc = _sum_all(alg, nil_ideals)
         if not lower_central_series(alg, acc).terminates:

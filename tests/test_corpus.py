@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 
@@ -13,7 +14,10 @@ from palg.algebra import (
 )
 from palg.corpus import (
     CorpusFormatError,
+    _associative_dots,
     _leibniz_brackets,
+    _leibniz_rows,
+    _positions,
     build,
     curated_corpus,
     enumerate_poisson_structures,
@@ -240,10 +244,24 @@ def test_enumeration_budget_counts_every_candidate_tensor():
         enumerate_poisson_structures(2, 3, cap=3 ** 8 - 1)
 
 
-@pytest.mark.parametrize("n", [-1, -5, 1.0, "2"])
+@pytest.mark.parametrize("n", [-1, -5, 1.0, "2", True, False])
 def test_enumeration_rejects_a_bad_dimension(n):
     with pytest.raises(ValueError, match="dimension n"):
         enumerate_poisson_structures(n, 5)
+
+
+@pytest.mark.parametrize("cap", [-1, -5, 2.5, "100", True, False, None])
+def test_enumeration_rejects_a_bad_cap(cap):
+    # a negative cap used to surface as a budget overrun ("2 > -5")
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_poisson_structures(1, 2, cap=cap)
+
+
+def test_a_zero_cap_is_a_budget_not_a_usage_error():
+    # dimension 0 has one candidate, so cap 0 is an overrun there
+    assert len(enumerate_poisson_structures(0, 2, cap=1)) == 1
+    with pytest.raises(BudgetExceededError):
+        enumerate_poisson_structures(0, 2, cap=0)
 
 
 def _product_scan(n, q):
@@ -318,6 +336,59 @@ def _bracket_stage_cases():
                 direct_sum(fe_plus_nilpotent_line(GF2), idempotent_line(GF2)),
                 direct_sum(fe_plus_nilpotent_line(GF3), idempotent_line(GF3))):
         yield alg.field, 3, _canonical_dot(alg)
+
+
+@pytest.mark.parametrize("n, q", [(0, 2), (1, 7), (2, 2), (2, 3), (2, 5)])
+def test_dot_search_yields_the_validate_filter_in_order(n, q):
+    field = FieldSpec.prime(q)
+    dot_positions = _positions(n)[0]
+    found = [{pos: val for pos, val in zip(dot_positions, values) if val != 0}
+             for values in _associative_dots(field, n)]
+    assert found == list(_commutative_associative_dots(field, n))
+
+
+def _unit_bracket_columns(field, n, dot_map, positions):
+    """The Leibniz residuals of each unit bracket, stacked in validation order."""
+    witnesses = list(itertools.product(range(n), repeat=3))
+    columns = []
+    for pos in positions:
+        t = tensors_from_maps(field, n, dot_map, {pos: 1})
+        unit = PoissonAlgebra(field, n, t.dot, t.bracket)
+        columns.append([c for w in witnesses for c in evaluate_axiom(unit, "leibniz", w)])
+    return list(zip(*columns))
+
+
+def test_compiled_leibniz_rows_are_the_unit_bracket_columns():
+    cases = [(GF3, 2, dot_map) for dot_map in _commutative_associative_dots(GF3, 2)]
+    cases += [case for case in _bracket_stage_cases() if case[1] == 3]
+    assert len(cases) == 105 + 4
+    for field, n, dot_map in cases:
+        positions = _positions(n)[1]
+        rows = [tuple(field.coerce(x) for x in row)
+                for row in _leibniz_rows(n, dot_map, positions)]
+        assert rows == _unit_bracket_columns(field, n, dot_map, positions), (field, dot_map)
+
+
+def test_dim3_gf2_scan_is_where_jacobi_filters():
+    # the smallest exhaustive scan with Jacobi witnesses; the 988 dots were
+    # confirmed by the validate filter over all 2^18 dots
+    dot_positions, bracket_positions = _positions(3)
+    dots = list(_associative_dots(GF2, 3))
+    assert len(dots) == 988
+    kept, rejected = [], collections.Counter()
+    for values in dots:
+        dot_map = {pos: val for pos, val in zip(dot_positions, values) if val != 0}
+        for bracket in _leibniz_brackets(GF2, 3, dot_map, bracket_positions):
+            t = tensors_from_maps(GF2, 3, dot_map, dict(zip(bracket_positions, bracket)))
+            try:
+                kept.append(validate(t))
+            except AxiomViolation as exc:
+                rejected[exc.axiom] += 1
+    assert len(kept) == 1408 and rejected == {"jacobi": 392}
+    algebras = enumerate_poisson_structures(3, 2, cap=2 ** 27)
+    assert [(a.dot_tensor, a.bracket_tensor) for a in algebras] == \
+        [(a.dot_tensor, a.bracket_tensor) for a in kept]
+    assert algebras[-1].name == "gf2-d3-01407"
 
 
 def test_bracket_stage_lists_exactly_the_leibniz_solutions_in_order():

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,6 +215,52 @@ def test_oracle_agreement_over_exhaustive_dim2():
     for alg in enumerate_poisson_structures(2, 2):
         assert radical(alg) == oracle_radical(alg)
         assert nilradical(alg) == oracle_nilradical(alg)
+
+
+def _analyze_sums():
+    """The dim-5 GF(3) direct sums of curated blocks the analyze benchmark
+    draws from, named as in perfbench/reference.json."""
+    reference = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                            / "reference.json").read_text(encoding="utf-8"))
+    blocks = {a.name[:-len("-gf3")]: a for a in curated_corpus() if a.name.endswith("-gf3")}
+    sums = []
+    for member in reference["analyze"]["members"]:
+        parts = member.split("+")
+        alg = blocks[parts[0]]
+        for part in parts[1:]:
+            alg = direct_sum(alg, blocks[part])
+        sums.append(alg.with_name(member))
+    return sums
+
+
+ANALYZE_SUMS = _analyze_sums()
+
+
+def test_analyze_sums_are_the_twelve_dim5_gf3_members():
+    assert len(ANALYZE_SUMS) == 12
+    assert all(a.dim == 5 and a.field == GF3 for a in ANALYZE_SUMS)
+
+
+@pytest.mark.parametrize("alg", SMALL_FINITE + ANALYZE_SUMS, ids=lambda a: a.name)
+def test_nilradical_matches_the_oracle(alg):
+    # the sum over nilpotent line closures against every nilpotent ideal
+    assert nilradical(alg) == oracle_nilradical(alg)
+
+
+def test_nilradical_keeps_the_lattice_budget():
+    # the line closures it reads are cached without a budget; the tight
+    # budget must still raise, before and after they are warm
+    alg = heisenberg_zero_dot(GF2)
+    tight = LatticeBudget(max_subspaces=1)
+    with pytest.raises(BudgetExceededError):
+        nilradical(alg, tight)
+    expected = nilradical(alg)
+    minimal_ideals(alg, tight)  # needs no subspace enumeration
+    with pytest.raises(BudgetExceededError):
+        nilradical(alg, tight)
+    assert nilradical(alg) == expected
+    with pytest.raises(FieldError):
+        nilradical(heisenberg_zero_dot(Q))
 
 
 def test_verification_forms_over_q():
