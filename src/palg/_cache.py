@@ -1,5 +1,5 @@
-"""The one per-tensor result cache shared by discovery and the series
-verdicts.
+"""The one per-tensor result cache shared by discovery, the series verdicts
+and the bilinear data the checks keep asking for.
 
 An entry is keyed on (field, dot tensor, bracket tensor), which is exactly
 what every cached result reads; name, basis labels and meta are left out, so
@@ -12,12 +12,21 @@ one entry.  Inside the entry each result sits under its own key:
 * whole-algebra series verdicts (``series``) and the ideal closures of
   lines (``lattice._line_ideal_closures``, read by ``minimal_ideals`` and
   ``nilradical`` after each checks its own budget) store under a name
-  alone, because they never read a budget.
+  alone, because they never read a budget;
+* the subspace products and closure witnesses (``algebra``) store under
+  ``("dot", u, v)``, ``("bracket", u, v)``, ``("subalgebra_defect", u)``
+  and ``("ideal_defect", u)``, and the Engel-Lie space of an element
+  (``engel``) under ``("engel_lie", a)`` with ``a`` as field scalars.  They
+  read the tensors and their arguments and nothing else: no budget, no
+  enumeration, no way to raise on a budget, so no budget goes in the key.
 
 One entry per tensor, not one per (tensor, budget), keeps the series
 verdicts from competing with the lattice profiles for the ``maxsize`` slots.
 Nothing is stored when a computation raises, so a budget overrun or a
 ``SeriesConsistencyError`` from a negative control raises again next time.
+Subspace results are hash-consed per entry (``memo_space``): a result equal
+to one the entry already holds under ``("space", s)`` is replaced by that
+object, so the many equal products of one algebra are one object in memory.
 ``lattice.lattice_profile.cache_info()`` and ``cache_clear()`` report on and
 empty this cache.
 """
@@ -25,6 +34,8 @@ empty this cache.
 from __future__ import annotations
 
 from functools import lru_cache
+
+_MISSING = object()
 
 
 @lru_cache(maxsize=256)
@@ -38,9 +49,20 @@ def memo(alg, key, compute):
     """The cached result ``key`` for the algebra's tensors, computing it on
     first use; nothing is stored when ``compute`` raises."""
     entry = _structure(alg.field, alg.dot_tensor, alg.bracket_tensor)
-    if key not in entry:
-        entry[key] = compute()
-    return entry[key]
+    result = entry.get(key, _MISSING)
+    if result is _MISSING:
+        result = entry[key] = compute()
+    return result
+
+
+def memo_space(alg, key, compute):
+    """``memo`` for a subspace result; a new result is stored once more under
+    ``("space", result)``, and an equal subspace already stored there is
+    returned in its place."""
+    def shared():
+        space = compute()
+        return memo(alg, ("space", space), lambda: space)
+    return memo(alg, key, shared)
 
 
 cache_info = _structure.cache_info

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from ._cache import memo, memo_space
 from .fields import FieldSpec
 from .linalg import (
     Matrix,
@@ -312,12 +313,23 @@ class AlgebraSubspace:
 
 
 def subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """Span of all pairwise dot products of basis vectors of u and v."""
+    """Span of all pairwise dot products of basis vectors of u and v; cached
+    per tensor, the product itself is _subspace_product_dot."""
+    return memo_space(alg, ("dot", u, v), lambda: _subspace_product_dot(alg, u, v))
+
+
+def _subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     prods = [alg.mul_dot(a, b) for a in u.rows() for b in v.rows()]
     return Subspace.from_vectors(alg.field, alg.dim, prods)
 
 
 def subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
+    """Span of all pairwise brackets of basis vectors of u and v; cached per
+    tensor, the product itself is _subspace_product_bracket."""
+    return memo_space(alg, ("bracket", u, v), lambda: _subspace_product_bracket(alg, u, v))
+
+
+def _subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     prods = [alg.mul_bracket(a, b) for a in u.rows() for b in v.rows()]
     return Subspace.from_vectors(alg.field, alg.dim, prods)
 
@@ -327,7 +339,12 @@ def subspace_square(alg: PoissonAlgebra, u: Subspace) -> Subspace:
 
 
 def subalgebra_defect(alg: PoissonAlgebra, u: Subspace):
-    """A witness (x, y, kind, product) that u is not closed, or None."""
+    """A witness (x, y, kind, product) that u is not closed, or None; cached
+    per tensor, the search itself is _subalgebra_defect."""
+    return memo(alg, ("subalgebra_defect", u), lambda: _subalgebra_defect(alg, u))
+
+
+def _subalgebra_defect(alg: PoissonAlgebra, u: Subspace):
     for a in u.rows():
         for b in u.rows():
             p = alg.mul_dot(a, b)
@@ -345,7 +362,12 @@ def is_subalgebra(alg: PoissonAlgebra, u: Subspace) -> bool:
 
 def ideal_defect(alg: PoissonAlgebra, u: Subspace):
     """A witness that u fails absorption; commutativity and antisymmetry make
-    one-sided products sufficient."""
+    one-sided products sufficient.  Cached per tensor, the search itself is
+    _ideal_defect."""
+    return memo(alg, ("ideal_defect", u), lambda: _ideal_defect(alg, u))
+
+
+def _ideal_defect(alg: PoissonAlgebra, u: Subspace):
     for a in u.rows():
         for i in range(alg.dim):
             b = alg.basis_element(i)

@@ -61,7 +61,7 @@ def parse_document(text: str, allow_invalid: bool = False) -> PoissonAlgebra:
         raise CorpusFormatError(f"unsupported schema_version {doc.get('schema_version')!r}")
     field = _parse_field(doc.get("field"))
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise CorpusFormatError(f"dim must be a nonnegative integer, got {dim!r}")
     name = doc.get("name", "")
     if not isinstance(name, str):
@@ -107,7 +107,7 @@ def _parse_entries(field: FieldSpec, dim: int, entries, label: str, strict: bool
             raise CorpusFormatError(f"{where}: expected keys i, j, k, c")
         i, j, k, c = entry["i"], entry["j"], entry["k"], entry["c"]
         for idx_name, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < dim:
                 raise CorpusFormatError(f"{where}: index {idx_name}={idx!r} out of range")
         if strict and i >= j:
             raise CorpusFormatError(f"{where}: bracket entries need i < j")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._cache import memo_space
 from .algebra import (
     AlgebraSubspace,
     PoissonAlgebra,
@@ -66,7 +67,13 @@ def engel_assoc_space(alg: PoissonAlgebra, a) -> Subspace:
 
 
 def engel_lie_space(alg: PoissonAlgebra, a) -> Subspace:
-    """Generalized null space of Q_a."""
+    """Generalized null space of Q_a; cached per tensor and element, the
+    computation itself is _engel_lie_space."""
+    a = tuple(map(alg.field.coerce, a))
+    return memo_space(alg, ("engel_lie", a), lambda: _engel_lie_space(alg, a))
+
+
+def _engel_lie_space(alg: PoissonAlgebra, a) -> Subspace:
     return fitting_null(alg.q_operator(a))
 
 

@@ -53,7 +53,7 @@ def vec_is_zero(u: Vector) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """A dense rows x cols grid of exact scalars over one field."""
 
@@ -158,6 +158,8 @@ class Matrix:
     def pow(self, k: int) -> "Matrix":
         if not self.is_square:
             raise ValueError("power of a non-square matrix")
+        if k < 0:
+            raise ValueError(f"negative matrix power {k}")
         result = Matrix.identity(self.field, self.nrows)
         base = self
         while k > 0:
@@ -217,7 +219,7 @@ def rref(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A subspace of F^n held as a canonical RREF basis (no zero rows).
 

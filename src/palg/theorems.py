@@ -209,14 +209,21 @@ def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget,
     subs = _subalgebra_configs(alg, budget)
     failures, exercised = [], 0
     powers = {}  # b -> [b, b.b, (b.b).b, ...], extended on first use
+    dots = {}    # (u, v) -> u.v, so each equal pair is multiplied once
+
+    def dot(u, v):
+        if (u, v) not in dots:
+            dots[u, v] = subspace_product_dot(alg, u, v)
+        return dots[u, v]
+
     for b, c in itertools.islice(_diagonal_pairs(subs), limit):
         bc = subspace_product_bracket(alg, b, c)
         known = powers.setdefault(b, [b])
         for n in range(1, alg.dim + 2):
             if len(known) < n:
-                known.append(subspace_product_dot(alg, known[-1], b))
+                known.append(dot(known[-1], b))
             lhs = subspace_product_bracket(alg, known[n - 1], c)
-            rhs = bc if n == 1 else subspace_product_dot(alg, known[n - 2], bc)
+            rhs = bc if n == 1 else dot(known[n - 2], bc)
             exercised += 1
             if not rhs.contains(lhs):
                 failures.append({"b": _fmt_space(b), "c": _fmt_space(c), "n": n,

@@ -1,0 +1,138 @@
+"""The subspace products, closure witnesses and Engel-Lie spaces read
+through the one per-tensor cache, against their uncached bodies."""
+
+import itertools
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from palg import _cache
+from palg.algebra import (
+    _ideal_defect,
+    _subalgebra_defect,
+    _subspace_product_bracket,
+    _subspace_product_dot,
+    ideal_defect,
+    subalgebra_defect,
+    subspace_product_bracket,
+    subspace_product_dot,
+)
+from palg.corpus import curated_corpus, enumerate_poisson_structures, xyz_algebra
+from palg.engel import _engel_lie_space, engel_lie_space
+from palg.fields import FieldSpec
+from palg.lattice import enumerate_subspaces, lattice_profile
+from palg.linalg import Subspace
+
+GF2 = FieldSpec.prime(2)
+GF3 = FieldSpec.prime(3)
+
+# The lattice tests' SMALL_FINITE (the 25 valid structures of dim 2 over
+# GF(2) and the finite curated algebras of dim <= 3), plus the xyz
+# constants, whose defect witnesses are not all None.
+FINITE = enumerate_poisson_structures(2, 2) + [
+    a for a in curated_corpus() if a.field.is_finite and a.dim <= 3] + [
+    xyz_algebra(GF3, allow_invalid=True)]
+RATIONAL = [a for a in curated_corpus() if a.name in ("idem+heis-q", "rot3-q")]
+
+
+def _rational_subspaces(alg):
+    """The coordinate subspaces, and the lines and planes through a few
+    vectors that are not on the axes."""
+    f, n = alg.field, alg.dim
+    unit = [alg.basis_element(i) for i in range(n)]
+    skew = [tuple(f.coerce(c) for c in (1, -1, Fraction(1, 2), 2)[:n]),
+            tuple(f.coerce(1) for _ in range(n)),
+            tuple(f.coerce(c) for c in (0, 3, 0, -1)[:n])]
+    spaces = {Subspace.from_vectors(f, n, subset)
+              for k in range(n + 1) for subset in itertools.combinations(unit, k)}
+    spaces |= {Subspace.from_vectors(f, n, subset)
+               for k in (1, 2) for subset in itertools.combinations(skew + unit[:1], k)}
+    return sorted(spaces, key=repr)
+
+
+def _subspaces(alg):
+    if alg.field.is_finite:
+        return list(enumerate_subspaces(alg.field, alg.dim))
+    return _rational_subspaces(alg)
+
+
+def _elements(alg):
+    if alg.field.is_finite:
+        return list(itertools.product(alg.field.elements(), repeat=alg.dim))
+    return [tuple(s.rows()[0]) for s in _rational_subspaces(alg) if s.dim == 1]
+
+
+def _renamed(alg):
+    labels = tuple(f"v{i}" for i in range(alg.dim))
+    return replace(alg, basis_labels=labels).with_name(alg.name + "-copy").with_meta(
+        {"note": "renamed"})
+
+
+@pytest.mark.parametrize("alg", FINITE + RATIONAL, ids=lambda a: a.name)
+def test_memo_matches_the_uncached_bodies(alg):
+    spaces = _subspaces(alg)
+    for _ in range(2):  # cold, then warm
+        for u, v in itertools.product(spaces, repeat=2):
+            assert subspace_product_dot(alg, u, v) == _subspace_product_dot(alg, u, v)
+            assert (subspace_product_bracket(alg, u, v)
+                    == _subspace_product_bracket(alg, u, v))
+        for u in spaces:
+            assert subalgebra_defect(alg, u) == _subalgebra_defect(alg, u)
+            assert ideal_defect(alg, u) == _ideal_defect(alg, u)
+        for a in _elements(alg):
+            assert engel_lie_space(alg, a) == _engel_lie_space(alg, a)
+
+
+@pytest.mark.parametrize("alg", FINITE + RATIONAL, ids=lambda a: a.name)
+def test_equal_results_in_one_entry_are_one_object(alg):
+    results = [f(alg, u, v) for u, v in itertools.product(_subspaces(alg), repeat=2)
+               for f in (subspace_product_dot, subspace_product_bracket)]
+    results += [engel_lie_space(alg, a) for a in _elements(alg)]
+    first = {}
+    for r in results:
+        assert first.setdefault(r, r) is r
+    assert len(first) < len(results)
+
+
+def test_a_renamed_copy_shares_the_entry():
+    alg = next(a for a in curated_corpus() if a.name == "heisenberg-gf3")
+    copy = _renamed(alg)
+    u, v = alg.full_space(), Subspace.from_vectors(GF3, 3, [(1, 0, 0)])
+    # rebuilt, so the arguments are equal to the first ones but not them
+    u2, v2 = (Subspace.from_vectors(GF3, 3, s.rows()) for s in (u, v))
+    before = [subspace_product_dot(alg, u, v), subspace_product_bracket(alg, u, v),
+              engel_lie_space(alg, (1, 0, 0)), subalgebra_defect(alg, v), ideal_defect(alg, v)]
+    misses = lattice_profile.cache_info().misses
+    after = [subspace_product_dot(copy, u2, v2), subspace_product_bracket(copy, u2, v2),
+             engel_lie_space(copy, [4, 3, 0]), subalgebra_defect(copy, v2), ideal_defect(copy, v2)]
+    assert all(x is y for x, y in zip(before, after))
+    assert ideal_defect(alg, v) is not None  # the line of x is no ideal
+    assert lattice_profile.cache_info().misses == misses
+
+
+def test_engel_lie_keys_elements_as_field_scalars():
+    alg = next(a for a in curated_corpus() if a.name == "solv2-gf3")
+    assert engel_lie_space(alg, (1, 0)) is engel_lie_space(alg, [4, -3])
+    entry = _cache._structure(alg.field, alg.dot_tensor, alg.bracket_tensor)
+    assert [k for k in entry if k[0] == "engel_lie"] == [("engel_lie", (1, 0))]
+    assert engel_lie_space(alg, (1, 0)) != engel_lie_space(alg, (0, 1))
+
+
+def test_nothing_is_stored_when_the_computation_raises():
+    # a subspace of a larger ambient space reaches past the tensors
+    alg = next(a for a in curated_corpus() if a.name == "solv2-gf2")
+    wide = Subspace.from_vectors(GF2, 3, [(0, 0, 1)])
+    entry = _cache._structure(alg.field, alg.dot_tensor, alg.bracket_tensor)
+    calls = [lambda: subspace_product_dot(alg, wide, wide),
+             lambda: subspace_product_bracket(alg, wide, wide),
+             lambda: subalgebra_defect(alg, wide),
+             lambda: ideal_defect(alg, wide),
+             lambda: engel_lie_space(alg, (0, 0, 1))]
+    for call in calls:
+        for _ in range(2):  # raises again: no result was stored
+            with pytest.raises(IndexError):
+                call()
+    assert entry == {}
+    assert subspace_product_bracket(alg, alg.full_space(), alg.full_space()).dim == 1
+    assert len(entry) == 2  # the product, and its result as the hash-consed copy

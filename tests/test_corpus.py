@@ -102,6 +102,30 @@ def test_parse_error_positions_and_schema_checks():
                     {"i": 0, "j": 0, "k": 0, "c": "2"}], "bracket": []}))
 
 
+BOOL_DOC = {"schema_version": "1", "name": "b", "field": {"p": 3}, "dim": 2,
+            "dot": [{"i": 0, "j": 0, "k": 0, "c": "1"}], "bracket": []}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("dim",), True, "dim must be a nonnegative integer, got True"),
+    (("dim",), False, "dim must be a nonnegative integer, got False"),
+    (("dot", 0, "i"), False, "index i=False"),
+    (("dot", 0, "j"), True, "index j=True"),
+    (("dot", 0, "k"), True, "index k=True"),
+])
+def test_parse_rejects_booleans_for_integers(path, value, message):
+    # bool is an int in Python, but not in the document format: "dim": true
+    # read as dimension 1 and "i": true as index 1
+    doc = json.loads(json.dumps(BOOL_DOC))
+    parse_document(json.dumps(doc))  # valid as it stands
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    with pytest.raises(CorpusFormatError, match=message):
+        parse_document(json.dumps(doc))
+
+
 def test_axiom_violations_are_forwarded_unless_allowed():
     doc = {"schema_version": "1", "name": "bad", "field": {"p": 5}, "dim": 3,
            "dot": [{"i": 0, "j": 0, "k": 2, "c": "1"}],

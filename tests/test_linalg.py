@@ -185,6 +185,34 @@ def test_contains_matches_reduce_only_reference(field, n):
             assert big.contains(small_copy) == expected, (big, small)
 
 
+@pytest.mark.parametrize("field,n", [(GF2, 3), (GF3, 2)])
+def test_matrix_and_subspace_have_slots_and_no_dict(field, n):
+    assert "__slots__" in vars(Matrix) and "__slots__" in vars(Subspace)
+    spaces = list(enumerate_subspaces(field, n))
+    for s in spaces:
+        assert not hasattr(s, "__dict__") and not hasattr(s.basis, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            s.extra = 1  # no instance dict to put it in
+    # the enumerated masks survive, and with the pivots stay out of
+    # equality, hashing and repr
+    assert [s.mask.bit_count() for s in spaces] == [
+        (field.order ** s.dim - 1) // (field.order - 1) for s in spaces]
+    for s in spaces:
+        copy = Subspace.from_vectors(field, n, s.rows())
+        assert copy.mask is None and copy.pivots == s.pivots
+        assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+        assert "mask" not in repr(s) and "pivots" not in repr(s)
+
+
+def test_matrix_power_rejects_a_negative_exponent():
+    m = M(GF3, [[1, 1], [0, 1]])
+    assert m.pow(0) == Matrix.identity(GF3, 2)
+    assert m.pow(3) == M(GF3, [[1, 0], [0, 1]])
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="negative"):
+            m.pow(k)
+
+
 def test_quotient_basis_completes():
     u = Subspace.full(GF3, 3)
     v = Subspace.from_vectors(GF3, 3, [[1, 0, 2]])
