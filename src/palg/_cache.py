@@ -29,26 +29,56 @@ to one the entry already holds under ``("space", s)`` is replaced by that
 object, so the many equal products of one algebra are one object in memory.
 ``lattice.lattice_profile.cache_info()`` and ``cache_clear()`` report on and
 empty this cache.
+
+Finding an entry hashes both tensors, which over Q means a Python-level
+``Fraction.__hash__`` per entry.  So the first lookup stashes a weak
+reference to the entry on the algebra object, and later lookups through the
+same object follow it without hashing anything.  The reference is weak, so
+the ``lru_cache`` alone still decides how long an entry lives: once it is
+evicted or ``cache_clear()`` runs, the reference dies and the next lookup
+goes through the ``lru_cache`` again and counts as a miss there.  Copies made
+with ``dataclasses.replace`` (renamed quotients, summands and the like) start
+without a stash and find the shared entry by its key.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 
 _MISSING = object()
+_STASH = "_cache_entry"  # the algebra attribute holding the weak reference
+
+
+class _Entry(dict):
+    """The results cached for one tensor pair; a dict that can be referred
+    to weakly."""
+
+    __slots__ = ("__weakref__",)
 
 
 @lru_cache(maxsize=256)
-def _structure(field, dot_tensor: tuple, bracket_tensor: tuple) -> dict:
+def _structure(field, dot_tensor: tuple, bracket_tensor: tuple) -> _Entry:
     """The results cached for one (field, dot tensor, bracket tensor),
     filled in lazily by key."""
-    return {}
+    return _Entry()
+
+
+def _entry(alg) -> _Entry:
+    """The algebra's entry, through its stashed weak reference while that
+    is alive, else through the ``lru_cache``."""
+    ref = vars(alg).get(_STASH)
+    entry = None if ref is None else ref()
+    if entry is None:
+        entry = _structure(alg.field, alg.dot_tensor, alg.bracket_tensor)
+        object.__setattr__(alg, _STASH, weakref.ref(entry))
+    return entry
 
 
 def memo(alg, key, compute):
     """The cached result ``key`` for the algebra's tensors, computing it on
     first use; nothing is stored when ``compute`` raises."""
-    entry = _structure(alg.field, alg.dot_tensor, alg.bracket_tensor)
+    entry = _entry(alg)
     result = entry.get(key, _MISSING)
     if result is _MISSING:
         result = entry[key] = compute()

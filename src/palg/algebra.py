@@ -159,19 +159,25 @@ class PoissonAlgebra:
         return self._mul(self.bracket_tensor, x, y)
 
     def _mul(self, tensor: tuple, x: Sequence, y: Sequence) -> tuple:
-        f = self.field
-        out = [f.zero()] * self.dim
+        # Raw scalars: over GF(p) the coordinates accumulate as Python ints
+        # and are reduced once at the end, over Q they are Fractions from
+        # the start.  Indexing the tensor keeps the IndexError for a vector
+        # longer than the algebra.
+        p = self.field.modulus
+        out = [0 if p else self.field.zero()] * self.dim
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
             ti = tensor[i]
             for j, yj in enumerate(y):
-                if yj == 0:
+                if not yj:
                     continue
-                coeff = f.mul(xi, yj)
+                coeff = xi * yj
                 for k, c in enumerate(ti[j]):
-                    if c != 0:
-                        out[k] = f.add(out[k], f.mul(coeff, c))
+                    if c:
+                        out[k] += coeff * c
+        if p:
+            return tuple([a % p for a in out])
         return tuple(out)
 
     # -- left multiplication operators ------------------------------------------
@@ -224,9 +230,9 @@ def validate(tensors: DialgebraTensors, name: str = "", basis_labels: tuple = ()
 
 
 def find_axiom_violation(alg: PoissonAlgebra) -> AxiomViolation | None:
-    e = [alg.basis_element(i) for i in range(alg.dim)]
+    t = _BasisProducts(alg)
     for axiom, witness, residual in _axiom_witnesses(alg.dim):
-        res = residual(alg, e, *witness)
+        res = residual(alg, t, *witness)
         if not vec_is_zero(res):
             return AxiomViolation(axiom, witness, res)
     return None
@@ -236,40 +242,53 @@ def evaluate_axiom(alg: PoissonAlgebra, axiom: str, witness: tuple) -> tuple:
     """Re-evaluate a named identity at basis indices; returns the residual."""
     if axiom not in _RESIDUALS:
         raise ValueError(f"unknown axiom {axiom!r}")
-    return _RESIDUALS[axiom](alg, [alg.basis_element(i) for i in range(alg.dim)], *witness)
+    return _RESIDUALS[axiom](alg, _BasisProducts(alg), *witness)
 
 
-# One residual per identity, evaluated on the basis e; zero iff it holds.
+class _BasisProducts:
+    """The basis e and the n x n tables of its products, dot[i][j] =
+    e_i . e_j and bracket[i][j] = [e_i, e_j], each multiplied once per
+    validation instead of once in every residual that reads it."""
 
-def _commutativity(alg: PoissonAlgebra, e: list, i: int, j: int) -> tuple:
-    return vec_sub(alg.field, alg.mul_dot(e[i], e[j]), alg.mul_dot(e[j], e[i]))
+    __slots__ = ("e", "dot", "bracket")
+
+    def __init__(self, alg: PoissonAlgebra) -> None:
+        self.e = e = [alg.basis_element(i) for i in range(alg.dim)]
+        self.dot = [[alg.mul_dot(a, b) for b in e] for a in e]
+        self.bracket = [[alg.mul_bracket(a, b) for b in e] for a in e]
 
 
-def _associativity(alg: PoissonAlgebra, e: list, i: int, j: int, k: int) -> tuple:
-    return vec_sub(alg.field, alg.mul_dot(alg.mul_dot(e[i], e[j]), e[k]),
-                   alg.mul_dot(e[i], alg.mul_dot(e[j], e[k])))
+# One residual per identity, evaluated on the basis products t; zero iff it
+# holds.
+
+def _commutativity(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int) -> tuple:
+    return vec_sub(alg.field, t.dot[i][j], t.dot[j][i])
 
 
-def _alternating(alg: PoissonAlgebra, e: list, i: int, j: int) -> tuple:
+def _associativity(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int, k: int) -> tuple:
+    e, dot = t.e, t.dot
+    return vec_sub(alg.field, alg.mul_dot(dot[i][j], e[k]), alg.mul_dot(e[i], dot[j][k]))
+
+
+def _alternating(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int) -> tuple:
     # zero on the diagonal and antisymmetric off it, which together give
     # [x, x] = 0 for every x in every characteristic
     if i == j:
-        return alg.mul_bracket(e[i], e[i])
-    return vec_add(alg.field, alg.mul_bracket(e[i], e[j]), alg.mul_bracket(e[j], e[i]))
+        return t.bracket[i][i]
+    return vec_add(alg.field, t.bracket[i][j], t.bracket[j][i])
 
 
-def _jacobi(alg: PoissonAlgebra, e: list, i: int, j: int, k: int) -> tuple:
-    f = alg.field
-    res = alg.mul_bracket(alg.mul_bracket(e[i], e[j]), e[k])
-    res = vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[j], e[k]), e[i]))
-    return vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[k], e[i]), e[j]))
+def _jacobi(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int, k: int) -> tuple:
+    f, e, br = alg.field, t.e, t.bracket
+    res = alg.mul_bracket(br[i][j], e[k])
+    res = vec_add(f, res, alg.mul_bracket(br[j][k], e[i]))
+    return vec_add(f, res, alg.mul_bracket(br[k][i], e[j]))
 
 
-def _leibniz(alg: PoissonAlgebra, e: list, i: int, j: int, k: int) -> tuple:
-    f = alg.field
-    rhs = vec_add(f, alg.mul_dot(alg.mul_bracket(e[i], e[k]), e[j]),
-                  alg.mul_dot(e[i], alg.mul_bracket(e[j], e[k])))
-    return vec_sub(f, alg.mul_bracket(alg.mul_dot(e[i], e[j]), e[k]), rhs)
+def _leibniz(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int, k: int) -> tuple:
+    f, e, br = alg.field, t.e, t.bracket
+    rhs = vec_add(f, alg.mul_dot(br[i][k], e[j]), alg.mul_dot(e[i], br[j][k]))
+    return vec_sub(f, alg.mul_bracket(t.dot[i][j], e[k]), rhs)
 
 
 _RESIDUALS = {"commutativity": _commutativity, "associativity": _associativity,
@@ -320,7 +339,7 @@ def subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subsp
 
 def _subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     prods = [alg.mul_dot(a, b) for a in u.rows() for b in v.rows()]
-    return Subspace.from_vectors(alg.field, alg.dim, prods)
+    return Subspace.span(alg.field, alg.dim, prods)
 
 
 def subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -331,7 +350,7 @@ def subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> S
 
 def _subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     prods = [alg.mul_bracket(a, b) for a in u.rows() for b in v.rows()]
-    return Subspace.from_vectors(alg.field, alg.dim, prods)
+    return Subspace.span(alg.field, alg.dim, prods)
 
 
 def subspace_square(alg: PoissonAlgebra, u: Subspace) -> Subspace:
@@ -431,12 +450,12 @@ def _close(alg: PoissonAlgebra, seed: Subspace, against: Subspace | None = None)
     frontier = list(seed.rows())
     while frontier:
         others = (space if against is None else against).rows()
-        prods = []
+        prods = list(space.rows())
         for a in frontier:
             for b in others:
                 prods.append(alg.mul_dot(a, b))
                 prods.append(alg.mul_bracket(a, b))
-        bigger = subspace_sum(space, Subspace.from_vectors(alg.field, alg.dim, prods))
+        bigger = Subspace.span(alg.field, alg.dim, prods)
         frontier = [r for r in bigger.rows() if not space.contains_vector(r)]
         space = bigger
     return space

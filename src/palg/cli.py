@@ -205,7 +205,8 @@ def cmd_validate(args) -> int:
                          f"residual {r['residual']}")
         else:
             lines.append(f"{r['path']}: ERROR {r['message']}")
-    inputs = [p for p in args.paths if Path(p).exists()]
+    # only regular files are hashed; a directory stays an io-error row
+    inputs = [p for p in args.paths if Path(p).is_file()]
     _emit(args, _envelope("validate", inputs, results, started), lines)
     return worst
 
@@ -323,7 +324,7 @@ def cmd_check(args) -> int:
                                      allow_invalid=args.allow_invalid))
     try:
         results = run_suite(corpus, theorem_filter=args.theorem, budget=budget, jobs=args.jobs)
-    except ValueError as exc:  # run_suite rejects --jobs below 1
+    except ValueError as exc:  # run_suite rejects --jobs below 1 and an unknown --theorem
         return _usage_error(exc)
     counts = summarise(results)
     payload = {"results": [r.to_json() for r in results], "summary": counts}

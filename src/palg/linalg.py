@@ -4,6 +4,14 @@ Everything here is pure and immutable.  Vectors are plain tuples of scalars;
 a :class:`Subspace` is identified with its reduced-row-echelon basis, so two
 subspaces are equal iff their basis matrices are identical.  That canonical
 form is what makes series stabilisation and lattice deduplication exact.
+
+The hot loops (``Matrix.matmul``, ``rref``, ``Subspace.reduce_vector``) work
+on the raw scalars instead of calling the ``FieldSpec`` methods per term:
+over GF(p) they compute with Python ints, over Q they apply the ``Fraction``
+operators directly.  ``matmul`` sums a whole dot product before its one
+``% p``; the eliminations reduce each entry as they update it, because they
+test entries for zero as they go.  The generic ``FieldSpec`` bodies they
+replace are kept as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .fields import FieldSpec, Scalar
@@ -27,6 +37,7 @@ def zero_vector(field: FieldSpec, n: int) -> Vector:
     return tuple(z for _ in range(n))
 
 
+@lru_cache(maxsize=1024)
 def basis_vector(field: FieldSpec, n: int, i: int) -> Vector:
     z, o = field.zero(), field.one()
     return tuple(o if j == i else z for j in range(n))
@@ -129,18 +140,17 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         f = self.field
-        cols = [other.column(j) for j in range(other.ncols)]
-        rows = []
-        for row in self.entries:
-            out = []
-            for col in cols:
-                acc = f.zero()
-                for a, b in zip(row, col):
-                    if a != 0 and b != 0:
-                        acc = f.add(acc, f.mul(a, b))
-                out.append(acc)
-            rows.append(tuple(out))
-        return Matrix(f, self.nrows, other.ncols, tuple(rows))
+        p = f.modulus
+        cols = list(zip(*other.entries)) if other.nrows else [()] * other.ncols
+        if p:
+            rows = tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
+                          for row in self.entries])
+        else:
+            zero = f.zero()
+            rows = tuple([tuple([sum((a * b for a, b in zip(row, col) if a and b), zero)
+                                 for col in cols])
+                          for row in self.entries])
+        return Matrix(f, self.nrows, other.ncols, rows)
 
     def mat_vec(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
@@ -188,6 +198,7 @@ def stack_rows(field: FieldSpec, matrices: Iterable[Matrix], ncols: int) -> Matr
 def rref(m: Matrix) -> Matrix:
     """The unique reduced row-echelon form with zero rows dropped."""
     f = m.field
+    p = f.modulus
     rows = [list(r) for r in m.entries]
     nrows, ncols = m.nrows, m.ncols
     pivot_row = 0
@@ -200,13 +211,31 @@ def rref(m: Matrix) -> Matrix:
         if pivot is None:
             continue
         rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = f.inv(rows[pivot_row][col])
-        if inv != f.one():
-            rows[pivot_row] = [f.mul(inv, x) for x in rows[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col] != 0:
+        prow = rows[pivot_row]
+        lead = prow[col]
+        if p:
+            # In place, from col on: the pivot row is zero left of col, as
+            # every row from pivot_row down is.
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                for j in range(col, ncols):
+                    prow[j] = inv * prow[j] % p
+            for r in range(nrows):
+                row = rows[r]
+                c = row[col]
+                if r != pivot_row and c:
+                    for j in range(col, ncols):
+                        y = prow[j]
+                        if y:
+                            row[j] = (row[j] - c * y) % p
+        else:
+            if lead != 1:
+                inv = Fraction(1) / lead  # a Fraction even when lead is an int
+                prow = rows[pivot_row] = [inv * x for x in prow]
+            for r in range(nrows):
                 c = rows[r][col]
-                rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[pivot_row])]
+                if r != pivot_row and c != 0:
+                    rows[r] = [x - c * y for x, y in zip(rows[r], prow)]
         pivot_row += 1
         if pivot_row == nrows:
             break
@@ -228,13 +257,19 @@ class Subspace:
     ``lattice.enumerate_subspaces`` yields: the bitmask of the projective
     points the subspace contains, a point's bit being its position in
     ``lattice.enumerate_lines`` order; it is None on every other subspace.
-    Neither takes part in equality, hashing or repr.
+    Neither takes part in equality, hashing or repr.  The hash is computed
+    on first use and kept, because subspaces are cache keys.
+
+    The constructor re-checks that the basis is in RREF, for bases from
+    outside; :meth:`span` builds a subspace from vectors already in the
+    field and trusts the RREF that ``rref`` has just produced.
     """
 
     ambient_dim: int
     basis: Matrix
     pivots: tuple = dataclasses.field(init=False, repr=False, compare=False)
     mask: int | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.basis.ncols != self.ambient_dim:
@@ -255,12 +290,38 @@ class Subspace:
             pivots.append(piv)
         object.__setattr__(self, "pivots", tuple(pivots))
 
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.ambient_dim, self.basis))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
         m = Matrix.from_rows(field, vectors, ncols=ambient_dim)
         return Subspace(ambient_dim, rref(m))
+
+    @staticmethod
+    def span(field: FieldSpec, ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
+        """The span of vectors whose entries are already field elements.
+
+        ``from_vectors`` without the coercion of every entry and without the
+        constructor's re-check of the basis: ``rref`` has just built it, and
+        the pivots are read off its rows.  For internal use only.
+        """
+        rows = tuple(vectors)
+        basis = rref(Matrix(field, len(rows), ambient_dim, rows))
+        s = object.__new__(Subspace)
+        set_slot = object.__setattr__
+        set_slot(s, "ambient_dim", ambient_dim)
+        set_slot(s, "basis", basis)
+        set_slot(s, "pivots", tuple(map(_first_nonzero, basis.entries)))
+        set_slot(s, "mask", None)
+        set_slot(s, "_hash", None)
+        return s
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -291,13 +352,19 @@ class Subspace:
 
     def reduce_vector(self, v: Vector) -> Vector:
         """Eliminate the pivot coordinates of v; result is zero iff v lies here."""
-        f = self.field
+        p = self.basis.field.modulus
+        n = self.ambient_dim
         v = list(v)
         for row, piv in zip(self.basis.entries, self.pivots):
             c = v[piv]
-            if c != 0:
-                for j in range(piv, self.ambient_dim):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+            if c == 0:
+                continue
+            if p:
+                for j in range(piv, n):
+                    v[j] = (v[j] - c * row[j]) % p
+            else:
+                for j in range(piv, n):
+                    v[j] -= c * row[j]
         return tuple(v)
 
     def contains_vector(self, v: Vector) -> bool:
@@ -331,8 +398,7 @@ def _first_nonzero(row: Sequence) -> int | None:
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_compatible(u, v)
-    stacked = stack_rows(u.field, [u.basis, v.basis], u.ambient_dim)
-    return Subspace(u.ambient_dim, rref(stacked))
+    return Subspace.span(u.field, u.ambient_dim, u.rows() + v.rows())
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -346,7 +412,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
         return Subspace.zero(f, n)
     reduced = rref(Matrix(f, len(rows), 2 * n, tuple(rows)))
     inter_rows = [row[n:] for row in reduced.entries if vec_is_zero(row[:n])]
-    return Subspace.from_vectors(f, n, inter_rows)
+    return Subspace.span(f, n, inter_rows)
 
 
 def quotient_basis(u: Subspace, v: Subspace) -> tuple:
@@ -390,12 +456,12 @@ def kernel(m: Matrix) -> Subspace:
         for row, piv in zip(reduced.entries, pivots):
             v[piv] = f.neg(row[free])
         vectors.append(tuple(v))
-    return Subspace.from_vectors(f, m.ncols, vectors)
+    return Subspace.span(f, m.ncols, vectors)
 
 
 def image(m: Matrix) -> Subspace:
     """The column space of m as a subspace of F^nrows."""
-    return Subspace(m.nrows, rref(m.transpose()))
+    return Subspace.span(m.field, m.nrows, m.transpose().entries)
 
 
 # ---------------------------------------------------------------------------

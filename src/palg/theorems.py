@@ -923,11 +923,15 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
     Per-pair checks run over a diagonal-order sample of same-field pairs
     capped at pair_limit; all other quantifier caps come from config_limit.
     Parallel execution only fans out independent pure calls, and results are
-    ordered by (registry position, task position) regardless of jobs.
+    ordered by (registry position, task position) regardless of jobs.  A
+    theorem_filter naming no registered check raises ValueError, so a typo
+    cannot pass for a clean run.
     """
     _check_limit("config_limit", config_limit)
     _check_limit("pair_limit", pair_limit)
     _check_limit("jobs", jobs, least=1)
+    if theorem_filter and theorem_filter not in _BY_ID:
+        raise ValueError(f"unknown check {theorem_filter!r}; palg check --list names them")
     corpus = _uniquely_named(corpus)
     tasks = []
     for check in REGISTRY:

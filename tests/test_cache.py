@@ -1,6 +1,7 @@
 """The subspace products, closure witnesses and Engel-Lie spaces read
 through the one per-tensor cache, against their uncached bodies."""
 
+import gc
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from palg import _cache
 from palg.algebra import (
+    PoissonAlgebra,
     _ideal_defect,
     _subalgebra_defect,
     _subspace_product_bracket,
@@ -22,7 +24,7 @@ from palg.corpus import curated_corpus, enumerate_poisson_structures, xyz_algebr
 from palg.engel import _engel_lie_space, engel_lie_space
 from palg.fields import FieldSpec
 from palg.lattice import enumerate_subspaces, lattice_profile
-from palg.linalg import Subspace
+from palg.linalg import Matrix, Subspace, image, kernel, subspace_intersect, subspace_sum
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
@@ -136,3 +138,118 @@ def test_nothing_is_stored_when_the_computation_raises():
     assert entry == {}
     assert subspace_product_bracket(alg, alg.full_space(), alg.full_space()).dim == 1
     assert len(entry) == 2  # the product, and its result as the hash-consed copy
+
+
+# -- the weak reference an algebra keeps to its entry, and Subspace hashes --
+
+
+def _counted(result):
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return result
+    return calls, compute
+
+
+def _stashed(alg):
+    """The entry the algebra's weak reference points at, or None."""
+    ref = vars(alg).get(_cache._STASH)
+    return None if ref is None else ref()
+
+
+def test_a_renamed_copy_reuses_the_stashed_entry_without_a_miss():
+    alg = next(a for a in curated_corpus() if a.name == "idem+heis-q")
+    calls, compute = _counted("result")
+    assert _cache.memo(alg, ("probe",), compute) == "result"
+    entry = _stashed(alg)
+    assert entry is not None and entry[("probe",)] == "result"
+    info = _cache.cache_info()
+    for _ in range(3):  # through the stash: no lookup in the lru cache at all
+        assert _cache.memo(alg, ("probe",), compute) == "result"
+    assert _cache.cache_info() == info
+    copy = _renamed(alg)
+    assert _stashed(copy) is None
+    assert _cache.memo(copy, ("probe",), compute) == "result"
+    assert _stashed(copy) is entry
+    after = _cache.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+    assert calls == [1]
+
+
+def test_after_cache_clear_the_next_lookup_misses_and_recomputes():
+    alg = next(a for a in curated_corpus() if a.name == "heisenberg-gf3")
+    calls, compute = _counted(7)
+    _cache.memo(alg, ("probe",), compute)
+    _cache.cache_clear()
+    assert _cache.cache_info().misses == 0
+    assert _cache.memo(alg, ("probe",), compute) == 7
+    assert _cache.cache_info().misses == 1
+    assert calls == [1, 1]
+    assert lattice_profile.cache_info().currsize == 1
+
+
+def test_no_entry_survives_cache_clear_through_the_weak_reference():
+    algebras = [a for a in curated_corpus() if a.dim <= 3]
+    for alg in algebras:
+        subspace_product_dot(alg, alg.full_space(), alg.full_space())
+        assert _stashed(alg) is not None
+    _cache.cache_clear()
+    gc.collect()
+    assert all(_stashed(alg) is None for alg in algebras)
+    assert all(_cache._STASH in vars(alg) for alg in algebras)  # dead, not gone
+
+
+def test_an_evicted_entry_is_not_reached_through_the_weak_reference():
+    gf97 = FieldSpec.prime(97)
+    first = next(a for a in curated_corpus() if a.name == "heisenberg-gf3")
+    _cache.memo(first, ("probe",), lambda: 1)
+    # maxsize other tensors push the first entry out (memo reads no axioms)
+    fillers = [PoissonAlgebra(gf97, 1, (((c,),),), (((b,),),))
+               for c, b in itertools.product(range(97), range(3))]
+    for alg in fillers[:_cache.cache_info().maxsize]:
+        _cache.memo(alg, ("probe",), lambda: 0)
+    assert _stashed(first) is None
+    misses = _cache.cache_info().misses
+    calls, compute = _counted(2)
+    assert _cache.memo(first, ("probe",), compute) == 2
+    assert _cache.cache_info().misses == misses + 1 and calls == [1]
+
+
+def _subspaces_built_every_way(field, n):
+    """Equal subspaces of F^n, each built by another constructor."""
+    e = [tuple(field.one() if j == i else field.zero() for j in range(n)) for i in range(n)]
+    first_two = e[:2]
+    rows = [tuple(field.coerce(c) for c in v) for v in ((1, 1, 0), (1, 2, 0))]
+    ways = [
+        Subspace.from_vectors(field, n, first_two),
+        Subspace.from_vectors(field, n, rows),
+        Subspace.span(field, n, first_two),
+        Subspace.span(field, n, rows),
+        Subspace(n, Matrix(field, 2, n, tuple(first_two))),
+        subspace_sum(Subspace.span(field, n, e[:1]), Subspace.span(field, n, e[1:2])),
+        subspace_intersect(Subspace.full(field, n), Subspace.span(field, n, rows)),
+        kernel(Matrix(field, 1, n, (e[2],))),
+        image(Matrix(field, n, 2, tuple(tuple(v[i] for v in first_two) for i in range(n)))),
+    ]
+    enumerated = [s for s in enumerate_subspaces(field, n) if s == ways[0]]
+    assert len(enumerated) == 1 and enumerated[0].mask is not None
+    return ways + enumerated
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=str)
+def test_subspace_hash_is_stable_and_equal_for_equal_subspaces(field):
+    ways = _subspaces_built_every_way(field, 3)
+    assert all(s == ways[0] for s in ways)
+    hashes = {hash(s) for s in ways}
+    assert len(hashes) == 1
+    assert {hash(s) for s in ways} == hashes  # unchanged on the second call
+    assert len(set(ways)) == 1 and {ways[0]: 1}[ways[-1]] == 1
+    assert hash(Subspace.zero(field, 3)) != hash(ways[0])
+
+
+def test_subspace_hash_over_q_ignores_int_or_fraction_entries():
+    q = FieldSpec.rationals()
+    from_ints = Subspace.span(q, 2, [(1, 2)])
+    from_fractions = Subspace.from_vectors(q, 2, [(Fraction(1, 3), Fraction(2, 3))])
+    assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)

@@ -59,6 +59,23 @@ def test_validate_mixed_files(capsys, heis_file, bad_file, tmp_path):
     assert code == 1
 
 
+def test_validate_directory_is_an_io_error_row(capsys, heis_file, tmp_path):
+    # a directory among the paths used to abort the whole report while
+    # the envelope hashed it
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code, out, _ = run_cli(capsys, "validate", str(folder), str(heis_file), "--format", "json")
+    assert code == 2
+    envelope = json.loads(out)
+    assert [r["status"] for r in envelope["result"]] == ["io-error", "valid"]
+    assert envelope["result"][0]["path"] == str(folder)
+    assert [i["path"] for i in envelope["inputs"]] == [str(heis_file)]
+    code, out, _ = run_cli(capsys, "validate", str(folder), str(heis_file))
+    assert code == 2
+    assert out.splitlines() == [f"{folder}: ERROR " + envelope["result"][0]["message"],
+                                f"{heis_file}: VALID"]
+
+
 def test_analyze_heisenberg(capsys, heis_file):
     code, out, _ = run_cli(capsys, "analyze", str(heis_file))
     assert code == 0
@@ -133,6 +150,14 @@ def test_check_rejects_invalid_corpus_without_flag(capsys, tmp_path):
     manifest = _write_corpus(tmp_path, [xyz_algebra(GF5, allow_invalid=True)])
     code, _, err = run_cli(capsys, "check", str(manifest))
     assert code == 1 and "leibniz" in err
+
+
+def test_check_unknown_theorem_is_a_usage_error(capsys, tmp_path):
+    # it used to print "summary: 0 pass ..." and exit 0
+    manifest = _write_corpus(tmp_path, [zero_algebra(GF2, 1)])
+    code, out, err = run_cli(capsys, "check", str(manifest), "--theorem", "Bogus")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'Bogus'" in err
 
 
 def test_check_list(capsys, tmp_path):

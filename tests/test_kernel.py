@@ -1,0 +1,377 @@
+"""The raw-scalar kernel against the generic FieldSpec arithmetic.
+
+``PoissonAlgebra._mul``, ``Matrix.matmul``, ``rref`` and
+``Subspace.reduce_vector`` compute on the raw scalars: Python ints reduced
+``% p`` once per coordinate over GF(p), ``Fraction`` operators over Q.  The
+``ref_*`` functions below are their bodies written with the ``FieldSpec``
+methods, one call per term; every fast path must give the same scalars, of
+the same types, and never a float.  ``Subspace.span`` must give the subspace
+``from_vectors`` gives, with a basis the checked constructor accepts, and
+``find_axiom_violation``'s table of basis products must report what
+evaluating every residual from scratch reports.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from palg.algebra import (
+    PoissonAlgebra,
+    _axiom_witnesses,
+    evaluate_axiom,
+    find_axiom_violation,
+)
+from palg.corpus import (
+    curated_corpus,
+    enumerate_poisson_structures,
+    xyz_algebra,
+    zero_algebra,
+)
+from palg.fields import FieldSpec
+from palg.linalg import Matrix, Subspace, rref, vec_add, vec_is_zero, vec_sub
+
+GF3 = FieldSpec.prime(3)
+FIELDS = [FieldSpec.prime(p) for p in (2, 3, 5, 97)] + [FieldSpec.rationals()]
+
+
+# ---------------------------------------------------------------------------
+# the generic bodies, one FieldSpec call per term
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(f, dim, tensor, x, y):
+    out = [f.zero()] * dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        ti = tensor[i]
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            coeff = f.mul(xi, yj)
+            for k, c in enumerate(ti[j]):
+                if c != 0:
+                    out[k] = f.add(out[k], f.mul(coeff, c))
+    return tuple(out)
+
+
+def ref_matmul(a, b):
+    f = a.field
+    cols = [b.column(j) for j in range(b.ncols)]
+    rows = []
+    for row in a.entries:
+        out = []
+        for col in cols:
+            acc = f.zero()
+            for x, y in zip(row, col):
+                if x != 0 and y != 0:
+                    acc = f.add(acc, f.mul(x, y))
+            out.append(acc)
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+def ref_rref(m):
+    f = m.field
+    rows = [list(r) for r in m.entries]
+    nrows, ncols = m.nrows, m.ncols
+    pivot_row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(pivot_row, nrows):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        inv = f.inv(rows[pivot_row][col])
+        if inv != f.one():
+            rows[pivot_row] = [f.mul(inv, x) for x in rows[pivot_row]]
+        for r in range(nrows):
+            if r != pivot_row and rows[r][col] != 0:
+                c = rows[r][col]
+                rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return tuple(tuple(r) for r in rows[:pivot_row])
+
+
+def ref_reduce_vector(s, v):
+    f = s.field
+    v = list(v)
+    for row, piv in zip(s.basis.entries, s.pivots):
+        c = v[piv]
+        if c != 0:
+            for j in range(piv, s.ambient_dim):
+                v[j] = f.sub(v[j], f.mul(c, row[j]))
+    return tuple(v)
+
+
+# The residuals as they were before the table of basis products: every
+# product evaluated afresh in every residual.
+
+def ref_commutativity(alg, e, i, j):
+    return vec_sub(alg.field, alg.mul_dot(e[i], e[j]), alg.mul_dot(e[j], e[i]))
+
+
+def ref_associativity(alg, e, i, j, k):
+    return vec_sub(alg.field, alg.mul_dot(alg.mul_dot(e[i], e[j]), e[k]),
+                   alg.mul_dot(e[i], alg.mul_dot(e[j], e[k])))
+
+
+def ref_alternating(alg, e, i, j):
+    if i == j:
+        return alg.mul_bracket(e[i], e[i])
+    return vec_add(alg.field, alg.mul_bracket(e[i], e[j]), alg.mul_bracket(e[j], e[i]))
+
+
+def ref_jacobi(alg, e, i, j, k):
+    f = alg.field
+    res = alg.mul_bracket(alg.mul_bracket(e[i], e[j]), e[k])
+    res = vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[j], e[k]), e[i]))
+    return vec_add(f, res, alg.mul_bracket(alg.mul_bracket(e[k], e[i]), e[j]))
+
+
+def ref_leibniz(alg, e, i, j, k):
+    f = alg.field
+    rhs = vec_add(f, alg.mul_dot(alg.mul_bracket(e[i], e[k]), e[j]),
+                  alg.mul_dot(e[i], alg.mul_bracket(e[j], e[k])))
+    return vec_sub(f, alg.mul_bracket(alg.mul_dot(e[i], e[j]), e[k]), rhs)
+
+
+REF_RESIDUALS = {"commutativity": ref_commutativity, "associativity": ref_associativity,
+                 "alternating": ref_alternating, "jacobi": ref_jacobi,
+                 "leibniz": ref_leibniz}
+
+
+def ref_find_axiom_violation(alg):
+    e = [alg.basis_element(i) for i in range(alg.dim)]
+    for axiom, witness, _ in _axiom_witnesses(alg.dim):
+        res = REF_RESIDUALS[axiom](alg, e, *witness)
+        if not vec_is_zero(res):
+            return axiom, witness, res
+    return None
+
+
+# ---------------------------------------------------------------------------
+# strategies and helpers
+# ---------------------------------------------------------------------------
+
+
+def scalars(field):
+    """Field elements, zero often; over Q also plain ints."""
+    if field.is_finite:
+        return st.one_of(st.just(0), st.integers(0, field.modulus - 1))
+    return st.one_of(st.just(Fraction(0)), st.integers(-4, 4),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+def vectors(field, n):
+    return st.tuples(*[scalars(field)] * n)
+
+
+def grids(field, nrows, ncols):
+    return st.tuples(*[vectors(field, ncols)] * nrows)
+
+
+def tensors(field, n):
+    """A dense n x n x n tensor with a few nonzero entries; no axioms."""
+    index = st.integers(0, n - 1)
+    entries = st.dictionaries(st.tuples(index, index, index), scalars(field), max_size=2 * n)
+
+    def dense(items):
+        return tuple(tuple(tuple(items.get((i, j, k), field.zero()) for k in range(n))
+                           for j in range(n)) for i in range(n))
+    return entries.map(dense)
+
+
+def alternating_tensors(field, n):
+    """A bracket tensor with [e_i, e_i] = 0 and [e_j, e_i] = -[e_i, e_j]."""
+    pairs = st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)])
+    entries = st.dictionaries(st.tuples(pairs, st.integers(0, n - 1)),
+                              scalars(field).map(field.coerce), max_size=2 * n)
+
+    def dense(items):
+        t = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+        for ((i, j), k), c in items.items():
+            t[i][j][k], t[j][i][k] = c, field.neg(c)
+        return tuple(tuple(tuple(line) for line in plane) for plane in t)
+    return entries.map(dense)
+
+
+def typed(value):
+    """A nested tuple with every scalar replaced by (type name, value), so
+    that equality also compares types; a float anywhere fails the test."""
+    if isinstance(value, (tuple, list)):
+        return tuple(typed(v) for v in value)
+    assert not isinstance(value, float)
+    assert isinstance(value, (int, Fraction))
+    return (type(value).__name__, value)
+
+
+def assert_reduced(field, rows):
+    """Over GF(p) every output scalar is an int residue in [0, p)."""
+    if field.is_finite:
+        for row in rows:
+            assert all(type(x) is int and 0 <= x < field.modulus for x in row)
+
+
+DIMS = st.integers(0, 4)
+
+
+# ---------------------------------------------------------------------------
+# the four loops and span
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_mul_matches_the_fieldspec_body(field, data):
+    n = data.draw(st.integers(1, 4))
+    dot, bracket = data.draw(tensors(field, n)), data.draw(tensors(field, n))
+    alg = PoissonAlgebra(field, n, dot, bracket)
+    x, y = data.draw(vectors(field, n)), data.draw(vectors(field, n))
+    for tensor, product in ((dot, alg.mul_dot), (bracket, alg.mul_bracket)):
+        fast = product(x, y)
+        assert typed(fast) == typed(ref_mul(field, n, tensor, x, y))
+        assert_reduced(field, [fast])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_mul_keeps_the_index_error_for_a_vector_longer_than_the_algebra(field):
+    alg = zero_algebra(field, 2)
+    wide = (field.zero(), field.zero(), field.one())
+    one = (field.one(), field.zero())
+    for x, y in ((wide, one), (one, wide)):
+        with pytest.raises(IndexError):
+            alg.mul_dot(x, y)
+        with pytest.raises(IndexError):
+            ref_mul(field, 2, alg.dot_tensor, x, y)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_matmul_matches_the_fieldspec_body(field, data):
+    r, k, c = data.draw(DIMS), data.draw(DIMS), data.draw(DIMS)
+    a = Matrix(field, r, k, data.draw(grids(field, r, k)))
+    b = Matrix(field, k, c, data.draw(grids(field, k, c)))
+    fast = a.matmul(b)
+    assert (fast.nrows, fast.ncols) == (r, c)
+    assert typed(fast.entries) == typed(ref_matmul(a, b))
+    assert_reduced(field, fast.entries)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_rref_matches_the_fieldspec_body(field, data):
+    r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
+    m = Matrix(field, r, c, data.draw(grids(field, r, c)))
+    fast = rref(m)
+    assert fast.ncols == c and fast.nrows == len(fast.entries)
+    assert typed(fast.entries) == typed(ref_rref(m))
+    assert_reduced(field, fast.entries)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_reduce_vector_matches_the_fieldspec_body(field, data):
+    n = data.draw(st.integers(1, 5))
+    s = Subspace.from_vectors(field, n, data.draw(st.lists(vectors(field, n), max_size=4)))
+    v = data.draw(vectors(field, n))
+    fast = s.reduce_vector(v)
+    assert typed(fast) == typed(ref_reduce_vector(s, v))
+    assert_reduced(field, [fast])
+    assert s.contains_vector(v) == vec_is_zero(ref_reduce_vector(s, v))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_span_equals_from_vectors_and_passes_the_checked_constructor(field, data):
+    n = data.draw(st.integers(0, 5))
+    vecs = data.draw(st.lists(vectors(field, n), max_size=5))
+    fast = Subspace.span(field, n, vecs)
+    checked = Subspace.from_vectors(field, n, vecs)
+    assert fast == checked and hash(fast) == hash(checked)
+    assert fast.pivots == checked.pivots and fast.mask is None
+    # the generic elimination, through the constructor that re-checks it
+    reference = Subspace(n, Matrix(field, len(checked.rows()), n,
+                                   ref_rref(Matrix(field, len(vecs), n, tuple(vecs)))))
+    assert reference == fast
+    rebuilt = Subspace(n, fast.basis)
+    assert rebuilt == fast and rebuilt.pivots == fast.pivots
+    assert typed(fast.rows()) == typed(reference.rows())
+    assert_reduced(field, fast.rows())
+
+
+# ---------------------------------------------------------------------------
+# validation through the table of basis products
+# ---------------------------------------------------------------------------
+
+
+def _broken_commutativity():
+    # x.y = y, y.x = 0: not commutative
+    f = GF3
+    z = f.zero()
+    dot = [[[z] * 2 for _ in range(2)] for _ in range(2)]
+    dot[0][1][1] = f.one()
+    return PoissonAlgebra(f, 2, tuple(tuple(tuple(line) for line in plane) for plane in dot),
+                          zero_algebra(f, 2).bracket_tensor)
+
+
+NEGATIVE_CONTROLS = [_broken_commutativity()] + [
+    xyz_algebra(f, allow_invalid=True) for f in (GF3, FieldSpec.prime(5), FieldSpec.rationals())]
+
+
+@pytest.mark.parametrize("alg", NEGATIVE_CONTROLS, ids=lambda a: a.name or "broken-comm")
+def test_negative_controls_report_the_same_first_violation(alg):
+    violation = find_axiom_violation(alg)
+    expected = ref_find_axiom_violation(alg)
+    assert expected is not None
+    assert (violation.axiom, violation.witness) == expected[:2]
+    assert typed(violation.residual) == typed(expected[2])
+    e = [alg.basis_element(i) for i in range(alg.dim)]
+    for axiom, witness, _ in _axiom_witnesses(alg.dim):
+        assert (typed(evaluate_axiom(alg, axiom, witness))
+                == typed(REF_RESIDUALS[axiom](alg, e, *witness)))
+
+
+@pytest.mark.parametrize("alg", enumerate_poisson_structures(2, 2) + curated_corpus(),
+                         ids=lambda a: a.name)
+def test_valid_algebras_have_no_violation_either_way(alg):
+    assert find_axiom_violation(alg) is None
+    assert ref_find_axiom_violation(alg) is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_random_tensors_report_the_same_first_violation(field, data):
+    n = data.draw(st.integers(1, 3))
+    dot, bracket = data.draw(tensors(field, n)), data.draw(tensors(field, n))
+    alg = PoissonAlgebra(field, n, dot, bracket)
+    violation = find_axiom_violation(alg)
+    expected = ref_find_axiom_violation(alg)
+    if expected is None:
+        assert violation is None
+    else:
+        assert (violation.axiom, violation.witness) == expected[:2]
+        assert typed(violation.residual) == typed(expected[2])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_random_lie_brackets_report_the_same_first_violation(field, data):
+    # zero dot and an alternating bracket: only Jacobi can fail
+    n = data.draw(st.integers(3, 4))
+    alg = PoissonAlgebra(field, n, zero_algebra(field, n).dot_tensor,
+                         data.draw(alternating_tensors(field, n)))
+    violation = find_axiom_violation(alg)
+    expected = ref_find_axiom_violation(alg)
+    if expected is None:
+        assert violation is None
+    else:
+        assert expected[0] == "jacobi"
+        assert (violation.axiom, violation.witness) == expected[:2]
+        assert typed(violation.residual) == typed(expected[2])

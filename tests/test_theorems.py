@@ -104,6 +104,13 @@ def test_run_suite_rejects_bad_limits(param, bad):
         run_suite([two_dim_nonabelian(GF3)], theorem_filter="Thm-3.5", **{param: bad})
 
 
+@pytest.mark.parametrize("bad", ["Bogus", "prop-2.4", "Prop-2.4 "])
+def test_run_suite_rejects_an_unknown_check_id(bad):
+    # an unknown id used to filter every check out and return no results
+    with pytest.raises(ValueError, match=repr(bad)):
+        run_suite([two_dim_nonabelian(GF3)], theorem_filter=bad)
+
+
 def test_zero_limits_are_accepted():
     algs = [two_dim_nonabelian(GF3), heisenberg_zero_dot(GF3)]
     assert run_suite(algs, theorem_filter="Thm-3.5", pair_limit=0) == []
