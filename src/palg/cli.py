@@ -35,7 +35,7 @@ from .lattice import (
 )
 from .linalg import Subspace
 from .series import SERIES_KINDS, SeriesReport, series_by_kind
-from .theorems import REGISTRY, run_suite, summarise
+from .theorems import REGISTRY, check_suite_request, run_suite, summarise
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -311,7 +311,8 @@ def cmd_check(args) -> int:
         return EXIT_OK
     try:
         budget = _budget_from(args)
-    except ValueError as exc:  # a negative --budget-* value
+        check_suite_request(args.theorem, args.jobs)
+    except ValueError as exc:  # a negative --budget-* value, --jobs below 1, an unknown --theorem
         return _usage_error(exc)
     manifest_path = Path(args.manifest)
     members = parse_manifest(manifest_path.read_text(encoding="utf-8"))
@@ -322,10 +323,7 @@ def cmd_check(args) -> int:
         inputs.append(str(member_path))
         corpus.append(parse_document(member_path.read_text(encoding="utf-8"),
                                      allow_invalid=args.allow_invalid))
-    try:
-        results = run_suite(corpus, theorem_filter=args.theorem, budget=budget, jobs=args.jobs)
-    except ValueError as exc:  # run_suite rejects --jobs below 1 and an unknown --theorem
-        return _usage_error(exc)
+    results = run_suite(corpus, theorem_filter=args.theorem, budget=budget, jobs=args.jobs)
     counts = summarise(results)
     payload = {"results": [r.to_json() for r in results], "summary": counts}
     lines = []

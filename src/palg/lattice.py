@@ -9,6 +9,14 @@ forms are offered, which check a candidate against the defining linear
 conditions and against the ideals reachable by closing basis lines.
 Budgets are hard limits: exceeding one raises instead of degrading.
 
+The lattice profile works on point masks: every enumerated subspace
+carries the bitmask of its projective points, and the profile keeps the
+masks and dimensions beside the subspaces.  Containment is then ``m & big
+== m`` on ints, in the maximal and minimal scans, and the closure flags are
+bit tests whose product bits are carried along the enumeration order.  The
+per-``Subspace`` scans (``Subspace.contains``) remain as the fallback for
+candidates without a mask, and as the test oracle.
+
 Discovery results are cached in the one per-tensor cache of ``_cache``: the
 entry is keyed on (field, dot tensor, bracket tensor), the fields of the
 algebra that discovery reads, and each result sits inside it under
@@ -40,8 +48,9 @@ from .algebra import (
 )
 from .fields import FieldError, FieldSpec
 from .linalg import (
-    Matrix,
     Subspace,
+    _matrix,
+    _subspace,
     kernel,
     stack_rows,
     subspace_intersect,
@@ -140,7 +149,9 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
     Each subspace carries its point ``mask`` (see ``Subspace``), built from
     one yielded earlier: dropping the first basis row r leaves the basis of a
     subspace S' of one dimension less, and the points r adds are r + v for v
-    in S', already normalised because v vanishes up to r's pivot.
+    in S', already normalised because v vanishes up to r's pivot.  The basis
+    is built in RREF with known pivots, so each subspace goes through the
+    trusted constructor ``linalg._subspace``, not the checked one.
     """
     _check_enumeration_budget(field, n, budget)
     q = field.order
@@ -162,10 +173,20 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
     def reduce(u: int) -> int:
         return u - (((u + lift) & tops) >> top) * q
 
+    def rows_with(pivot: int, free: list) -> list:
+        """The rows with a one at ``pivot`` and any entries at ``free``,
+        zero elsewhere, in lexicographic order of those entries."""
+        out = []
+        for values in itertools.product(elems, repeat=len(free)):
+            row = [zero] * n
+            row[pivot] = one
+            for j, x in zip(free, values):
+                row[j] = x
+            out.append(tuple(row))
+        return out
+
     point_bit = {pack(line.rows()[0]): 1 << i for i, line in enumerate(enumerate_lines(field, n))}
-    zero_space = Subspace.zero(field, n)
-    object.__setattr__(zero_space, "mask", 0)
-    yield zero_space
+    yield _subspace(n, _matrix(field, 0, n, ()), (), 0)
     # basis -> (mask, packed elements) for the subspaces of the previous
     # dimension; only those with no pivot in column 0 are kept, because only
     # they are what remains of a later basis without its first row
@@ -173,26 +194,23 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
     for k in range(1, n + 1):
         below, spans = spans, {}
         for pivots in itertools.combinations(range(n), k):
-            pivot_set = set(pivots)
-            free_positions = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
-                              if j not in pivot_set]
-            for values in itertools.product(elems, repeat=len(free_positions)):
-                rows = [[zero] * n for _ in range(k)]
-                for i in range(k):
-                    rows[i][pivots[i]] = one
-                for (i, j), val in zip(free_positions, values):
-                    rows[i][j] = val
-                basis = tuple(tuple(r) for r in rows)
-                mask, elements = below[basis[1:]]
-                first = pack(basis[0])
-                for v in elements:
-                    mask |= point_bit[reduce(first + v)]
-                if pivots[0]:
-                    multiples = [pack([c * x % q for x in basis[0]]) for c in elems]
-                    spans[basis] = (mask, [reduce(m + v) for m in multiples for v in elements])
-                s = Subspace(n, Matrix(field, k, n, basis))
-                object.__setattr__(s, "mask", mask)
-                yield s
+            # A basis with these pivots picks each row independently, so the
+            # bases are the product of the row choices; it runs the free
+            # entries in the same lexicographic order, and bases share rows.
+            choices = [rows_with(p, [j for j in range(p + 1, n) if j not in pivots])
+                       for p in pivots]
+            for first in choices[0]:
+                packed = pack(first)
+                multiples = [pack([c * x % q for x in first]) for c in elems] if pivots[0] else None
+                for rest in itertools.product(*choices[1:]):
+                    mask, elements = below[rest]
+                    for v in elements:
+                        u = packed + v  # reduce(u), inlined: this is the hot loop
+                        mask |= point_bit[u - (((u + lift) & tops) >> top) * q]
+                    basis = (first,) + rest
+                    if multiples:
+                        spans[basis] = (mask, [reduce(m + v) for m in multiples for v in elements])
+                    yield _subspace(n, _matrix(field, k, n, basis), pivots, mask)
 
 
 def enumerate_lines(field: FieldSpec, n: int):
@@ -204,8 +222,8 @@ def enumerate_lines(field: FieldSpec, n: int):
     for lead in range(n):
         tail = n - lead - 1
         for rest in itertools.product(elems, repeat=tail):
-            row = [zero] * lead + [one] + list(rest)
-            yield Subspace(n, Matrix(field, 1, n, (tuple(row),)))
+            row = (zero,) * lead + (one,) + rest
+            yield _subspace(n, _matrix(field, 1, n, (row,)), (lead,))
 
 
 def enumerate_elements(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET):
@@ -225,9 +243,16 @@ def enumerate_elements(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDG
 
 @dataclass(frozen=True)
 class LatticeProfile:
-    """All subspaces of the algebra with closure flags, computed once."""
+    """All subspaces of the algebra with closure flags, computed once.
+
+    ``masks`` and ``dims`` run parallel to ``subspaces``: the point mask and
+    the dimension of each, so that scans over the lattice test containment
+    on ints without touching the ``Subspace`` objects.
+    """
 
     subspaces: tuple
+    masks: tuple
+    dims: tuple
     subalgebra_flags: tuple
     assoc_flags: tuple
     lie_flags: tuple
@@ -243,23 +268,48 @@ class LatticeProfile:
 def lattice_profile(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> LatticeProfile:
     def compute():
         subspaces = tuple(enumerate_subspaces(alg.field, alg.dim, budget))
+        masks = tuple(s.mask for s in subspaces)
+        dims = tuple(s.basis.nrows for s in subspaces)
         assoc_flags, lie_flags, ideal_flags = _closure_flags(alg, subspaces)
         sub_flags = tuple(a and b for a, b in zip(assoc_flags, lie_flags))
-        return LatticeProfile(subspaces, sub_flags, assoc_flags, lie_flags, ideal_flags)
+        return LatticeProfile(subspaces, masks, dims, sub_flags, assoc_flags, lie_flags,
+                              ideal_flags)
     return memo(alg, ("profile", budget), compute)
 
 
+class _Table(dict):
+    """A dict that fills in a missing key with ``fill(key)``."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
-    """The assoc, Lie and ideal flags of enumerated subspaces, in one pass;
-    ``is_assoc_subalgebra``, ``is_lie_subalgebra`` and ``is_ideal`` are the
-    oracles, and an ideal flag is set only on a subalgebra.
+    """The assoc, Lie and ideal flags of the subspaces ``enumerate_subspaces``
+    yields, in order, in one pass; ``is_assoc_subalgebra``,
+    ``is_lie_subalgebra`` and ``is_ideal`` are the oracles, and an ideal flag
+    is set only on a subalgebra.
 
     A product lies in S iff its point bit lies in S's mask; the zero product
     has no point, so its bit is 0 and it always lies in S.  Every RREF row
-    is a normalised point, and so is every basis vector, so each product is
-    computed once per ordered pair of points and kept as a point bit.  The
-    pairs stay ordered so that the flags stay exact on tensors that are not
-    commutative or alternating.
+    and every basis vector is a normalised point, so each product is looked
+    up by the positions of its two points, ``a * width + b``, and computed
+    once.  S is closed iff the bits of its basis-row products all lie in its
+    mask.  S' = S without its first row r is yielded earlier, and the OR of
+    the bits of its row products is carried from it, so S adds only the
+    products of r with itself and with the rows of S': O(k) lookups for a
+    k-dim subspace.  Only subspaces with no pivot in column 0 are ever some
+    S', so only they keep a complete OR; the rest stop at the first product
+    outside.  The pairs stay ordered, so the flags stay exact on tensors
+    that are not commutative or alternating.  The ideal test reads, per
+    row, the OR of the bits of its products with every basis vector.
     """
     f = alg.field
     lines = [line.rows()[0] for line in enumerate_lines(f, alg.dim)]
@@ -268,32 +318,67 @@ def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
     bit = {vec_scale(f, c, v): 1 << i for i, v in enumerate(lines)
            for c in list(f.elements())[1:]}
     bit[alg.zero_element()] = 0
-    basis = [(e, point[e]) for e in map(alg.basis_element, range(alg.dim))]
-    dot_bits: dict = {}
-    bracket_bits: dict = {}
+    everywhere = (1 << width) - 1  # complements are taken in it: a negative int is slower
 
-    def closed(mul, bits: dict, left: list, right: list, outside: int) -> bool:
-        for a, pa in left:
-            for b, pb in right:
-                key = pa * width + pb
-                got = bits.get(key)
-                if got is None:
-                    got = bits[key] = bit[mul(a, b)]
-                if got & outside:
-                    return False
+    def products(mul) -> _Table:
+        def fill(key: int) -> int:
+            a, b = divmod(key, width)
+            return bit[mul(lines[a], lines[b])]
+        return _Table(fill)
+
+    dot, bracket = products(alg.mul_dot), products(alg.mul_bracket)
+    basis = [point[e] for e in map(alg.basis_element, range(alg.dim))]
+
+    def ideal_bits(a: int) -> int:
+        aw = a * width
+        acc = 0
+        for b in basis:
+            acc |= dot[aw + b] | bracket[aw + b]
+        return acc
+
+    row_ideal = _Table(ideal_bits)
+
+    def new_products(table: _Table, a: int, rest: tuple) -> int:
+        aw = a * width
+        acc = table[aw + a]
+        for b in rest:
+            acc |= table[aw + b] | table[b * width + a]
+        return acc
+
+    def closed(table: _Table, a: int, rest: tuple, outside: int) -> bool:
+        aw = a * width
+        if table[aw + a] & outside:
+            return False
+        for b in rest:
+            if table[aw + b] & outside or table[b * width + a] & outside:
+                return False
         return True
 
+    # rows of S' -> (point positions of those rows, dot OR, bracket OR)
+    carried = {(): ((), 0, 0)}
     assoc_flags, lie_flags, ideal_flags = [], [], []
     for s in subspaces:
-        rows = [(r, point[r]) for r in s.rows()]
-        outside = ~s.mask
-        assoc = closed(alg.mul_dot, dot_bits, rows, rows, outside)
-        lie = closed(alg.mul_bracket, bracket_bits, rows, rows, outside)
+        rows = s.rows()
+        outside = everywhere ^ s.mask
+        if not rows:
+            assoc = lie = ideal = True
+        else:
+            rest, dot_or, bracket_or = carried[rows[1:]]
+            a = point[rows[0]]
+            if s.pivots[0]:
+                dot_or |= new_products(dot, a, rest)
+                bracket_or |= new_products(bracket, a, rest)
+                carried[rows] = ((a,) + rest, dot_or, bracket_or)
+                assoc = not dot_or & outside
+                lie = not bracket_or & outside
+            else:
+                assoc = not dot_or & outside and closed(dot, a, rest, outside)
+                lie = not bracket_or & outside and closed(bracket, a, rest, outside)
+            ideal = (assoc and lie and not row_ideal[a] & outside
+                     and not any(row_ideal[b] & outside for b in rest))
         assoc_flags.append(assoc)
         lie_flags.append(lie)
-        ideal_flags.append(assoc and lie
-                           and closed(alg.mul_dot, dot_bits, rows, basis, outside)
-                           and closed(alg.mul_bracket, bracket_bits, rows, basis, outside))
+        ideal_flags.append(ideal)
     return tuple(assoc_flags), tuple(lie_flags), tuple(ideal_flags)
 
 
@@ -301,13 +386,39 @@ lattice_profile.cache_info = cache_info
 lattice_profile.cache_clear = cache_clear
 
 
+def _maximal_positions(masks, dims, positions) -> list:
+    """The positions whose mask lies strictly inside no other position's
+    mask, ascending; masks are point masks of one ambient space.
+
+    Visited by decreasing dimension, each position is tested only against
+    the maxima of larger dimension found so far: a mask strictly inside
+    some other one lies inside a maximal one of larger dimension, which was
+    visited earlier.  ``m & big == m`` is containment (``m & ~big``, on a
+    negative int, is several times slower), and ``map`` runs the tests
+    against all those maxima in one call.
+    """
+    by_dim: dict = {}
+    for i in positions:
+        by_dim.setdefault(dims[i], []).append(i)
+    maxima: list = []  # the masks of the maxima of larger dimension
+    found: list = []
+    for d in sorted(by_dim, reverse=True):
+        level = [i for i in by_dim[d] if masks[i] not in map(masks[i].__and__, maxima)]
+        found += level
+        maxima += [masks[i] for i in level]
+    return sorted(found)
+
+
 def _maximal_members(candidates) -> list:
     """The candidates strictly inside no other one, in their given order.
 
-    Visited largest first, each candidate is tested only against the maxima
-    found so far: a candidate strictly inside some other one lies inside a
-    maximal candidate of larger dimension, which was visited earlier.
+    On point masks when every candidate carries one; otherwise by
+    ``Subspace.contains``, with the same largest-first scan.
     """
+    if all(s.mask is not None for s in candidates):
+        found = _maximal_positions([s.mask for s in candidates], [s.dim for s in candidates],
+                                   range(len(candidates)))
+        return [candidates[i] for i in found]
     found = []
     for i in sorted(range(len(candidates)), key=lambda i: -candidates[i].dim):
         s = candidates[i]
@@ -318,11 +429,14 @@ def _maximal_members(candidates) -> list:
 
 def _maximal(alg: PoissonAlgebra, budget: LatticeBudget, flags: str) -> list:
     """Maximal members among the proper subspaces whose profile flag
-    (``subalgebra_flags``, ``assoc_flags`` or ``lie_flags``) is set."""
+    (``subalgebra_flags``, ``assoc_flags`` or ``lie_flags``) is set, found
+    on the profile's masks."""
     def compute():
         profile = lattice_profile(alg, budget)
-        return tuple(_maximal_members([s for s, f in zip(profile.subspaces, getattr(profile, flags))
-                                       if f and s.dim != alg.dim]))
+        dims = profile.dims
+        members = [i for i, f in enumerate(getattr(profile, flags)) if f and dims[i] != alg.dim]
+        return tuple(profile.subspaces[i]
+                     for i in _maximal_positions(profile.masks, dims, members))
     return list(memo(alg, (flags, budget), compute))
 
 
@@ -429,6 +543,12 @@ def _line_ideal_closures(alg: PoissonAlgebra) -> tuple:
 
 
 def _minimal_members(candidates) -> list:
+    """The candidates strictly containing no other one, in their given
+    order; on point masks when every candidate carries one."""
+    if all(s.mask is not None for s in candidates):
+        members = [(s.mask, s.dim) for s in candidates]
+        return [s for s, (m, d) in zip(candidates, members)
+                if not any(small < d and o & m == o for o, small in members)]
     return [s for s in candidates
             if not any(other.dim < s.dim and s.contains(other) for other in candidates)]
 

@@ -114,8 +114,8 @@ class Matrix:
         return self.nrows == self.ncols
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      tuple(self.column(j) for j in range(self.ncols)))
+        return _matrix(self.field, self.ncols, self.nrows,
+                       tuple(self.column(j) for j in range(self.ncols)))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -150,7 +150,7 @@ class Matrix:
             rows = tuple([tuple([sum((a * b for a, b in zip(row, col) if a and b), zero)
                                  for col in cols])
                           for row in self.entries])
-        return Matrix(f, self.nrows, other.ncols, rows)
+        return _matrix(f, self.nrows, other.ncols, rows)
 
     def mat_vec(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
@@ -181,6 +181,22 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(row) for row in self.entries)
+
+
+# The slot setters, which the frozen dataclass's own __setattr__ refuses.
+_set_field, _set_nrows, _set_ncols, _set_entries = (
+    Matrix.__dict__[name].__set__ for name in ("field", "nrows", "ncols", "entries"))
+
+
+def _matrix(field: FieldSpec, nrows: int, ncols: int, entries: tuple) -> Matrix:
+    """``Matrix(...)`` without the shape check, for entries built in this
+    package as ``nrows`` rows of ``ncols`` scalars each."""
+    m = object.__new__(Matrix)
+    _set_field(m, field)
+    _set_nrows(m, nrows)
+    _set_ncols(m, ncols)
+    _set_entries(m, entries)
+    return m
 
 
 def stack_rows(field: FieldSpec, matrices: Iterable[Matrix], ncols: int) -> Matrix:
@@ -240,7 +256,7 @@ def rref(m: Matrix) -> Matrix:
         if pivot_row == nrows:
             break
     kept = tuple(tuple(r) for r in rows[:pivot_row])
-    return Matrix(f, len(kept), ncols, kept)
+    return _matrix(f, len(kept), ncols, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +269,19 @@ class Subspace:
     """A subspace of F^n held as a canonical RREF basis (no zero rows).
 
     ``pivots``, the pivot column of each basis row, is derived from the
-    basis when the subspace is built.  ``mask`` is set only on the subspaces
-    ``lattice.enumerate_subspaces`` yields: the bitmask of the projective
-    points the subspace contains, a point's bit being its position in
-    ``lattice.enumerate_lines`` order; it is None on every other subspace.
-    Neither takes part in equality, hashing or repr.  The hash is computed
-    on first use and kept, because subspaces are cache keys.
+    basis when the subspace is built.  ``mask`` is the bitmask of the
+    projective points the subspace contains, a point's bit being its
+    position in ``lattice.enumerate_lines`` order.  Only
+    ``lattice.enumerate_subspaces`` sets it, through :func:`_subspace`; it
+    is None on every other subspace.  Neither takes part in equality,
+    hashing or repr.  The hash is computed on first use and kept, because
+    subspaces are cache keys.
 
     The constructor re-checks that the basis is in RREF, for bases from
-    outside; :meth:`span` builds a subspace from vectors already in the
-    field and trusts the RREF that ``rref`` has just produced.
+    outside.  Code that has just built the RREF itself goes through the
+    trusted :func:`_subspace` instead: :meth:`span`, which trusts what
+    ``rref`` has produced, and the lattice enumeration, which builds each
+    basis in RREF with known pivots.
     """
 
     ambient_dim: int
@@ -313,15 +332,8 @@ class Subspace:
         the pivots are read off its rows.  For internal use only.
         """
         rows = tuple(vectors)
-        basis = rref(Matrix(field, len(rows), ambient_dim, rows))
-        s = object.__new__(Subspace)
-        set_slot = object.__setattr__
-        set_slot(s, "ambient_dim", ambient_dim)
-        set_slot(s, "basis", basis)
-        set_slot(s, "pivots", tuple(map(_first_nonzero, basis.entries)))
-        set_slot(s, "mask", None)
-        set_slot(s, "_hash", None)
-        return s
+        basis = rref(_matrix(field, len(rows), ambient_dim, rows))
+        return _subspace(ambient_dim, basis, tuple(map(_first_nonzero, basis.entries)))
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -389,6 +401,23 @@ class Subspace:
         return tuple(v[p] for p in self.pivots)
 
 
+_set_ambient_dim, _set_basis, _set_pivots, _set_mask, _set_hash = (
+    Subspace.__dict__[name].__set__ for name in ("ambient_dim", "basis", "pivots", "mask", "_hash"))
+
+
+def _subspace(ambient_dim: int, basis: Matrix, pivots: tuple, mask: int | None = None) -> Subspace:
+    """``Subspace(...)`` without the RREF re-check, for a basis its caller
+    has just built in RREF with these pivots (and, from the lattice
+    enumeration, this point mask)."""
+    s = object.__new__(Subspace)
+    _set_ambient_dim(s, ambient_dim)
+    _set_basis(s, basis)
+    _set_pivots(s, pivots)
+    _set_mask(s, mask)
+    _set_hash(s, None)
+    return s
+
+
 def _first_nonzero(row: Sequence) -> int | None:
     for j, x in enumerate(row):
         if x != 0:
@@ -410,7 +439,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     rows += [tuple(r) + tuple(z for _ in range(n)) for r in v.rows()]
     if not rows:
         return Subspace.zero(f, n)
-    reduced = rref(Matrix(f, len(rows), 2 * n, tuple(rows)))
+    reduced = rref(_matrix(f, len(rows), 2 * n, tuple(rows)))
     inter_rows = [row[n:] for row in reduced.entries if vec_is_zero(row[:n])]
     return Subspace.span(f, n, inter_rows)
 
@@ -432,7 +461,8 @@ def quotient_basis(u: Subspace, v: Subspace) -> tuple:
 def _check_compatible(u: Subspace, v: Subspace) -> None:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if u.field is not v.field and u.field != v.field:
+    uf, vf = u.basis.field, v.basis.field
+    if uf is not vf and uf != vf:
         raise ValueError("field mismatch")
 
 
@@ -525,7 +555,7 @@ def _berkowitz_vector(m: Matrix) -> list:
     a = m.entries[0][0]
     row_r = m.entries[0][1:]
     col_c = tuple(m.entries[i][0] for i in range(1, n))
-    sub = Matrix(f, n - 1, n - 1, tuple(row[1:] for row in m.entries[1:]))
+    sub = _matrix(f, n - 1, n - 1, tuple(row[1:] for row in m.entries[1:]))
     # diagonal values 1, -a, -R C, -R A C, -R A^2 C, ...
     diags = [f.one(), f.neg(a)]
     vec = col_c

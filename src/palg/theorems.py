@@ -929,9 +929,7 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
     """
     _check_limit("config_limit", config_limit)
     _check_limit("pair_limit", pair_limit)
-    _check_limit("jobs", jobs, least=1)
-    if theorem_filter and theorem_filter not in _BY_ID:
-        raise ValueError(f"unknown check {theorem_filter!r}; palg check --list names them")
+    check_suite_request(theorem_filter, jobs)
     corpus = _uniquely_named(corpus)
     tasks = []
     for check in REGISTRY:
@@ -956,6 +954,15 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
     else:
         results = [run(t) for t in tasks]
     return results
+
+
+def check_suite_request(theorem_filter: str | None, jobs: int) -> None:
+    """Raise ValueError for a worker count below 1 or a theorem_filter
+    naming no registered check.  ``run_suite`` checks both first; ``palg
+    check`` checks them before it reads the corpus, so a typo fails fast."""
+    _check_limit("jobs", jobs, least=1)
+    if theorem_filter and theorem_filter not in _BY_ID:
+        raise ValueError(f"unknown check {theorem_filter!r}; palg check --list names them")
 
 
 def _check_limit(name: str, value, least: int = 0) -> None:

@@ -160,6 +160,17 @@ def test_check_unknown_theorem_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and "'Bogus'" in err
 
 
+@pytest.mark.parametrize("flags,message", [(("--theorem", "Bogus"), "unknown check 'Bogus'"),
+                                           (("--jobs", "0"), "jobs")])
+def test_check_rejects_bad_flags_before_reading_members(capsys, tmp_path, flags, message):
+    # the member does not exist, so reading it first would fail differently
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(serialize_manifest(["missing.palg"]), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(manifest), *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "missing.palg" not in err
+
+
 def test_check_list(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", "unused", "--list")
     assert code == 0

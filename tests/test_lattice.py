@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -5,7 +6,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from palg.algebra import direct_sum, is_ideal, is_subalgebra, subspace_square
+from palg.algebra import (
+    PoissonAlgebra,
+    direct_sum,
+    is_assoc_subalgebra,
+    is_ideal,
+    is_lie_subalgebra,
+    is_subalgebra,
+    subspace_square,
+)
 from palg.corpus import (
     curated_corpus,
     enumerate_poisson_structures,
@@ -47,8 +56,9 @@ from palg.lattice import (
     verify_radical,
     zero_socle,
     _maximal_members,
+    _minimal_members,
 )
-from palg.linalg import Subspace
+from palg.linalg import Matrix, Subspace
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
@@ -497,7 +507,7 @@ def test_mutating_a_returned_list_leaves_the_cache_intact():
 
 
 # ---------------------------------------------------------------------------
-# the largest-first scan against the quadratic scan
+# the mask scans against the per-Subspace scans
 # ---------------------------------------------------------------------------
 
 
@@ -506,26 +516,108 @@ def _quadratic_maximal(candidates):
             if not any(o.dim > s.dim and o.contains(s) for o in candidates if o is not s)]
 
 
+def _quadratic_minimal(candidates):
+    return [s for s in candidates
+            if not any(o.dim < s.dim and s.contains(o) for o in candidates)]
+
+
+def _unmasked(candidates):
+    # checked rebuilds: equal subspaces without a mask, so containment
+    # between them goes through the pivots and reduce_vector
+    return [Subspace.from_vectors(s.field, s.ambient_dim, s.rows()) for s in candidates]
+
+
 def _assert_scans_agree(candidates):
-    assert _maximal_members(candidates) == _quadratic_maximal(candidates)
+    plain = _unmasked(candidates)
+    assert _maximal_members(candidates) == _quadratic_maximal(plain) == _maximal_members(plain)
+    assert _minimal_members(candidates) == _quadratic_minimal(plain) == _minimal_members(plain)
 
 
 @pytest.mark.parametrize("alg", SMALL_FINITE, ids=lambda a: a.name)
 def test_maximal_members_match_quadratic_scan_on_every_flag_set(alg):
     profile = lattice_profile(alg)
+    assert profile.masks == tuple(s.mask for s in profile.subspaces)
+    assert profile.dims == tuple(s.dim for s in profile.subspaces)
     for flags in ("subalgebra_flags", "assoc_flags", "lie_flags", "ideal_flags"):
         members = [s for s, f in zip(profile.subspaces, getattr(profile, flags)) if f]
         _assert_scans_agree(members)
         _assert_scans_agree([s for s in members if s.dim != alg.dim])
         _assert_scans_agree([s for s in members if s.dim != 0])
+    # the profile's own scan, on its masks and dims
+    for maximal, flags in ((maximal_subalgebras, "subalgebra_flags"),
+                           (maximal_assoc_subalgebras, "assoc_flags"),
+                           (maximal_lie_subalgebras, "lie_flags")):
+        proper = [s for s, f in zip(profile.subspaces, getattr(profile, flags))
+                  if f and s.dim != alg.dim]
+        assert maximal(alg) == _quadratic_maximal(_unmasked(proper))
 
 
 SUBSPACES_GF2_4 = list(enumerate_subspaces(GF2, 4))
 SUBSPACES_GF3_3 = list(enumerate_subspaces(GF3, 3))
+ARBITRARY_SETS = st.one_of(st.lists(st.sampled_from(SUBSPACES_GF2_4), unique=True),
+                           st.lists(st.sampled_from(SUBSPACES_GF3_3), unique=True))
 
 
-@given(st.one_of(st.lists(st.sampled_from(SUBSPACES_GF2_4), unique=True),
-                 st.lists(st.sampled_from(SUBSPACES_GF3_3), unique=True)))
+@given(ARBITRARY_SETS)
 def test_maximal_members_match_quadratic_scan_on_arbitrary_sets(candidates):
     # distinct subspaces in any order, not necessarily a lattice
     _assert_scans_agree(candidates)
+
+
+@given(st.one_of(st.lists(st.sampled_from(SUBSPACES_GF2_4)),
+                 st.lists(st.sampled_from(SUBSPACES_GF3_3))), st.data())
+def test_scans_on_mixed_candidates_fall_back_to_contains(candidates, data):
+    # one candidate without a mask sends the whole list down the
+    # per-Subspace scan, which must give the same members; a repeated
+    # subspace is strictly inside nothing, so every copy of a maximum stays
+    drop = data.draw(st.lists(st.booleans(), min_size=len(candidates),
+                              max_size=len(candidates)))
+    mixed = [_unmasked([s])[0] if d else s for s, d in zip(candidates, drop)]
+    assert _maximal_members(mixed) == _quadratic_maximal(_unmasked(candidates))
+    assert _minimal_members(mixed) == _quadratic_minimal(_unmasked(candidates))
+
+
+# ---------------------------------------------------------------------------
+# trusted construction and the closure flags
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field,n", [(GF2, n) for n in range(5)] + [(GF3, n) for n in range(4)])
+def test_enumerated_subspaces_equal_their_checked_rebuild(field, n):
+    for s in itertools.chain(enumerate_subspaces(field, n), enumerate_lines(field, n)):
+        hash(s)  # the cached hash, computed before the comparison
+        checked = Subspace(n, Matrix(field, s.dim, n, s.rows()))
+        assert checked.pivots == s.pivots and type(s.pivots) is tuple
+        assert checked == s and hash(checked) == hash(s) and repr(checked) == repr(s)
+        assert checked.basis == s.basis and hash(checked.basis) == hash(s.basis)
+        rebuilt = Subspace.from_vectors(field, n, s.rows())
+        assert rebuilt == s and rebuilt.pivots == s.pivots
+
+
+def _noncommutative_tensors(field, n):
+    """A sparse tensor whose e0 e1 and e1 e0 differ in the e2 coordinate by
+    1 - 0, so it is neither commutative nor alternating."""
+    index = st.integers(0, n - 1)
+    entries = st.dictionaries(st.tuples(index, index, index),
+                              st.sampled_from(list(field.elements())), max_size=2 * n)
+
+    def dense(items):
+        items = {**items, (0, 1, 2): field.one(), (1, 0, 2): field.zero()}
+        return tuple(tuple(tuple(items.get((i, j, k), field.zero()) for k in range(n))
+                           for j in range(n)) for i in range(n))
+    return entries.map(dense)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=str)
+@given(data=st.data())
+def test_closure_flags_match_the_flag_tests_on_noncommutative_tensors(field, data):
+    alg = PoissonAlgebra(field, 3, data.draw(_noncommutative_tensors(field, 3)),
+                         data.draw(_noncommutative_tensors(field, 3)))
+    profile = lattice_profile(alg)
+    for s, assoc, lie, sub, ideal in zip(profile.subspaces, profile.assoc_flags,
+                                         profile.lie_flags, profile.subalgebra_flags,
+                                         profile.ideal_flags):
+        expected = is_assoc_subalgebra(alg, s), is_lie_subalgebra(alg, s)
+        assert (assoc, lie) == expected, s
+        assert sub == all(expected), s
+        assert ideal == (sub and is_ideal(alg, s)), s

@@ -248,6 +248,29 @@ def test_mismatched_ambient_or_field_rejected():
         next(enumerate_subspaces(GF3, 3)).contains(gf3_line)
 
 
+def test_equal_fields_that_are_distinct_objects_are_compatible():
+    # the identity test is only a shortcut before the equality test
+    u = Subspace.full(FieldSpec.prime(3), 2)
+    v = Subspace.from_vectors(FieldSpec.prime(3), 2, [(1, 1)])
+    assert u.field is not v.field
+    assert u.contains(v) and not v.contains(u)
+    assert subspace_intersect(u, v) == v and subspace_sum(u, v) == u
+
+
+def test_public_matrix_constructor_keeps_its_shape_check():
+    # the trusted internal constructor skips it; Matrix(...) must not
+    with pytest.raises(ValueError, match="row count"):
+        Matrix(GF3, 2, 2, ((1, 0),))
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(GF3, 2, 2, ((1, 0), (0,)))
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix.from_rows(GF3, [[1, 0], [0, 1, 2]])
+    # the matrices the trusted path builds pass the check
+    m = M(GF3, [[1, 2, 0], [2, 1, 1]])
+    for built in (m.transpose(), m.matmul(m.transpose()), rref(m)):
+        assert Matrix(built.field, built.nrows, built.ncols, built.entries) == built
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial
 # ---------------------------------------------------------------------------
