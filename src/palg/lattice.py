@@ -11,11 +11,11 @@ Budgets are hard limits: exceeding one raises instead of degrading.
 
 The lattice profile works on point masks: every enumerated subspace
 carries the bitmask of its projective points, and the profile keeps the
-masks and dimensions beside the subspaces.  Containment is then ``m & big
-== m`` on ints, in the maximal and minimal scans, and the closure flags are
-bit tests whose product bits are carried along the enumeration order.  The
-per-``Subspace`` scans (``Subspace.contains``) remain as the fallback for
-candidates without a mask, and as the test oracle.
+masks and dimensions beside the subspaces.  Containment in the maximal
+scans is then ``m & big == m`` on ints, and the closure flags are bit
+tests whose product bits are carried along the enumeration order.  The
+minimal-ideal scan keeps ``Subspace.contains``: its candidates are ideal
+closures built by ``Subspace.span``, which carry no mask.
 
 Discovery results are cached in the one per-tensor cache of ``_cache``: the
 entry is keyed on (field, dot tensor, bracket tensor), the fields of the
@@ -409,24 +409,6 @@ def _maximal_positions(masks, dims, positions) -> list:
     return sorted(found)
 
 
-def _maximal_members(candidates) -> list:
-    """The candidates strictly inside no other one, in their given order.
-
-    On point masks when every candidate carries one; otherwise by
-    ``Subspace.contains``, with the same largest-first scan.
-    """
-    if all(s.mask is not None for s in candidates):
-        found = _maximal_positions([s.mask for s in candidates], [s.dim for s in candidates],
-                                   range(len(candidates)))
-        return [candidates[i] for i in found]
-    found = []
-    for i in sorted(range(len(candidates)), key=lambda i: -candidates[i].dim):
-        s = candidates[i]
-        if not any(candidates[j].dim > s.dim and candidates[j].contains(s) for j in found):
-            found.append(i)
-    return [candidates[i] for i in sorted(found)]
-
-
 def _maximal(alg: PoissonAlgebra, budget: LatticeBudget, flags: str) -> list:
     """Maximal members among the proper subspaces whose profile flag
     (``subalgebra_flags``, ``assoc_flags`` or ``lie_flags``) is set, found
@@ -543,12 +525,6 @@ def _line_ideal_closures(alg: PoissonAlgebra) -> tuple:
 
 
 def _minimal_members(candidates) -> list:
-    """The candidates strictly containing no other one, in their given
-    order; on point masks when every candidate carries one."""
-    if all(s.mask is not None for s in candidates):
-        members = [(s.mask, s.dim) for s in candidates]
-        return [s for s, (m, d) in zip(candidates, members)
-                if not any(small < d and o & m == o for o, small in members)]
     return [s for s in candidates
             if not any(other.dim < s.dim and s.contains(other) for other in candidates)]
 

@@ -6,15 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from palg.algebra import (
-    PoissonAlgebra,
-    direct_sum,
-    is_assoc_subalgebra,
-    is_ideal,
-    is_lie_subalgebra,
-    is_subalgebra,
-    subspace_square,
-)
+from palg.algebra import direct_sum, is_ideal, is_subalgebra, subspace_square
 from palg.corpus import (
     curated_corpus,
     enumerate_poisson_structures,
@@ -55,8 +47,7 @@ from palg.lattice import (
     verify_nilradical,
     verify_radical,
     zero_socle,
-    _maximal_members,
-    _minimal_members,
+    _maximal_positions,
 )
 from palg.linalg import Matrix, Subspace
 
@@ -507,7 +498,7 @@ def test_mutating_a_returned_list_leaves_the_cache_intact():
 
 
 # ---------------------------------------------------------------------------
-# the mask scans against the per-Subspace scans
+# the mask scan against the quadratic scan
 # ---------------------------------------------------------------------------
 
 
@@ -516,21 +507,16 @@ def _quadratic_maximal(candidates):
             if not any(o.dim > s.dim and o.contains(s) for o in candidates if o is not s)]
 
 
-def _quadratic_minimal(candidates):
-    return [s for s in candidates
-            if not any(o.dim < s.dim and s.contains(o) for o in candidates)]
-
-
 def _unmasked(candidates):
     # checked rebuilds: equal subspaces without a mask, so containment
     # between them goes through the pivots and reduce_vector
     return [Subspace.from_vectors(s.field, s.ambient_dim, s.rows()) for s in candidates]
 
 
-def _assert_scans_agree(candidates):
-    plain = _unmasked(candidates)
-    assert _maximal_members(candidates) == _quadratic_maximal(plain) == _maximal_members(plain)
-    assert _minimal_members(candidates) == _quadratic_minimal(plain) == _minimal_members(plain)
+def _assert_scan_agrees(candidates):
+    found = _maximal_positions([s.mask for s in candidates], [s.dim for s in candidates],
+                               range(len(candidates)))
+    assert [candidates[i] for i in found] == _quadratic_maximal(_unmasked(candidates))
 
 
 @pytest.mark.parametrize("alg", SMALL_FINITE, ids=lambda a: a.name)
@@ -540,10 +526,10 @@ def test_maximal_members_match_quadratic_scan_on_every_flag_set(alg):
     assert profile.dims == tuple(s.dim for s in profile.subspaces)
     for flags in ("subalgebra_flags", "assoc_flags", "lie_flags", "ideal_flags"):
         members = [s for s, f in zip(profile.subspaces, getattr(profile, flags)) if f]
-        _assert_scans_agree(members)
-        _assert_scans_agree([s for s in members if s.dim != alg.dim])
-        _assert_scans_agree([s for s in members if s.dim != 0])
-    # the profile's own scan, on its masks and dims
+        _assert_scan_agrees(members)
+        _assert_scan_agrees([s for s in members if s.dim != alg.dim])
+        _assert_scan_agrees([s for s in members if s.dim != 0])
+    # the scan as maximal_* runs it, on the profile's masks and dims
     for maximal, flags in ((maximal_subalgebras, "subalgebra_flags"),
                            (maximal_assoc_subalgebras, "assoc_flags"),
                            (maximal_lie_subalgebras, "lie_flags")):
@@ -554,31 +540,17 @@ def test_maximal_members_match_quadratic_scan_on_every_flag_set(alg):
 
 SUBSPACES_GF2_4 = list(enumerate_subspaces(GF2, 4))
 SUBSPACES_GF3_3 = list(enumerate_subspaces(GF3, 3))
-ARBITRARY_SETS = st.one_of(st.lists(st.sampled_from(SUBSPACES_GF2_4), unique=True),
-                           st.lists(st.sampled_from(SUBSPACES_GF3_3), unique=True))
 
 
-@given(ARBITRARY_SETS)
+@given(st.one_of(st.lists(st.sampled_from(SUBSPACES_GF2_4), unique=True),
+                 st.lists(st.sampled_from(SUBSPACES_GF3_3), unique=True)))
 def test_maximal_members_match_quadratic_scan_on_arbitrary_sets(candidates):
     # distinct subspaces in any order, not necessarily a lattice
-    _assert_scans_agree(candidates)
-
-
-@given(st.one_of(st.lists(st.sampled_from(SUBSPACES_GF2_4)),
-                 st.lists(st.sampled_from(SUBSPACES_GF3_3))), st.data())
-def test_scans_on_mixed_candidates_fall_back_to_contains(candidates, data):
-    # one candidate without a mask sends the whole list down the
-    # per-Subspace scan, which must give the same members; a repeated
-    # subspace is strictly inside nothing, so every copy of a maximum stays
-    drop = data.draw(st.lists(st.booleans(), min_size=len(candidates),
-                              max_size=len(candidates)))
-    mixed = [_unmasked([s])[0] if d else s for s, d in zip(candidates, drop)]
-    assert _maximal_members(mixed) == _quadratic_maximal(_unmasked(candidates))
-    assert _minimal_members(mixed) == _quadratic_minimal(_unmasked(candidates))
+    _assert_scan_agrees(candidates)
 
 
 # ---------------------------------------------------------------------------
-# trusted construction and the closure flags
+# trusted construction
 # ---------------------------------------------------------------------------
 
 
@@ -592,32 +564,3 @@ def test_enumerated_subspaces_equal_their_checked_rebuild(field, n):
         assert checked.basis == s.basis and hash(checked.basis) == hash(s.basis)
         rebuilt = Subspace.from_vectors(field, n, s.rows())
         assert rebuilt == s and rebuilt.pivots == s.pivots
-
-
-def _noncommutative_tensors(field, n):
-    """A sparse tensor whose e0 e1 and e1 e0 differ in the e2 coordinate by
-    1 - 0, so it is neither commutative nor alternating."""
-    index = st.integers(0, n - 1)
-    entries = st.dictionaries(st.tuples(index, index, index),
-                              st.sampled_from(list(field.elements())), max_size=2 * n)
-
-    def dense(items):
-        items = {**items, (0, 1, 2): field.one(), (1, 0, 2): field.zero()}
-        return tuple(tuple(tuple(items.get((i, j, k), field.zero()) for k in range(n))
-                           for j in range(n)) for i in range(n))
-    return entries.map(dense)
-
-
-@pytest.mark.parametrize("field", [GF2, GF3], ids=str)
-@given(data=st.data())
-def test_closure_flags_match_the_flag_tests_on_noncommutative_tensors(field, data):
-    alg = PoissonAlgebra(field, 3, data.draw(_noncommutative_tensors(field, 3)),
-                         data.draw(_noncommutative_tensors(field, 3)))
-    profile = lattice_profile(alg)
-    for s, assoc, lie, sub, ideal in zip(profile.subspaces, profile.assoc_flags,
-                                         profile.lie_flags, profile.subalgebra_flags,
-                                         profile.ideal_flags):
-        expected = is_assoc_subalgebra(alg, s), is_lie_subalgebra(alg, s)
-        assert (assoc, lie) == expected, s
-        assert sub == all(expected), s
-        assert ideal == (sub and is_ideal(alg, s)), s

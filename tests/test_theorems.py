@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from palg.algebra import (
     PoissonAlgebra,
@@ -393,6 +394,10 @@ def test_subideal_candidates_match_the_subspace_walk(alg, budget):
     (direct_sum(heisenberg_zero_dot(GF3), two_dim_nonabelian(GF3)), DEFAULT_BUDGET)],
     ids=lambda p: getattr(p, "name", None))
 def test_profile_flags_match_the_flag_tests(alg, budget):
+    _assert_profile_flags_match(alg, budget)
+
+
+def _assert_profile_flags_match(alg, budget=DEFAULT_BUDGET):
     profile = lattice_profile(alg, budget)
     for s, assoc, lie, sub, ideal in zip(profile.subspaces, profile.assoc_flags,
                                          profile.lie_flags, profile.subalgebra_flags,
@@ -401,6 +406,28 @@ def test_profile_flags_match_the_flag_tests(alg, budget):
         assert (assoc, lie) == expected, s
         assert sub == all(expected), s
         assert ideal == (sub and is_ideal(alg, s)), s
+
+
+def _noncommutative_tensors(field, n):
+    """A sparse tensor whose e0 e1 and e1 e0 differ in the e2 coordinate by
+    1 - 0, so it is neither commutative nor alternating."""
+    index = st.integers(0, n - 1)
+    entries = st.dictionaries(st.tuples(index, index, index),
+                              st.sampled_from(list(field.elements())), max_size=2 * n)
+
+    def dense(items):
+        items = {**items, (0, 1, 2): field.one(), (1, 0, 2): field.zero()}
+        return tuple(tuple(tuple(items.get((i, j, k), field.zero()) for k in range(n))
+                           for j in range(n)) for i in range(n))
+    return entries.map(dense)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=str)
+@given(data=st.data())
+def test_profile_flags_match_the_flag_tests_on_noncommutative_tensors(field, data):
+    # the products carried along the enumeration are taken on ordered pairs
+    _assert_profile_flags_match(PoissonAlgebra(field, 3, data.draw(_noncommutative_tensors(field, 3)),
+                                               data.draw(_noncommutative_tensors(field, 3))))
 
 
 def test_each_tensor_gets_one_flag_search(monkeypatch):
