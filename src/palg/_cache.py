@@ -10,9 +10,9 @@ one entry.  Inside the entry each result sits under its own key:
   the budget decides whether a computation raises, and a result computed
   under a generous budget must not stop a tighter one from raising;
 * whole-algebra series verdicts (``series``) and the ideal closures of
-  lines (``lattice._line_ideal_closures``, read by ``minimal_ideals`` and
-  ``nilradical`` after each checks its own budget) store under a name
-  alone, because they never read a budget;
+  lines (``lattice._line_ideal_closures``, read by ``minimal_ideals``,
+  ``radical`` and ``nilradical`` after each checks its own budget) store
+  under a name alone, because they never read a budget;
 * the subspace products and closure witnesses (``algebra``) store under
   ``("dot", u, v)``, ``("bracket", u, v)``, ``("subalgebra_defect", u)``
   and ``("ideal_defect", u)``, and the Engel-Lie space of an element

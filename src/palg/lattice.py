@@ -4,6 +4,10 @@ minimal ideals and socles, radical and nilradical (with independent
 brute-force oracles), splittings, idempotents, and the maximal-subalgebra
 classification.
 
+The ideal closures of the lines are computed once per algebra and feed the
+minimal ideals and both radicals: a minimal ideal is a minimal closure, and
+the radical (nilradical) is the sum of the solvable (nilpotent) closures.
+
 Discovery requires a finite field; over the rationals only the verify_*
 forms are offered, which check a candidate against the defining linear
 conditions and against the ideals reachable by closing basis lines.
@@ -560,62 +564,62 @@ def _sum_all(alg: PoissonAlgebra, spaces) -> Subspace:
 
 
 def radical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
-    """Largest solvable ideal, found recursively: quotient by any solvable
-    minimal ideal and pull the radical of the quotient back; if no minimal
-    ideal is solvable there is no nonzero solvable ideal at all."""
-    def compute():
-        if alg.dim == 0:
-            return alg.zero_space()
-        for b in minimal_ideals(alg, budget):
-            if derived_series(alg, b).terminates:
-                data = quotient_maps(alg, b)
-                return preimage_subspace(data, radical(data.algebra, budget))
-        return alg.zero_space()
-    return memo(alg, ("radical", budget), compute)
+    """Largest solvable ideal: the sum of the solvable ideal closures of
+    lines (see ``_largest_ideal``)."""
+    return _largest_ideal(alg, budget, "radical", derived_series, "solvable")
 
 
 def nilradical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
-    """Largest nilpotent ideal, as the sum of the nilpotent ideal closures
-    of lines; the sum is re-verified nilpotent and maximal before returning.
+    """Largest nilpotent ideal: the sum of the nilpotent ideal closures of
+    lines (see ``_largest_ideal``)."""
+    return _largest_ideal(alg, budget, "nilradical", lower_central_series, "nilpotent")
 
-    That is the sum of every nilpotent ideal: each is the sum of the
-    closures of its lines, and each of those closures is an ideal inside
-    it, so nilpotent too.  ``oracle_nilradical``, the reference, reads the
-    whole ideal lattice, and this keeps the budget that lattice needs.
+
+def _largest_ideal(alg: PoissonAlgebra, budget: LatticeBudget, key: str, series,
+                   word: str) -> Subspace:
+    """The largest ideal whose ``series`` terminates, as the sum of the line
+    closures whose ``series`` terminates; the sum is re-verified before
+    returning.
+
+    That is the sum of every such ideal: each ideal is the sum of the ideal
+    closures of its lines, and each of those closures is an ideal inside it,
+    so its series terminates too.  The sum of two solvable (or two
+    nilpotent) ideals is again solvable (nilpotent), so a largest one exists
+    and is this sum.  The oracles, the reference, read the whole ideal
+    lattice, and this keeps the budget that lattice needs.
     """
     def compute():
         _check_enumeration_budget(alg.field, alg.dim, budget)
-        nil_ideals = [s for s in _line_ideal_closures(alg)
-                      if lower_central_series(alg, s).terminates]
-        acc = _sum_all(alg, nil_ideals)
-        if not lower_central_series(alg, acc).terminates:
-            raise StructureInconsistencyError("sum of nilpotent ideals is not nilpotent", acc)
-        for s in nil_ideals:
+        members = [s for s in _line_ideal_closures(alg) if series(alg, s).terminates]
+        acc = _sum_all(alg, members)
+        if not series(alg, acc).terminates:
+            raise StructureInconsistencyError(f"sum of {word} ideals is not {word}", acc)
+        for s in members:
             if not acc.contains(s):
-                raise StructureInconsistencyError("nilradical misses a nilpotent ideal", s)
+                raise StructureInconsistencyError(f"{key} misses a {word} ideal", s)
         return acc
-    return memo(alg, ("nilradical", budget), compute)
+    return memo(alg, (key, budget), compute)
 
 
 def oracle_radical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
     """Brute-force oracle: the unique maximal solvable ideal among all
     enumerated ideals."""
-    profile = lattice_profile(alg, budget)
-    solvable = [s for s in profile.ideals() if derived_series(alg, s).terminates]
-    best = max(solvable, key=lambda s: s.dim)
-    for s in solvable:
-        if not best.contains(s):
-            raise StructureInconsistencyError("solvable ideals have no maximum", (best, s))
-    return best
+    return _oracle_largest(alg, budget, derived_series, "solvable")
 
 
 def oracle_nilradical(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
+    """Brute-force oracle: the unique maximal nilpotent ideal among all
+    enumerated ideals."""
+    return _oracle_largest(alg, budget, lower_central_series, "nilpotent")
+
+
+def _oracle_largest(alg: PoissonAlgebra, budget: LatticeBudget, series, word: str) -> Subspace:
     profile = lattice_profile(alg, budget)
-    nilpotent = [s for s in profile.ideals() if lower_central_series(alg, s).terminates]
-    best = max(nilpotent, key=lambda s: s.dim)
-    for s in nilpotent:
+    members = [s for s in profile.ideals() if series(alg, s).terminates]
+    best = max(members, key=lambda s: s.dim)
+    for s in members:
         if not best.contains(s):
-            raise StructureInconsistencyError("nilpotent ideals have no maximum", (best, s))
+            raise StructureInconsistencyError(f"{word} ideals have no maximum", (best, s))
     return best
 
 
@@ -845,39 +849,35 @@ def structure_report(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET
             classification=label, idempotent=cls.idempotent,
             markers=())
     markers = []
-    rad = nil = None
-    cand = alg.meta_value("radical")
-    if cand is not None:
-        space = Subspace.from_vectors(alg.field, alg.dim, _parse_rows(alg.field, cand))
-        if verify_radical(alg, space):
-            rad = space
+    found = {}
+    for key, verify in (("radical", verify_radical), ("nilradical", verify_nilradical)):
+        space = _meta_subspace(alg, key)
+        if space is None:
+            markers.append(f"requires-finite-field: {key}")
+        elif verify(alg, space):
+            found[key] = space
         else:
-            markers.append("metadata-radical-rejected")
-    else:
-        markers.append("requires-finite-field: radical")
-    cand = alg.meta_value("nilradical")
-    if cand is not None:
-        space = Subspace.from_vectors(alg.field, alg.dim, _parse_rows(alg.field, cand))
-        if verify_nilradical(alg, space):
-            nil = space
-        else:
-            markers.append("metadata-nilradical-rejected")
-    else:
-        markers.append("requires-finite-field: nilradical")
+            markers.append(f"metadata-{key}-rejected")
     for missing in ("socle", "zero_socle", "frattini", "splitting", "classification"):
         markers.append(f"requires-finite-field: {missing}")
     return StructureReport(
         algebra_name=alg.name,
-        radical=rad, nilradical=nil, socle=None, zero_socle=None,
+        radical=found.get("radical"), nilradical=found.get("nilradical"),
+        socle=None, zero_socle=None,
         frattini_subalgebra=None, frattini_ideal=None,
         frattini_assoc=None, frattini_lie=None,
         phi_free=None, splitting=None, classification=None, idempotent=None,
         markers=tuple(markers))
 
 
-def _parse_rows(field: FieldSpec, rows) -> list:
-    return [[field.parse_scalar(x) if isinstance(x, str) else field.coerce(x) for x in row]
-            for row in rows]
+def _meta_subspace(alg: PoissonAlgebra, key: str) -> Subspace | None:
+    """The span of the basis rows stored under metadata ``key``, or None."""
+    rows = alg.meta_value(key)
+    if rows is None:
+        return None
+    f = alg.field
+    return Subspace.from_vectors(f, alg.dim, [
+        [f.parse_scalar(x) if isinstance(x, str) else f.coerce(x) for x in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------

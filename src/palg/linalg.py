@@ -17,6 +17,7 @@ replace are kept as the reference in the tests.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -387,7 +388,7 @@ class Subspace:
         # Over a finite field a subspace is the union of its points, so
         # containment of the point sets is containment of the subspaces.
         if self.mask is not None and other.mask is not None:
-            return not other.mask & ~self.mask
+            return other.mask & self.mask == other.mask
         # Every vector of this subspace leads at one of its pivots, so a
         # row of other leading elsewhere already lies outside.
         if not set(self.pivots).issuperset(other.pivots):
@@ -621,7 +622,7 @@ def _rational_candidates(poly: Sequence) -> list:
         denoms = [Fraction(c).denominator for c in coeffs]
         scale = 1
         for d in denoms:
-            scale = scale * d // _gcd(scale, d)
+            scale = scale * d // math.gcd(scale, d)
         ints = [int(Fraction(c) * scale) for c in coeffs]
         lead, trail = abs(ints[0]), abs(ints[-1])
         for p in _divisors(trail):
@@ -629,12 +630,6 @@ def _rational_candidates(poly: Sequence) -> list:
                 candidates.add(Fraction(p, q))
                 candidates.add(Fraction(-p, q))
     return sorted(candidates)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list:

@@ -62,6 +62,7 @@ from .lattice import (
     zero_socle,
     CLASS_FAILS,
     _is_idempotent_line_split,
+    _meta_subspace,
 )
 from .linalg import Subspace, subspace_intersect, subspace_sum
 from .series import (
@@ -139,11 +140,7 @@ def _known_subspaces_q(alg: PoissonAlgebra) -> list:
     out = [alg.full_space(), alg.zero_space()]
     for report in (derived_series(alg), lower_central_series(alg)):
         out.extend(report.terms)
-    unique = []
-    for s in out:
-        if s not in unique:
-            unique.append(s)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 def _subalgebra_configs(alg: PoissonAlgebra, budget: LatticeBudget) -> list:
@@ -166,15 +163,6 @@ def _element_configs(alg: PoissonAlgebra, budget: LatticeBudget) -> list:
     for mask in range(2 ** alg.dim):
         out.append(tuple(alg.field.from_int((mask >> i) & 1) for i in range(alg.dim)))
     return out
-
-
-def _meta_subspace(alg: PoissonAlgebra, key: str) -> Subspace | None:
-    rows = alg.meta_value(key)
-    if rows is None:
-        return None
-    parsed = [[alg.field.parse_scalar(x) if isinstance(x, str) else alg.field.coerce(x)
-               for x in row] for row in rows]
-    return Subspace.from_vectors(alg.field, alg.dim, parsed)
 
 
 def _radical_nilradical(alg: PoissonAlgebra, budget: LatticeBudget):
@@ -413,18 +401,15 @@ def _check_eigen_part_closed(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(alg, "Lemma-2.15", failures, exercised)
 
 
-def _require_finite(alg: PoissonAlgebra, check_id: str) -> TheoremResult | None:
+def _require_finite(alg: PoissonAlgebra) -> None:
+    """Raise the FieldError that ``_run_guarded`` reports as not applicable."""
     if not alg.field.is_finite:
-        return TheoremResult(check_id, alg.name, NOT_APPLICABLE, 0,
-                             detail="lattice discovery needs a finite field")
-    return None
+        raise FieldError("lattice discovery needs a finite field")
 
 
 def _check_frattini_of_subalgebra(alg: PoissonAlgebra, budget: LatticeBudget,
                                   limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Lemma-3.2")
-    if na:
-        return na
+    _require_finite(alg)
     f_ambient = frattini(alg, budget)[0]
     ideals = _ideal_configs(alg, budget)
     failures, exercised = [], 0
@@ -446,9 +431,7 @@ def _check_frattini_of_subalgebra(alg: PoissonAlgebra, budget: LatticeBudget,
 
 def _check_frattini_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
                              limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Lemma-3.3")
-    if na:
-        return na
+    _require_finite(alg)
     f_space, phi = frattini(alg, budget)
     failures, exercised = [], 0
     for b in _ideal_configs(alg, budget)[:limit]:
@@ -477,9 +460,7 @@ def _check_frattini_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
 
 def _check_frattini_trivial_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
                                      limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Lemma-3.4")
-    if na:
-        return na
+    _require_finite(alg)
     f_space, phi = frattini(alg, budget)
     failures, exercised = [], 0
     for r in _ideal_configs(alg, budget)[:limit]:
@@ -499,9 +480,7 @@ def _check_frattini_trivial_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
 def _check_direct_sum_frattini(a: PoissonAlgebra, b: PoissonAlgebra,
                                budget: LatticeBudget, limit: int) -> TheoremResult:
     name = f"{a.name} (+) {b.name}"
-    if not a.field.is_finite:
-        return TheoremResult("Thm-3.5", name, NOT_APPLICABLE, 0,
-                             detail="lattice discovery needs a finite field")
+    _require_finite(a)
     total = direct_sum(a, b)
     phi_sum = frattini(total, budget)[1]
     phi_a = frattini(a, budget)[1]
@@ -520,9 +499,7 @@ def _check_direct_sum_frattini(a: PoissonAlgebra, b: PoissonAlgebra,
 
 def _check_minimal_supplement(alg: PoissonAlgebra, budget: LatticeBudget,
                               limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Lemma-3.6")
-    if na:
-        return na
+    _require_finite(alg)
     subalgebras = _subalgebra_configs(alg, budget)
     full = alg.full_space()
     failures, exercised = [], 0
@@ -550,9 +527,7 @@ def _check_minimal_supplement(alg: PoissonAlgebra, budget: LatticeBudget,
 
 def _check_zero_ideal_splits(alg: PoissonAlgebra, budget: LatticeBudget,
                              limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Lemma-3.7")
-    if na:
-        return na
+    _require_finite(alg)
     phi = frattini(alg, budget)[1]
     failures, exercised = [], 0
     for b in _ideal_configs(alg, budget)[:limit]:
@@ -568,9 +543,7 @@ def _check_zero_ideal_splits(alg: PoissonAlgebra, budget: LatticeBudget,
 
 def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget,
                            limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Thm-4.2")
-    if na:
-        return na
+    _require_finite(alg)
     phi = frattini(alg, budget)[1]
     failures, exercised = [], 0
     for b in lattice_profile(alg, budget).subalgebras():
@@ -621,9 +594,7 @@ def _frattini_ideals_of(b_alg: PoissonAlgebra, embed, phi: Subspace,
 
 def _check_phi_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
                          limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Cor-4.3")
-    if na:
-        return na
+    _require_finite(alg)
     phi = frattini(alg, budget)[1]
     if lower_central_series(alg, phi).terminates:
         return TheoremResult("Cor-4.3", alg.name, PASS, 1)
@@ -632,9 +603,7 @@ def _check_phi_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
 
 def _check_phi_free_split(alg: PoissonAlgebra, budget: LatticeBudget,
                           limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Thm-4.5")
-    if na:
-        return na
+    _require_finite(alg)
     phi = frattini(alg, budget)[1]
     zsoc = zero_socle(alg, budget)
     complement = splits_over(alg, zsoc, budget)
@@ -647,9 +616,7 @@ def _check_phi_free_split(alg: PoissonAlgebra, budget: LatticeBudget,
 
 def _check_phi_free_socle(alg: PoissonAlgebra, budget: LatticeBudget,
                           limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Thm-4.6")
-    if na:
-        return na
+    _require_finite(alg)
     phi = frattini(alg, budget)[1]
     if not phi.is_zero():
         return TheoremResult("Thm-4.6", alg.name, PASS, 0, detail="vacuous: not phi-free")
@@ -717,9 +684,7 @@ def _check_phi_free_shape_q(alg: PoissonAlgebra) -> TheoremResult:
 
 def _check_solvable_phi_free(alg: PoissonAlgebra, budget: LatticeBudget,
                              limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Cor-4.8")
-    if na:
-        return na
+    _require_finite(alg)
     if not is_solvable(alg):
         return TheoremResult("Cor-4.8", alg.name, PASS, 0, detail="vacuous: not solvable")
     phi = frattini(alg, budget)[1]
@@ -739,9 +704,7 @@ def _check_solvable_phi_free(alg: PoissonAlgebra, budget: LatticeBudget,
 
 def _check_nilpotent_iff_phi_square(alg: PoissonAlgebra, budget: LatticeBudget,
                                     limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Thm-4.9")
-    if na:
-        return na
+    _require_finite(alg)
     phi = frattini(alg, budget)[1]
     square = subspace_square(alg, alg.full_space())
     nil = is_nilpotent(alg)
@@ -759,9 +722,7 @@ def _check_nilpotent_iff_phi_square(alg: PoissonAlgebra, budget: LatticeBudget,
 
 def _check_all_maximal_ideals_lie(alg: PoissonAlgebra, budget: LatticeBudget,
                                   limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Lemma-4.10")
-    if na:
-        return na
+    _require_finite(alg)
     if not all(is_ideal(alg, m) for m in maximal_subalgebras(alg, budget)):
         return TheoremResult("Lemma-4.10", alg.name, PASS, 0,
                              detail="vacuous: some maximal subalgebra is not an ideal")
@@ -772,9 +733,7 @@ def _check_all_maximal_ideals_lie(alg: PoissonAlgebra, budget: LatticeBudget,
 
 def _check_max_ideal_classification(alg: PoissonAlgebra, budget: LatticeBudget,
                                     limit: int) -> TheoremResult:
-    na = _require_finite(alg, "Thm-4.11")
-    if na:
-        return na
+    _require_finite(alg)
     classification = classify_max_ideal_property(alg, budget)
     if classification.kind != CLASS_FAILS:
         return TheoremResult("Thm-4.11", alg.name, PASS, 1,

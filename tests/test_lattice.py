@@ -243,25 +243,41 @@ def test_analyze_sums_are_the_twelve_dim5_gf3_members():
 
 
 @pytest.mark.parametrize("alg", SMALL_FINITE + ANALYZE_SUMS, ids=lambda a: a.name)
+def test_radical_matches_the_oracle(alg):
+    # the sum over solvable line closures against every solvable ideal
+    assert radical(alg) == oracle_radical(alg)
+
+
+@pytest.mark.parametrize("alg", SMALL_FINITE + ANALYZE_SUMS, ids=lambda a: a.name)
 def test_nilradical_matches_the_oracle(alg):
     # the sum over nilpotent line closures against every nilpotent ideal
     assert nilradical(alg) == oracle_nilradical(alg)
 
 
-def test_nilradical_keeps_the_lattice_budget():
+def _assert_keeps_the_lattice_budget(fn):
     # the line closures it reads are cached without a budget; the tight
     # budget must still raise, before and after they are warm
     alg = heisenberg_zero_dot(GF2)
     tight = LatticeBudget(max_subspaces=1)
     with pytest.raises(BudgetExceededError):
-        nilradical(alg, tight)
-    expected = nilradical(alg)
+        fn(alg, tight)
+    expected = fn(alg)
     minimal_ideals(alg, tight)  # needs no subspace enumeration
     with pytest.raises(BudgetExceededError):
-        nilradical(alg, tight)
-    assert nilradical(alg) == expected
+        fn(alg, tight)
+    assert fn(alg) == expected
     with pytest.raises(FieldError):
-        nilradical(heisenberg_zero_dot(Q))
+        fn(heisenberg_zero_dot(Q))
+    with pytest.raises(FieldError):
+        fn(zero_algebra(Q, 0))
+
+
+def test_radical_keeps_the_lattice_budget():
+    _assert_keeps_the_lattice_budget(radical)
+
+
+def test_nilradical_keeps_the_lattice_budget():
+    _assert_keeps_the_lattice_budget(nilradical)
 
 
 def test_verification_forms_over_q():
@@ -417,8 +433,7 @@ def test_structure_report_rejects_wrong_metadata():
 # the discovery cache
 # ---------------------------------------------------------------------------
 
-# Every function that reads through the cache; radical last, because its
-# recursion also fills the entries of the quotients it visits.
+# Every function that reads through the cache.
 CACHED = (lattice_profile, maximal_subalgebras, maximal_assoc_subalgebras,
           maximal_lie_subalgebras, frattini, frattini_assoc, frattini_lie,
           minimal_ideals, socle, zero_socle, nilradical, radical)
@@ -443,16 +458,23 @@ def test_cache_agrees_cold_warm_and_renamed(alg):
         lattice_profile.cache_clear()
         cold.append(fn(alg))
     lattice_profile.cache_clear()
-    first = [fn(alg) for fn in CACHED[:-1]]
-    assert _misses() == 1  # one entry serves every non-recursive function
-    first.append(radical(alg))
-    filled = _misses()
+    first = []
+    for fn in CACHED:
+        first.append(fn(alg))
+        assert _misses() == 1  # one entry serves every function
     assert first == cold
     assert [fn(alg) for fn in CACHED] == cold
     copy = _renamed(alg)
     assert copy.labels() != alg.labels() and copy.meta != alg.meta
     assert [fn(copy) for fn in CACHED] == cold
-    assert _misses() == filled
+    assert _misses() == 1
+
+
+@pytest.mark.parametrize("alg", ANALYZE_SUMS, ids=lambda a: a.name)
+def test_structure_report_fills_one_cache_entry(alg):
+    # the radicals read the algebra's own line closures and visit no quotient
+    structure_report(alg)
+    assert lattice_profile.cache_info().currsize == 1
 
 
 def test_cache_separates_fields_with_equal_integer_tensors():
