@@ -16,7 +16,6 @@ with exercised = 0 so coverage summaries can surface untested hypotheses.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -908,6 +907,10 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
         return _run_guarded(check, args, budget, config_limit)
 
     if jobs > 1:
+        # imported here: concurrent.futures (and the logging it loads) would
+        # otherwise cost every palg command its import time
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run, tasks))
     else:

@@ -1,8 +1,11 @@
 import collections
+import dataclasses
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from palg.algebra import (
     AxiomViolation,
@@ -25,6 +28,8 @@ from palg.corpus import (
     free_entry_count,
     heisenberg_zero_dot,
     idempotent_line,
+    lie_zero_dot,
+    assoc_zero_bracket,
     parse_document,
     parse_manifest,
     semidirect_sum,
@@ -147,6 +152,87 @@ def test_round_trip_identity():
         assert back.bracket_tensor == alg.bracket_tensor
         assert back.name == alg.name and back.meta == alg.meta
         assert serialize_document(back) == text  # serialize . parse . serialize = id
+
+
+def _document_oracle(alg):
+    """The document object through the pure-Python pretty-printer: the
+    writer's reference."""
+    f = alg.field
+    dot_entries = []
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            for k in range(alg.dim):
+                c = alg.dot_tensor[i][j][k]
+                if c != 0:
+                    dot_entries.append({"i": i, "j": j, "k": k, "c": f.format_scalar(c)})
+    bracket_entries = []
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for k in range(alg.dim):
+                c = alg.bracket_tensor[i][j][k]
+                if c != 0:
+                    bracket_entries.append({"i": i, "j": j, "k": k, "c": f.format_scalar(c)})
+    doc = {
+        "schema_version": "1",
+        "name": alg.name,
+        "field": "Q" if not f.is_finite else {"p": f.order},
+        "dim": alg.dim,
+        "basis": list(alg.labels()),
+        "dot": dot_entries,
+        "bracket": bracket_entries,
+        "metadata": {k: json.loads(v) for k, v in alg.meta},
+    }
+    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
+def _assert_written_like_the_oracle(alg):
+    text = serialize_document(alg)
+    assert text == _document_oracle(alg)
+    back = parse_document(text)
+    assert (back.field, back.dim, back.name) == (alg.field, alg.dim, alg.name)
+    assert back.dot_tensor == alg.dot_tensor and back.bracket_tensor == alg.bracket_tensor
+    assert back.labels() == alg.labels() and back.meta == alg.meta
+    assert serialize_document(back) == text
+
+
+@pytest.mark.parametrize("source", ["enumerate-2-2", "enumerate-2-3", "enumerate-2-5",
+                                    "curated", "dim-0"])
+def test_documents_are_written_byte_for_byte_like_the_oracle(source):
+    if source.startswith("enumerate"):
+        _, n, q = source.split("-")
+        algebras = enumerate_poisson_structures(int(n), int(q))
+    elif source == "curated":
+        algebras = curated_corpus()
+    else:
+        algebras = [zero_algebra(f, 0) for f in (GF2, Q)]
+        algebras.append(algebras[0].with_name("").with_meta({"empty": {}, "none": []}))
+    assert algebras
+    for alg in algebras:
+        _assert_written_like_the_oracle(alg)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@given(name=st.text(), labels=st.lists(st.text(), min_size=4, max_size=4),
+       meta=st.dictionaries(st.text(), _JSON_VALUES, max_size=4),
+       coeffs=st.tuples(_COEFFS, _COEFFS, _COEFFS), q_field=st.booleans())
+def test_any_names_labels_and_metadata_are_written_like_the_oracle(name, labels, meta,
+                                                                   coeffs, q_field):
+    # a dim-2 Lie algebra beside a scaled idempotent line and a zero line:
+    # valid for any coefficients, Fractions over Q
+    field = Q if q_field else GF5
+    a, b, c = coeffs if q_field else (field.coerce(x.numerator) for x in coeffs)
+    alg = direct_sum(direct_sum(lie_zero_dot(field, 2, {(0, 1, 0): a, (0, 1, 1): b}),
+                                assoc_zero_bracket(field, 1, {(0, 0, 0): c})),
+                     zero_algebra(field, 1))
+    alg = dataclasses.replace(alg.with_name(name).with_meta(meta), basis_labels=tuple(labels))
+    _assert_written_like_the_oracle(alg)
 
 
 def test_manifest_round_trip():

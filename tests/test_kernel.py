@@ -8,9 +8,14 @@ methods, one call per term; every fast path must give the same scalars, of
 the same types, and never a float.  ``Subspace.span`` must give the subspace
 ``from_vectors`` gives, with a basis the checked constructor accepts, and
 ``find_axiom_violation``'s table of basis products must report what
-evaluating every residual from scratch reports.
+evaluating every residual from scratch reports.  ``_axioms_hold``, the
+raw-scalar test ``find_axiom_violation`` runs ahead of that scan, must say
+True exactly when the scan finds nothing, whatever representatives the
+tensor's scalars are written in.
 """
 
+import collections
+import functools
 from fractions import Fraction
 
 import pytest
@@ -19,12 +24,25 @@ from hypothesis import given, strategies as st
 from palg.algebra import (
     PoissonAlgebra,
     _axiom_witnesses,
+    _axioms_hold,
+    _first_violation,
+    direct_sum,
     evaluate_axiom,
     find_axiom_violation,
+    tensors_from_maps,
+    validate,
 )
 from palg.corpus import (
+    _associative_dots,
+    _leibniz_brackets,
+    _positions,
     curated_corpus,
     enumerate_poisson_structures,
+    fe_plus_nilpotent_line,
+    heisenberg_zero_dot,
+    idempotent_line,
+    rotation3,
+    two_dim_nonabelian,
     xyz_algebra,
     zero_algebra,
 )
@@ -369,9 +387,153 @@ def test_random_lie_brackets_report_the_same_first_violation(field, data):
                          data.draw(alternating_tensors(field, n)))
     violation = find_axiom_violation(alg)
     expected = ref_find_axiom_violation(alg)
+    assert _axioms_hold(alg) == (expected is None)
     if expected is None:
         assert violation is None
     else:
         assert expected[0] == "jacobi"
         assert (violation.axiom, violation.witness) == expected[:2]
         assert typed(violation.residual) == typed(expected[2])
+
+
+# ---------------------------------------------------------------------------
+# the raw-scalar axiom test ahead of the scan
+# ---------------------------------------------------------------------------
+
+# Two dim-3 structures whose dot and bracket interact, valid over every
+# field here; both are among the dim-3 GF(2) structures.
+MIXED = (({(0, 1, 0): 1, (1, 1, 0): 1, (1, 1, 1): 1, (1, 1, 2): 1, (1, 2, 2): 1},
+          {(0, 1, 0): 1, (0, 1, 2): 1, (0, 2, 0): 1, (0, 2, 2): 1, (1, 2, 0): 1,
+           (1, 2, 2): 1}),
+         ({(0, 1, 0): 1, (1, 1, 1): 1, (1, 1, 2): 1, (1, 2, 2): 1},
+          {(0, 1, 0): 1, (0, 1, 2): 1, (0, 2, 0): 1, (0, 2, 2): 1}))
+
+
+@functools.lru_cache(maxsize=None)
+def valid_algebras(field):
+    """Valid algebras of dim 0 to 4 over the field: dots, brackets, both,
+    and sums that move a structure off the first basis indices."""
+    mixed = [validate(tensors_from_maps(field, 3, d, b)) for d, b in MIXED]
+    line = zero_algebra(field, 1)
+    lie = [two_dim_nonabelian(field), heisenberg_zero_dot(field), rotation3(field)]
+    out = [zero_algebra(field, 0), idempotent_line(field), fe_plus_nilpotent_line(field),
+           *lie, *mixed,
+           *(direct_sum(line, a) for a in lie[1:] + mixed),
+           *(direct_sum(a, idempotent_line(field)) for a in mixed),
+           direct_sum(two_dim_nonabelian(field), fe_plus_nilpotent_line(field))]
+    if field.is_finite and field.modulus <= 5:
+        out += enumerate_poisson_structures(2, field.modulus)
+    return tuple(out)
+
+
+def relift(field, tensor, mask, shift):
+    """The tensor with each entry whose bit is set in ``mask`` written as
+    another representative of the same scalar: c + shift * p over GF(p),
+    and over Q an integral Fraction as a plain int."""
+    n = len(tensor)
+
+    def entry(i, j, k):
+        c = tensor[i][j][k]
+        if not mask >> ((i * n + j) * n + k) & 1:
+            return c
+        if field.is_finite:
+            return c + shift * field.modulus
+        return int(c) if c.denominator == 1 else c
+    return tuple(tuple(tuple(entry(i, j, k) for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+@st.composite
+def raw_algebras(draw, field):
+    """A pair of tensors: a valid algebra or random tensors, with up to two
+    entries overwritten (with or without their mirror images, so that the
+    later identities get tested too) and some entries unreduced."""
+    kind = draw(st.sampled_from(("valid", "raw", "shaped")))
+    if kind == "raw":
+        n = draw(DIMS)
+        tensors_ = [draw(tensors(field, n)) if n else () for _ in range(2)]
+    else:
+        base = draw(st.sampled_from(valid_algebras(field)))
+        n, tensors_ = base.dim, [base.dot_tensor, base.bracket_tensor]
+    if kind == "shaped" and n:
+        # one side replaced by a random commutative dot or alternating
+        # bracket, so that the later identities decide
+        index = st.integers(0, n - 1)
+        entries = draw(st.dictionaries(st.tuples(index, index, index),
+                                       scalars(field).filter(bool), min_size=1, max_size=n))
+        r = [[[entries.get((i, j, k), field.zero()) for k in range(n)] for j in range(n)]
+             for i in range(n)]
+        if draw(st.booleans()):
+            tensors_[0] = tuple(tuple(r[min(i, j)][max(i, j)] for j in range(n))
+                                for i in range(n))
+        else:
+            tensors_[1] = tuple(tuple(r[i][j] if i < j else tuple(-c for c in r[j][i])
+                                      if i > j else (field.zero(),) * n for j in range(n))
+                                for i in range(n))
+    if n:
+        index = st.integers(0, n - 1)
+        edits = draw(st.dictionaries(st.tuples(st.integers(0, 1), index, index, index),
+                                     scalars(field), max_size=2))
+        mirror = draw(st.booleans())
+        for (t, i, j, k), c in edits.items():
+            grid = [[list(line) for line in plane] for plane in tensors_[t]]
+            if mirror:
+                grid[j][i][k] = -c if t else c
+            grid[i][j][k] = c
+            tensors_[t] = tuple(tuple(tuple(line) for line in plane) for plane in grid)
+    shift = draw(st.integers(-2, 2))
+    dot, bracket = (relift(field, t, draw(st.integers(0, 2 ** n ** 3 - 1)), shift)
+                    for t in tensors_)
+    return PoissonAlgebra(field, n, dot, bracket)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_raw_axiom_test_says_true_exactly_when_the_scan_finds_nothing(field, data):
+    alg = data.draw(raw_algebras(field))
+    scanned = _first_violation(alg)
+    assert _axioms_hold(alg) == (scanned is None)
+    found = find_axiom_violation(alg)
+    expected = ref_find_axiom_violation(alg)
+    if scanned is None:
+        assert found is None and expected is None
+        return
+    assert (found.axiom, found.witness) == (scanned.axiom, scanned.witness) == expected[:2]
+    assert typed(found.residual) == typed(scanned.residual) == typed(expected[2])
+    assert_reduced(field, [found.residual])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_valid_algebras_pass_in_other_representatives(field):
+    algebras = valid_algebras(field)
+    assert any(a.dim == 4 for a in algebras)
+    for alg in algebras:
+        everything = 2 ** alg.dim ** 3 - 1
+        for shift in (-1, 1, 2):
+            raw = PoissonAlgebra(field, alg.dim, relift(field, alg.dot_tensor, everything, shift),
+                                 relift(field, alg.bracket_tensor, everything, shift))
+            assert _axioms_hold(raw), alg.name
+            assert find_axiom_violation(raw) is None
+
+
+def test_every_dim3_gf2_candidate_gets_one_verdict_both_ways():
+    # the enumerator's own candidates: every associative dot with every
+    # bracket in its Leibniz kernel, where only Jacobi can fail
+    gf2 = FieldSpec.prime(2)
+    dot_positions, bracket_positions = _positions(3)
+    verdicts = collections.Counter()
+    for values in _associative_dots(gf2, 3):
+        dot_map = {pos: val for pos, val in zip(dot_positions, values) if val}
+        for bracket in _leibniz_brackets(gf2, 3, dot_map, bracket_positions):
+            t = tensors_from_maps(gf2, 3, dot_map, dict(zip(bracket_positions, bracket)))
+            alg = PoissonAlgebra(gf2, 3, t.dot, t.bracket)
+            scanned = _first_violation(alg)
+            assert _axioms_hold(alg) == (scanned is None)
+            found = find_axiom_violation(alg)
+            if scanned is None:
+                assert found is None
+            else:
+                assert (found.axiom, found.witness) == (scanned.axiom, scanned.witness)
+                assert typed(found.residual) == typed(scanned.residual)
+            verdicts[scanned.axiom if scanned else "kept"] += 1
+    assert verdicts == {"kept": 1408, "jacobi": 392}
