@@ -28,7 +28,6 @@ from .linalg import (
     rref,  # unused here; kept because perfbench/test_tracer.py asserts this binding
     stack_rows,
     subspace_sum,
-    vec_add,
     vec_is_zero,
     vec_sub,
     zero_vector,
@@ -219,9 +218,7 @@ def validate(tensors: DialgebraTensors, name: str = "", basis_labels: tuple = ()
 
     Multilinearity makes basis verification exhaustive.  The first failing
     identity, in a fixed deterministic order, is reported with its witness
-    indices and the nonzero residual vector (``find_axiom_violation``: a
-    raw-scalar test of all five axioms, then the ordered scan only when
-    that test fails).
+    indices and the nonzero residual vector (``find_axiom_violation``).
     """
     alg = PoissonAlgebra(tensors.field, tensors.dim, tensors.dot, tensors.bracket,
                          name=name, basis_labels=basis_labels, meta=meta)
@@ -234,21 +231,14 @@ def validate(tensors: DialgebraTensors, name: str = "", basis_labels: tuple = ()
 def find_axiom_violation(alg: PoissonAlgebra) -> AxiomViolation | None:
     """The first failing identity in ``_axiom_witnesses`` order, or None.
 
-    ``_axioms_hold`` answers on raw scalars first; only when it cannot
-    vouch for every identity does the ordered residual scan run, so every
-    reported violation comes from the scan alone.
+    Each residual is computed on the tensor's raw scalars from its sparse
+    basis products and reduced once per coordinate, so no product is
+    formed as a vector and any representative of a scalar reads the same.
     """
-    if _axioms_hold(alg):
-        return None
-    return _first_violation(alg)
-
-
-def _first_violation(alg: PoissonAlgebra) -> AxiomViolation | None:
-    """The ordered scan: every residual in ``_axiom_witnesses`` order."""
-    t = _BasisProducts(alg)
+    t = _SparseProducts(alg)
     for axiom, witness, residual in _axiom_witnesses(alg.dim):
-        res = residual(alg, t, *witness)
-        if not vec_is_zero(res):
+        res = residual(t, *witness)
+        if any(res):
             return AxiomViolation(axiom, witness, res)
     return None
 
@@ -257,53 +247,73 @@ def evaluate_axiom(alg: PoissonAlgebra, axiom: str, witness: tuple) -> tuple:
     """Re-evaluate a named identity at basis indices; returns the residual."""
     if axiom not in _RESIDUALS:
         raise ValueError(f"unknown axiom {axiom!r}")
-    return _RESIDUALS[axiom](alg, _BasisProducts(alg), *witness)
+    return _RESIDUALS[axiom](_SparseProducts(alg), *witness)
 
 
-class _BasisProducts:
-    """The basis e and the n x n tables of its products, dot[i][j] =
-    e_i . e_j and bracket[i][j] = [e_i, e_j], each multiplied once per
-    validation instead of once in every residual that reads it."""
+class _SparseProducts:
+    """The basis products as lists of their nonzero (k, c) entries, on the
+    tensor's raw scalars: dot[i][j] is e_i . e_j, and dot_col[k][m] is
+    dot[m][k], the entries x . e_k takes from x_m (bracket likewise).
+    unit[i] is e_i in the same form."""
 
-    __slots__ = ("e", "dot", "bracket")
+    __slots__ = ("n", "p", "zero", "unit", "dot", "bracket", "dot_col", "bracket_col")
 
     def __init__(self, alg: PoissonAlgebra) -> None:
-        self.e = e = [alg.basis_element(i) for i in range(alg.dim)]
-        self.dot = [[alg.mul_dot(a, b) for b in e] for a in e]
-        self.bracket = [[alg.mul_bracket(a, b) for b in e] for a in e]
+        r = range(alg.dim)
+        self.n, self.p, self.zero = alg.dim, alg.field.modulus, alg.field.zero()
+        self.unit = [[(i, 1)] for i in r]
+        self.dot, self.bracket = (
+            [[[(k, c) for k, c in enumerate(line) if c] for line in plane] for plane in tensor]
+            for tensor in (alg.dot_tensor, alg.bracket_tensor))
+        self.dot_col = [[self.dot[m][k] for m in r] for k in r]
+        self.bracket_col = [[self.bracket[m][k] for m in r] for k in r]
+
+    def residual(self, *terms) -> tuple:
+        """The sum over terms (sign, x, rows) of sign * sum_m x_m rows[m],
+        accumulated from the field's zero and reduced ``% p`` once per
+        coordinate over GF(p)."""
+        acc = [self.zero] * self.n
+        for sign, x, rows in terms:
+            for m, xm in x:
+                if sign < 0:
+                    xm = -xm
+                for k, c in rows[m]:
+                    acc[k] += xm * c
+        p = self.p
+        return tuple([a % p for a in acc]) if p else tuple(acc)
 
 
-# One residual per identity, evaluated on the basis products t; zero iff it
-# holds.
+# One residual per identity, evaluated on the sparse basis products t; zero
+# iff it holds.  x . e_k reads the column tables, e_i . y the row dot[i].
 
-def _commutativity(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int) -> tuple:
-    return vec_sub(alg.field, t.dot[i][j], t.dot[j][i])
-
-
-def _associativity(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int, k: int) -> tuple:
-    e, dot = t.e, t.dot
-    return vec_sub(alg.field, alg.mul_dot(dot[i][j], e[k]), alg.mul_dot(e[i], dot[j][k]))
+def _commutativity(t: _SparseProducts, i: int, j: int) -> tuple:
+    # e_i . e_j - e_j . e_i
+    return t.residual((1, t.unit[i], t.dot_col[j]), (-1, t.unit[j], t.dot_col[i]))
 
 
-def _alternating(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int) -> tuple:
+def _associativity(t: _SparseProducts, i: int, j: int, k: int) -> tuple:
+    # (e_i . e_j) . e_k - e_i . (e_j . e_k)
+    return t.residual((1, t.dot[i][j], t.dot_col[k]), (-1, t.dot[j][k], t.dot[i]))
+
+
+def _alternating(t: _SparseProducts, i: int, j: int) -> tuple:
     # zero on the diagonal and antisymmetric off it, which together give
     # [x, x] = 0 for every x in every characteristic
     if i == j:
-        return t.bracket[i][i]
-    return vec_add(alg.field, t.bracket[i][j], t.bracket[j][i])
+        return t.residual((1, t.unit[i], t.bracket_col[i]))
+    return t.residual((1, t.unit[i], t.bracket_col[j]), (1, t.unit[j], t.bracket_col[i]))
 
 
-def _jacobi(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int, k: int) -> tuple:
-    f, e, br = alg.field, t.e, t.bracket
-    res = alg.mul_bracket(br[i][j], e[k])
-    res = vec_add(f, res, alg.mul_bracket(br[j][k], e[i]))
-    return vec_add(f, res, alg.mul_bracket(br[k][i], e[j]))
+def _jacobi(t: _SparseProducts, i: int, j: int, k: int) -> tuple:
+    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+    br, col = t.bracket, t.bracket_col
+    return t.residual((1, br[i][j], col[k]), (1, br[j][k], col[i]), (1, br[k][i], col[j]))
 
 
-def _leibniz(alg: PoissonAlgebra, t: _BasisProducts, i: int, j: int, k: int) -> tuple:
-    f, e, br = alg.field, t.e, t.bracket
-    rhs = vec_add(f, alg.mul_dot(br[i][k], e[j]), alg.mul_dot(e[i], br[j][k]))
-    return vec_sub(f, alg.mul_bracket(t.dot[i][j], e[k]), rhs)
+def _leibniz(t: _SparseProducts, i: int, j: int, k: int) -> tuple:
+    # [e_i . e_j, e_k] - [e_i, e_k] . e_j - e_i . [e_j, e_k]
+    return t.residual((1, t.dot[i][j], t.bracket_col[k]),
+                      (-1, t.bracket[i][k], t.dot_col[j]), (-1, t.bracket[j][k], t.dot[i]))
 
 
 _RESIDUALS = {"commutativity": _commutativity, "associativity": _associativity,
@@ -326,59 +336,6 @@ def _axiom_witnesses(n: int) -> tuple:
              + [("jacobi", w) for w in itertools.combinations(r, 3)]
              + [("leibniz", w) for w in itertools.product(r, repeat=3)])
     return tuple((axiom, w, _RESIDUALS[axiom]) for axiom, w in order)
-
-
-def _axioms_hold(alg: PoissonAlgebra) -> bool:
-    """True only if every residual the ordered scan evaluates is zero.
-
-    The same five identities on the same witnesses as ``_axiom_witnesses``,
-    on raw scalars: each basis product is a sparse list of its nonzero
-    (k, c) entries, and every residual is a signed sum of such lists
-    contracted against the tensor, accumulated in one list and tested once
-    per coordinate (``% p`` over GF(p), so unreduced entries read as the
-    scan reads them).  Jacobi goes before associativity and Leibniz because
-    enumerated candidates fail there and nowhere else.
-    """
-    n, p = alg.dim, alg.field.modulus
-    r = range(n)
-    dot = [[[(k, c) for k, c in enumerate(line) if c] for line in plane]
-           for plane in alg.dot_tensor]
-    br = [[[(k, c) for k, c in enumerate(line) if c] for line in plane]
-          for plane in alg.bracket_tensor]
-    # x . e_k and [x, e_k] read the tensor's column k: T[m][k] for each m
-    dot_col = [[dot[m][k] for m in r] for k in r]
-    br_col = [[br[m][k] for m in r] for k in r]
-    unit = [[(i, 1)] for i in r]
-    pairs = list(itertools.combinations(r, 2))
-    triples = list(itertools.product(r, repeat=3))
-
-    def residuals():
-        # each residual is a tuple of terms (sign, x, rows), standing for
-        # sign * sum_m x_m rows[m]
-        for i, j in pairs:
-            yield (1, unit[i], dot_col[j]), (-1, unit[j], dot_col[i])
-        for i in r:
-            yield (1, unit[i], br_col[i]),
-        for i, j in pairs:
-            yield (1, unit[i], br_col[j]), (1, unit[j], br_col[i])
-        for i, j, k in itertools.combinations(r, 3):
-            yield (1, br[i][j], br_col[k]), (1, br[j][k], br_col[i]), (1, br[k][i], br_col[j])
-        for i, j, k in triples:
-            yield (1, dot[i][j], dot_col[k]), (-1, dot[j][k], dot[i])
-        for i, j, k in triples:
-            yield (1, dot[i][j], br_col[k]), (-1, br[i][k], dot_col[j]), (-1, br[j][k], dot[i])
-
-    for terms in residuals():
-        acc = [0] * n
-        for sign, xs, rows in terms:
-            for m, x in xs:
-                if sign < 0:
-                    x = -x
-                for k, c in rows[m]:
-                    acc[k] += x * c
-        if any([a % p for a in acc] if p else acc):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

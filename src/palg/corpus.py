@@ -128,45 +128,34 @@ def _parse_entries(field: FieldSpec, dim: int, entries, label: str, strict: bool
 # ---------------------------------------------------------------------------
 
 
-# The document and one tensor entry as json.dumps(..., indent=2) lays them
-# out; the document's keys keep this order.
-_DOCUMENT = ('{\n  "schema_version": %s,\n  "name": %s,\n  "field": %s,\n  "dim": %d,\n'
-             '  "basis": %s,\n  "dot": %s,\n  "bracket": %s,\n  "metadata": %s\n}\n')
-_ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "c": %s\n    }'
-
-
 def serialize_document(alg: PoissonAlgebra) -> str:
-    """Canonical text: sorted nonzero canonical entries, string coefficients.
-
-    Written straight from the fixed schema, byte for byte what
-    ``json.dumps(doc, indent=2)`` and a newline give for the document
-    object; every string goes through ``json.dumps`` and so keeps its
-    escaping.
-    """
-    f, n = alg.field, alg.dim
-    fmt, dot, bracket = f.format_scalar, alg.dot_tensor, alg.bracket_tensor
-    dot_entries = [_ENTRY % (i, j, k, json.dumps(fmt(c)))
-                   for i in range(n) for j in range(i, n)
-                   for k, c in enumerate(dot[i][j]) if c != 0]
-    bracket_entries = [_ENTRY % (i, j, k, json.dumps(fmt(c)))
-                       for i in range(n) for j in range(i + 1, n)
-                       for k, c in enumerate(bracket[i][j]) if c != 0]
-    metadata = {k: json.loads(v) for k, v in alg.meta}
-    return _DOCUMENT % (
-        json.dumps(SCHEMA_VERSION),
-        json.dumps(alg.name),
-        '"Q"' if not f.is_finite else '{\n    "p": %d\n  }' % f.order,
-        n,
-        _json_list([f"    {json.dumps(label)}" for label in alg.labels()]),
-        _json_list(dot_entries),
-        _json_list(bracket_entries),
-        json.dumps(metadata, indent=2).replace("\n", "\n  "),
-    )
-
-
-def _json_list(items: list) -> str:
-    """A list of the document's top level, from its items already indented."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    """Canonical text: sorted nonzero canonical entries, string coefficients."""
+    f = alg.field
+    dot_entries = []
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            for k in range(alg.dim):
+                c = alg.dot_tensor[i][j][k]
+                if c != 0:
+                    dot_entries.append({"i": i, "j": j, "k": k, "c": f.format_scalar(c)})
+    bracket_entries = []
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for k in range(alg.dim):
+                c = alg.bracket_tensor[i][j][k]
+                if c != 0:
+                    bracket_entries.append({"i": i, "j": j, "k": k, "c": f.format_scalar(c)})
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": alg.name,
+        "field": "Q" if not f.is_finite else {"p": f.order},
+        "dim": alg.dim,
+        "basis": list(alg.labels()),
+        "dot": dot_entries,
+        "bracket": bracket_entries,
+        "metadata": {k: json.loads(v) for k, v in alg.meta},
+    }
+    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +378,9 @@ def enumerate_poisson_structures(n: int, q: int, cap: int = ENUM_CANDIDATE_CAP) 
     its Leibniz equations, linear once the dot is fixed.  Both stages list
     in lexicographic order, the order of the full product scan, so names
     are unchanged.  Each candidate is still validated (Jacobi filters
-    here): ``validate`` tests all five axioms on raw scalars first and runs
-    its ordered residual scan only on a candidate that fails, so a kept
-    structure costs no residual scan.  The cap still counts all
-    q^(dot + bracket) assignments.
+    here; ``validate`` computes every residual on raw scalars from the
+    sparse basis products, without forming a product vector).  The cap
+    still counts all q^(dot + bracket) assignments.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"dimension n must be a nonnegative integer, got {n!r}")
