@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._cache import memo, memo_space
 from .fields import FieldSpec
@@ -183,13 +183,11 @@ class PoissonAlgebra:
 
     def p_operator(self, a: Sequence) -> Matrix:
         """Matrix of y -> a . y in the standard basis."""
-        cols = [self.mul_dot(a, self.basis_element(j)) for j in range(self.dim)]
-        return _matrix_from_columns(self.field, self.dim, cols)
+        return _operator(self, lambda y: self.mul_dot(a, y))
 
     def q_operator(self, a: Sequence) -> Matrix:
         """Matrix of y -> [a, y] in the standard basis."""
-        cols = [self.mul_bracket(a, self.basis_element(j)) for j in range(self.dim)]
-        return _matrix_from_columns(self.field, self.dim, cols)
+        return _operator(self, lambda y: self.mul_bracket(a, y))
 
     # -- ambient spaces ----------------------------------------------------------
 
@@ -203,8 +201,10 @@ class PoissonAlgebra:
         return DialgebraTensors(self.field, self.dim, self.dot_tensor, self.bracket_tensor)
 
 
-def _matrix_from_columns(field: FieldSpec, n: int, cols: Sequence) -> Matrix:
-    return Matrix(field, n, n, tuple(tuple(col[i] for col in cols) for i in range(n)))
+def _operator(alg: PoissonAlgebra, linear_map: Callable) -> Matrix:
+    """Matrix of a linear map of the algebra: column j is the image of e_j."""
+    cols = [linear_map(alg.basis_element(j)) for j in range(alg.dim)]
+    return Matrix(alg.field, alg.dim, alg.dim, tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +513,11 @@ def quotient_maps(alg: PoissonAlgebra, ideal: Subspace) -> QuotientData:
         reduced = ideal.reduce_vector(v)
         return tuple(reduced[j] for j in reps)
 
+    q_alg = _induced(alg, [alg.basis_element(j) for j in reps], project,
+                     f"{alg.name}/[dim {ideal.dim}]" if alg.name else "")
+    images = [project(alg.basis_element(i)) for i in range(n)]
+    proj = Matrix(f, m, n, tuple(zip(*images)))
     z = f.zero()
-    dot = [[None] * m for _ in range(m)]
-    bracket = [[None] * m for _ in range(m)]
-    for a in range(m):
-        ea = alg.basis_element(reps[a])
-        for b in range(m):
-            eb = alg.basis_element(reps[b])
-            dot[a][b] = project(alg.mul_dot(ea, eb))
-            bracket[a][b] = project(alg.mul_bracket(ea, eb))
-    freeze = lambda t: tuple(tuple(tuple(line) for line in plane) for plane in t)
-    q_alg = PoissonAlgebra(f, m, freeze(dot), freeze(bracket),
-                           name=f"{alg.name}/[dim {ideal.dim}]" if alg.name else "")
-    proj = Matrix(f, m, n, tuple(tuple(project(basis_vector(f, n, i))[r] for i in range(n))
-                                 for r in range(m)))
     lift = Matrix(f, n, m, tuple(tuple(f.one() if i == reps[c] else z for c in range(m))
                                  for i in range(n)))
     return QuotientData(q_alg, proj, lift, ideal)
@@ -557,25 +548,22 @@ def subalgebra_algebra(alg: PoissonAlgebra, u: Subspace) -> tuple:
     """
     if subalgebra_defect(alg, u) is not None:
         raise ValueError("restriction to a subspace that is not a subalgebra")
-    f, k = alg.field, u.dim
-    pivots = u.pivots
-    rows = u.rows()
-
-    def coords(v):
-        return tuple(v[p] for p in pivots)
-
-    dot = [[None] * k for _ in range(k)]
-    bracket = [[None] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            dot[a][b] = coords(alg.mul_dot(rows[a], rows[b]))
-            bracket[a][b] = coords(alg.mul_bracket(rows[a], rows[b]))
-    freeze = lambda t: tuple(tuple(tuple(line) for line in plane) for plane in t)
-    sub = PoissonAlgebra(f, k, freeze(dot), freeze(bracket),
-                         name=f"{alg.name}|[dim {k}]" if alg.name else "")
-    embed = Matrix(f, alg.dim, k, tuple(tuple(rows[c][i] for c in range(k))
-                                        for i in range(alg.dim)))
+    k, pivots, rows = u.dim, u.pivots, u.rows()
+    sub = _induced(alg, rows, lambda v: tuple(v[p] for p in pivots),
+                   f"{alg.name}|[dim {k}]" if alg.name else "")
+    embed = Matrix(alg.field, alg.dim, k, tuple(tuple(rows[c][i] for c in range(k))
+                                                for i in range(alg.dim)))
     return sub, embed
+
+
+def _induced(alg: PoissonAlgebra, vectors: Sequence, coords: Callable,
+             name: str) -> PoissonAlgebra:
+    """The structure on the given vectors: entry [a][b] of each tensor is
+    coords of the product of vectors a and b, so coords must read an
+    ambient vector in the new basis."""
+    dot = tuple(tuple(coords(alg.mul_dot(x, y)) for y in vectors) for x in vectors)
+    bracket = tuple(tuple(coords(alg.mul_bracket(x, y)) for y in vectors) for x in vectors)
+    return PoissonAlgebra(alg.field, len(vectors), dot, bracket, name=name)
 
 
 def embed_subspace(embed: Matrix, w: Subspace) -> Subspace:
@@ -626,14 +614,12 @@ def summand_embeddings(a: PoissonAlgebra, b: PoissonAlgebra) -> tuple:
 
 def _left_dot_matrix(alg: PoissonAlgebra, b) -> Matrix:
     """Matrix of x -> x . b."""
-    cols = [alg.mul_dot(alg.basis_element(i), b) for i in range(alg.dim)]
-    return _matrix_from_columns(alg.field, alg.dim, cols)
+    return _operator(alg, lambda x: alg.mul_dot(x, b))
 
 
 def _left_bracket_matrix(alg: PoissonAlgebra, b) -> Matrix:
     """Matrix of x -> [x, b]."""
-    cols = [alg.mul_bracket(alg.basis_element(i), b) for i in range(alg.dim)]
-    return _matrix_from_columns(alg.field, alg.dim, cols)
+    return _operator(alg, lambda x: alg.mul_bracket(x, b))
 
 
 def annihilator(alg: PoissonAlgebra, b: Subspace) -> AlgebraSubspace:
@@ -663,8 +649,7 @@ def centre(alg: PoissonAlgebra) -> AlgebraSubspace:
 
 def _reduction_matrix(alg: PoissonAlgebra, u: Subspace) -> Matrix:
     """Matrix of v -> v reduced mod u; its kernel is exactly u."""
-    cols = [u.reduce_vector(alg.basis_element(i)) for i in range(alg.dim)]
-    return _matrix_from_columns(alg.field, alg.dim, cols)
+    return _operator(alg, u.reduce_vector)
 
 
 def _preimage_condition(alg: PoissonAlgebra, u: Subspace, maps: Iterable[Matrix]) -> Subspace:

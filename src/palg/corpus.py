@@ -478,43 +478,44 @@ def _associative_dots(field: FieldSpec, n: int):
 
 
 @lru_cache(maxsize=None)
-def _leibniz_cells(n: int) -> tuple:
-    """One row per Leibniz residual coordinate
-    ([e_i e_j, e_k] - [e_i, e_k] e_j - e_i [e_j, e_k])_l, in validation
-    order (the witness (i, j, k) in itertools.product order, then l): terms
-    (coefficient, dot position, bracket position), meaning coefficient times
-    the two values, so a row is linear in the bracket once the dot is fixed."""
-    rows = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        for l in range(n):
-            terms = Counter()
-            for m in range(n):
-                for sign, dot, (a, b, t) in ((1, (i, j, m), (m, k, l)),
-                                             (-1, (m, j, l), (i, k, m)),
-                                             (-1, (i, m, l), (j, k, m))):
-                    if a != b:
-                        bracket = (a, b, t) if a < b else (b, a, t)
-                        terms[_dot_position(*dot), bracket] += sign if a < b else -sign
-            rows.append(tuple((coef, dot, bracket)
-                              for (dot, bracket), coef in sorted(terms.items()) if coef))
-    return tuple(rows)
+def _leibniz_cells(n: int) -> dict:
+    """The Leibniz residual coordinates
+    ([e_i e_j, e_k] - [e_i, e_k] e_j - e_i [e_j, e_k])_l filed by dot
+    position: dot position -> [(r, coefficient, bracket position)], where r
+    numbers the coordinates in validation order (the witness (i, j, k) in
+    itertools.product order, then l) and a term means coefficient times the
+    two values, so a coordinate is linear in the bracket once the dot is
+    fixed."""
+    cells: dict = {}
+    for r, (i, j, k, l) in enumerate(itertools.product(range(n), repeat=4)):
+        terms = Counter()
+        for m in range(n):
+            for sign, dot, (a, b, t) in ((1, (i, j, m), (m, k, l)),
+                                         (-1, (m, j, l), (i, k, m)),
+                                         (-1, (i, m, l), (j, k, m))):
+                if a != b:
+                    bracket = (a, b, t) if a < b else (b, a, t)
+                    terms[_dot_position(*dot), bracket] += sign if a < b else -sign
+        for (dot, bracket), coef in sorted(terms.items()):
+            if coef:
+                cells.setdefault(dot, []).append((r, coef, bracket))
+    return cells
 
 
 def _leibniz_rows(n: int, dot_map: dict, positions: Sequence) -> list:
     """The Leibniz residuals under the dot as integer rows over the bracket
     values at ``positions`` (every other bracket value zero), one per
     coordinate in ``_leibniz_cells`` order: entry p of row r is coordinate r
-    of the residual of the unit bracket at p, before reduction."""
+    of the residual of the unit bracket at p, before reduction.  Only the
+    entries dot_map holds are visited."""
     column = {pos: p for p, pos in enumerate(positions)}
-    rows = []
-    for cells in _leibniz_cells(n):
-        row = [0] * len(positions)
-        for coef, dot, bracket in cells:
-            value = dot_map.get(dot)
-            if value and bracket in column:
-                row[column[bracket]] += coef * value
-        rows.append(tuple(row))
-    return rows
+    cells = _leibniz_cells(n)
+    rows = [[0] * len(positions) for _ in range(n ** 4)]
+    for dot, value in dot_map.items():
+        for r, coef, bracket in cells.get(dot, ()):
+            if bracket in column:
+                rows[r][column[bracket]] += coef * value
+    return [tuple(row) for row in rows]
 
 
 def _leibniz_brackets(field: FieldSpec, n: int, dot_map: dict, positions: Sequence) -> list:

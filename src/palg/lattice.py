@@ -48,15 +48,13 @@ from .algebra import (
     subspace_product_dot,
     _left_bracket_matrix,
     _left_dot_matrix,
-    _reduction_matrix,
+    _preimage_condition,
 )
 from .fields import FieldError, FieldSpec
 from .linalg import (
     Subspace,
     _matrix,
     _subspace,
-    kernel,
-    stack_rows,
     subspace_intersect,
     subspace_sum,
     vec_is_zero,
@@ -461,19 +459,16 @@ def ideal_core(alg: PoissonAlgebra, w: Subspace, dot: bool = True, bracket: bool
     each step is one exact kernel computation, and any ideal inside w
     survives every step, so the fixed point is the ideal core.
     """
-    f, n = alg.field, alg.dim
+    maps = []
+    for i in range(alg.dim):
+        b = alg.basis_element(i)
+        if dot:
+            maps.append(_left_dot_matrix(alg, b))
+        if bracket:
+            maps.append(_left_bracket_matrix(alg, b))
     current = w
     while True:
-        reduce_mod = _reduction_matrix(alg, current)
-        blocks = []
-        for i in range(n):
-            b = alg.basis_element(i)
-            if dot:
-                blocks.append(reduce_mod.matmul(_left_dot_matrix(alg, b)))
-            if bracket:
-                blocks.append(reduce_mod.matmul(_left_bracket_matrix(alg, b)))
-        condition = kernel(stack_rows(f, blocks, n)) if blocks else Subspace.full(f, n)
-        nxt = subspace_intersect(current, condition)
+        nxt = subspace_intersect(current, _preimage_condition(alg, current, maps))
         if nxt == current:
             return nxt
         current = nxt

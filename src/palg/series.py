@@ -65,8 +65,10 @@ class SeriesReport:
         return self.terms[-1]
 
 
-def _run_series(kind: str, start: Subspace, step_fn: Callable) -> SeriesReport:
-    terms = [start]
+def _run_series(kind: str, alg: PoissonAlgebra, start: Subspace | None,
+                step_fn: Callable) -> SeriesReport:
+    """Step from start, the whole algebra when None, until a term is zero or repeats."""
+    terms = [alg.full_space() if start is None else start]
     while True:
         current = terms[-1]
         if current.is_zero():
@@ -80,14 +82,12 @@ def _run_series(kind: str, start: Subspace, step_fn: Callable) -> SeriesReport:
 
 def derived_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
     """A^(n+1) = A^(n).A^(n) + [A^(n), A^(n)] until stabilisation."""
-    start = start if start is not None else alg.full_space()
-    return _run_series(DERIVED, start, lambda terms: subspace_square(alg, terms[-1]))
+    return _run_series(DERIVED, alg, start, lambda terms: subspace_square(alg, terms[-1]))
 
 
 def lower_central_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
     """A^{n+1} as the full convolution sum, cross-checked against the
     single-step product A^n.A + [A^n, A] valid for Poisson algebras."""
-    start = start if start is not None else alg.full_space()
 
     def step(terms):
         whole = terms[0]
@@ -103,30 +103,26 @@ def lower_central_series(alg: PoissonAlgebra, start: Subspace | None = None) -> 
             raise SeriesConsistencyError(len(terms) + 1, full, shortcut)
         return shortcut
 
-    return _run_series(LOWER_CENTRAL, start, step)
+    return _run_series(LOWER_CENTRAL, alg, start, step)
 
 
 def assoc_derived_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
-    start = start if start is not None else alg.full_space()
-    return _run_series(ASSOC_DERIVED, start,
+    return _run_series(ASSOC_DERIVED, alg, start,
                        lambda terms: subspace_product_dot(alg, terms[-1], terms[-1]))
 
 
 def assoc_lower_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
-    start = start if start is not None else alg.full_space()
-    return _run_series(ASSOC_LOWER, start,
+    return _run_series(ASSOC_LOWER, alg, start,
                        lambda terms: subspace_product_dot(alg, terms[-1], terms[0]))
 
 
 def lie_derived_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
-    start = start if start is not None else alg.full_space()
-    return _run_series(LIE_DERIVED, start,
+    return _run_series(LIE_DERIVED, alg, start,
                        lambda terms: subspace_product_bracket(alg, terms[-1], terms[-1]))
 
 
 def lie_lower_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
-    start = start if start is not None else alg.full_space()
-    return _run_series(LIE_LOWER, start,
+    return _run_series(LIE_LOWER, alg, start,
                        lambda terms: subspace_product_bracket(alg, terms[-1], terms[0]))
 
 

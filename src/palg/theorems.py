@@ -62,6 +62,7 @@ from .lattice import (
     CLASS_FAILS,
     _is_idempotent_line_split,
     _meta_subspace,
+    _minimal_members,
 )
 from .linalg import Subspace, subspace_intersect, subspace_sum
 from .series import (
@@ -120,12 +121,25 @@ def _fmt_space(s: Subspace) -> dict:
     return {"ambient": s.ambient_dim, "basis": [_fmt_vec(s.field, r) for r in s.rows()]}
 
 
-def _outcome(alg: PoissonAlgebra, check_id: str, failures: list, exercised: int,
-             detail: str = "") -> TheoremResult:
+def _defect_witness(field: FieldSpec, defect: tuple) -> dict:
+    """The fields of a closure defect (x, y, product kind, product)."""
+    x, y, kind, product = defect
+    return {"x": _fmt_vec(field, x), "y": _fmt_vec(field, y), "product_kind": kind,
+            "product": _fmt_vec(field, product)}
+
+
+def _outcome(failures: list, exercised: int, detail: str = "") -> tuple:
+    """A runner's verdict (status, exercised, witness, detail), which only
+    _run_guarded stamps with the check id and the algebra names: fail with
+    the first witness, else pass, "vacuous" when nothing was exercised and
+    no detail is given."""
     if failures:
-        return TheoremResult(check_id, alg.name, FAIL, exercised, failures[0], detail)
-    return TheoremResult(check_id, alg.name, PASS, exercised, None,
-                         detail if detail else ("" if exercised else "vacuous"))
+        return FAIL, exercised, failures[0], detail
+    return PASS, exercised, None, detail if detail else ("" if exercised else "vacuous")
+
+
+def _not_applicable(detail: str) -> tuple:
+    return NOT_APPLICABLE, 0, None, detail
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +196,16 @@ def _radical_nilradical(alg: PoissonAlgebra, budget: LatticeBudget):
 # ---------------------------------------------------------------------------
 
 
-def _check_axioms(alg: PoissonAlgebra, budget: LatticeBudget, limit: int) -> TheoremResult:
+def _check_axioms(alg: PoissonAlgebra, budget: LatticeBudget, limit: int) -> tuple:
     violation = find_axiom_violation(alg)
     if violation is None:
-        return TheoremResult("Def-1.1", alg.name, PASS, 1)
-    witness = {"axiom": violation.axiom, "indices": list(violation.witness),
-               "residual": _fmt_vec(alg.field, violation.residual)}
-    return TheoremResult("Def-1.1", alg.name, FAIL, 1, witness)
+        return _outcome([], 1)
+    return _outcome([{"axiom": violation.axiom, "indices": list(violation.witness),
+                      "residual": _fmt_vec(alg.field, violation.residual)}], 1)
 
 
 def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget,
-                               limit: int) -> TheoremResult:
+                               limit: int) -> tuple:
     subs = _subalgebra_configs(alg, budget)
     failures, exercised = [], 0
     powers = {}  # b -> [b, b.b, (b.b).b, ...], extended on first use
@@ -218,11 +231,11 @@ def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget,
                 break
         if failures:
             break
-    return _outcome(alg, "Lemma-2.1", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _check_ideal_dot_product(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> TheoremResult:
+                             limit: int) -> tuple:
     ideals = _ideal_configs(alg, budget)
     failures, exercised = [], 0
     for b, c in itertools.islice(_diagonal_pairs(ideals), limit):
@@ -234,14 +247,13 @@ def _check_ideal_dot_product(alg: PoissonAlgebra, budget: LatticeBudget,
                              "product": _fmt_space(product),
                              "escape": _fmt_vec(alg.field, defect[3])})
             break
-    return _outcome(alg, "Lemma-2.2", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _check_minimal_in_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
-                                limit: int) -> TheoremResult:
+                                limit: int) -> tuple:
     if not alg.field.is_finite:
-        return TheoremResult("Lemma-2.3", alg.name, PASS, 0,
-                             detail="vacuous: minimal ideals need a finite field")
+        return _outcome([], 0, "vacuous: minimal ideals need a finite field")
     mins = minimal_ideals(alg, budget)
     nil_ideals = [s for s in lattice_profile(alg, budget).ideals()
                   if lower_central_series(alg, s).terminates]
@@ -258,81 +270,73 @@ def _check_minimal_in_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
             if not ann.contains(b):
                 failures.append({"minimal": _fmt_space(b), "nilpotent": _fmt_space(n),
                                  "annihilator": _fmt_space(ann)})
-    return _outcome(alg, "Lemma-2.3", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _check_nilpotent_iff_both(alg: PoissonAlgebra, budget: LatticeBudget,
-                              limit: int) -> TheoremResult:
+                              limit: int) -> tuple:
     nil = is_nilpotent(alg)
     both = is_assoc_nilpotent(alg) and is_lie_nilpotent(alg)
     if nil != both:
-        witness = {"nilpotent": nil, "assoc_and_lie_nilpotent": both}
-        return TheoremResult("Prop-2.4", alg.name, FAIL, 1, witness)
-    return TheoremResult("Prop-2.4", alg.name, PASS, 1)
+        return _outcome([{"nilpotent": nil, "assoc_and_lie_nilpotent": both}], 1)
+    return _outcome([], 1)
 
 
 def _check_radical_square(alg: PoissonAlgebra, budget: LatticeBudget,
-                          limit: int) -> TheoremResult:
+                          limit: int) -> tuple:
     pair = _radical_nilradical(alg, budget)
     if pair is None:
-        return TheoremResult("Thm-2.6", alg.name, NOT_APPLICABLE, 0,
-                             detail="radical and nilradical unavailable over Q without metadata")
+        return _not_applicable("radical and nilradical unavailable over Q without metadata")
     rad, nil = pair
     square = subspace_product_dot(alg, rad, rad)
     if nil.contains(square):
-        return TheoremResult("Thm-2.6", alg.name, PASS, 1)
-    witness = {"radical": _fmt_space(rad), "nilradical": _fmt_space(nil),
-               "radical_dot_square": _fmt_space(square)}
-    return TheoremResult("Thm-2.6", alg.name, FAIL, 1, witness)
+        return _outcome([], 1)
+    return _outcome([{"radical": _fmt_space(rad), "nilradical": _fmt_space(nil),
+                      "radical_dot_square": _fmt_space(square)}], 1)
 
 
 def _check_radical_square_char0(alg: PoissonAlgebra, budget: LatticeBudget,
-                                limit: int) -> TheoremResult:
+                                limit: int) -> tuple:
     if alg.field.characteristic != 0:
-        return TheoremResult("Cor-2.7", alg.name, NOT_APPLICABLE, 0,
-                             detail="needs characteristic zero")
+        return _not_applicable("needs characteristic zero")
     pair = _radical_nilradical(alg, budget)
     if pair is None:
-        return TheoremResult("Cor-2.7", alg.name, NOT_APPLICABLE, 0,
-                             detail="radical unavailable without verified metadata")
+        return _not_applicable("radical unavailable without verified metadata")
     rad, _ = pair
     square = subspace_square(alg, rad)
     if lower_central_series(alg, square).terminates:
-        return TheoremResult("Cor-2.7", alg.name, PASS, 1)
-    return TheoremResult("Cor-2.7", alg.name, FAIL, 1,
-                         {"radical": _fmt_space(rad), "square": _fmt_space(square)})
+        return _outcome([], 1)
+    return _outcome([{"radical": _fmt_space(rad), "square": _fmt_space(square)}], 1)
 
 
 def _check_supersolvable_square(alg: PoissonAlgebra, budget: LatticeBudget,
-                                limit: int) -> TheoremResult:
+                                limit: int) -> tuple:
     super_ok, _ = is_supersolvable(alg)
     detail = ("hypothesis restricted to solvable algebras: a flag of ideals alone "
               "admits idempotent lines, whose square is not nilpotent")
     if not (super_ok and is_solvable(alg)):
-        return TheoremResult("Prop-2.8", alg.name, PASS, 0, detail="vacuous; " + detail)
+        return _outcome([], 0, "vacuous; " + detail)
     square = subspace_square(alg, alg.full_space())
     if lower_central_series(alg, square).terminates:
-        return TheoremResult("Prop-2.8", alg.name, PASS, 1, detail=detail)
-    return TheoremResult("Prop-2.8", alg.name, FAIL, 1, {"square": _fmt_space(square)}, detail)
+        return _outcome([], 1, detail)
+    return _outcome([{"square": _fmt_space(square)}], 1, detail)
 
 
 def _check_annihilator_in_nilradical(alg: PoissonAlgebra, budget: LatticeBudget,
-                                     limit: int) -> TheoremResult:
+                                     limit: int) -> tuple:
     pair = _radical_nilradical(alg, budget)
     if pair is None:
-        return TheoremResult("Lemma-2.9", alg.name, NOT_APPLICABLE, 0,
-                             detail="radical and nilradical unavailable over Q without metadata")
+        return _not_applicable("radical and nilradical unavailable over Q without metadata")
     rad, nil = pair
     ann_in_rad = subspace_intersect(annihilator(alg, nil).space, rad)
     if nil.contains(ann_in_rad):
-        return TheoremResult("Lemma-2.9", alg.name, PASS, 1)
-    return TheoremResult("Lemma-2.9", alg.name, FAIL, 1,
-                         {"radical": _fmt_space(rad), "nilradical": _fmt_space(nil),
-                          "annihilator_in_radical": _fmt_space(ann_in_rad)})
+        return _outcome([], 1)
+    return _outcome([{"radical": _fmt_space(rad), "nilradical": _fmt_space(nil),
+                      "annihilator_in_radical": _fmt_space(ann_in_rad)}], 1)
 
 
 def _check_engel_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> TheoremResult:
+                             limit: int) -> tuple:
     failures, exercised = [], 0
     for a in _element_configs(alg, budget):
         exercised += 1
@@ -342,17 +346,14 @@ def _check_engel_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget,
             if defect is not None:
                 failures.append({"element": _fmt_vec(alg.field, a), "kind": label,
                                  "engel_space": _fmt_space(space),
-                                 "x": _fmt_vec(alg.field, defect[0]),
-                                 "y": _fmt_vec(alg.field, defect[1]),
-                                 "product_kind": defect[2],
-                                 "product": _fmt_vec(alg.field, defect[3])})
+                                 **_defect_witness(alg.field, defect)})
         if failures:
             break
-    return _outcome(alg, "Lemma-2.11", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget,
-                           limit: int) -> TheoremResult:
+                           limit: int) -> tuple:
     failures, exercised = [], 0
     if alg.field.is_finite:
         profile = lattice_profile(alg, budget)
@@ -379,11 +380,11 @@ def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget,
                 break
         if failures:
             break
-    return _outcome(alg, "Lemma-2.13", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _check_eigen_part_closed(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> TheoremResult:
+                             limit: int) -> tuple:
     failures, exercised = [], 0
     for a in _element_configs(alg, budget):
         exercised += 1
@@ -392,12 +393,9 @@ def _check_eigen_part_closed(alg: PoissonAlgebra, budget: LatticeBudget,
         if defect is not None:
             failures.append({"element": _fmt_vec(alg.field, a),
                              "eigen_part": _fmt_space(space),
-                             "x": _fmt_vec(alg.field, defect[0]),
-                             "y": _fmt_vec(alg.field, defect[1]),
-                             "product_kind": defect[2],
-                             "product": _fmt_vec(alg.field, defect[3])})
+                             **_defect_witness(alg.field, defect)})
             break
-    return _outcome(alg, "Lemma-2.15", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _require_finite(alg: PoissonAlgebra) -> None:
@@ -407,7 +405,7 @@ def _require_finite(alg: PoissonAlgebra) -> None:
 
 
 def _check_frattini_of_subalgebra(alg: PoissonAlgebra, budget: LatticeBudget,
-                                  limit: int) -> TheoremResult:
+                                  limit: int) -> tuple:
     _require_finite(alg)
     f_ambient = frattini(alg, budget)[0]
     ideals = _ideal_configs(alg, budget)
@@ -425,11 +423,11 @@ def _check_frattini_of_subalgebra(alg: PoissonAlgebra, budget: LatticeBudget,
                 failures.append({"subalgebra": _fmt_space(c), "ideal": _fmt_space(b),
                                  "frattini_of_subalgebra": _fmt_space(f_c),
                                  "frattini": _fmt_space(f_ambient)})
-    return _outcome(alg, "Lemma-3.2", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _check_frattini_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> TheoremResult:
+                             limit: int) -> tuple:
     _require_finite(alg)
     f_space, phi = frattini(alg, budget)
     failures, exercised = [], 0
@@ -439,26 +437,22 @@ def _check_frattini_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
         f_img = project_subspace(data, f_space)
         phi_img = project_subspace(data, phi)
         exercised += 1
-        if not f_q.contains(f_img) or not phi_q.contains(phi_img):
-            failures.append({"ideal": _fmt_space(b), "projected_f": _fmt_space(f_img),
-                             "quotient_f": _fmt_space(f_q),
-                             "projected_phi": _fmt_space(phi_img),
-                             "quotient_phi": _fmt_space(phi_q)})
-            continue
-        if f_space.contains(b) and (f_img != f_q or phi_img != phi_q):
-            failures.append({"ideal": _fmt_space(b), "projected_f": _fmt_space(f_img),
-                             "quotient_f": _fmt_space(f_q),
-                             "projected_phi": _fmt_space(phi_img),
-                             "quotient_phi": _fmt_space(phi_q),
-                             "clause": "equality under B inside F"})
+        inside = f_q.contains(f_img) and phi_q.contains(phi_img)
+        if not inside or (f_space.contains(b) and (f_img != f_q or phi_img != phi_q)):
+            witness = {"ideal": _fmt_space(b), "projected_f": _fmt_space(f_img),
+                       "quotient_f": _fmt_space(f_q), "projected_phi": _fmt_space(phi_img),
+                       "quotient_phi": _fmt_space(phi_q)}
+            if inside:
+                witness["clause"] = "equality under B inside F"
+            failures.append(witness)
     detail = ("first inclusion read as image of the ideal core inside the core of "
               "the quotient; the displayed right side is taken to mean the "
               "quotient's own core")
-    return _outcome(alg, "Lemma-3.3", failures, exercised, detail)
+    return _outcome(failures, exercised, detail)
 
 
 def _check_frattini_trivial_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
-                                     limit: int) -> TheoremResult:
+                                     limit: int) -> tuple:
     _require_finite(alg)
     f_space, phi = frattini(alg, budget)
     failures, exercised = [], 0
@@ -473,12 +467,11 @@ def _check_frattini_trivial_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
             exercised += 1
             if not r.contains(phi):
                 failures.append({"ideal": _fmt_space(r), "frattini_ideal": _fmt_space(phi)})
-    return _outcome(alg, "Lemma-3.4", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _check_direct_sum_frattini(a: PoissonAlgebra, b: PoissonAlgebra,
-                               budget: LatticeBudget, limit: int) -> TheoremResult:
-    name = f"{a.name} (+) {b.name}"
+                               budget: LatticeBudget, limit: int) -> tuple:
     _require_finite(a)
     total = direct_sum(a, b)
     phi_sum = frattini(total, budget)[1]
@@ -491,13 +484,12 @@ def _check_direct_sum_frattini(a: PoissonAlgebra, b: PoissonAlgebra,
     rows += [tuple(zero_a) + tuple(r) for r in phi_b.rows()]
     expected = Subspace.from_vectors(f, total.dim, rows)
     if phi_sum == expected:
-        return TheoremResult("Thm-3.5", name, PASS, 1)
-    return TheoremResult("Thm-3.5", name, FAIL, 1,
-                         {"phi_of_sum": _fmt_space(phi_sum), "expected": _fmt_space(expected)})
+        return _outcome([], 1)
+    return _outcome([{"phi_of_sum": _fmt_space(phi_sum), "expected": _fmt_space(expected)}], 1)
 
 
 def _check_minimal_supplement(alg: PoissonAlgebra, budget: LatticeBudget,
-                              limit: int) -> TheoremResult:
+                              limit: int) -> tuple:
     _require_finite(alg)
     subalgebras = _subalgebra_configs(alg, budget)
     full = alg.full_space()
@@ -508,9 +500,7 @@ def _check_minimal_supplement(alg: PoissonAlgebra, budget: LatticeBudget,
         # dim(b + u) <= dim b + dim u, so the sum test only runs where it can pass
         supplements = [u for u in subalgebras
                        if b.dim + u.dim >= alg.dim and subspace_sum(b, u) == full]
-        for u in supplements:
-            if any(other.dim < u.dim and u.contains(other) for other in supplements):
-                continue  # not minimal
+        for u in _minimal_members(supplements):
             if exercised >= limit:
                 break
             exercised += 1
@@ -521,11 +511,11 @@ def _check_minimal_supplement(alg: PoissonAlgebra, budget: LatticeBudget,
                 failures.append({"ideal": _fmt_space(b), "supplement": _fmt_space(u),
                                  "intersection": _fmt_space(meet),
                                  "phi_of_supplement": _fmt_space(phi_u)})
-    return _outcome(alg, "Lemma-3.6", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _check_zero_ideal_splits(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> TheoremResult:
+                             limit: int) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     failures, exercised = [], 0
@@ -537,11 +527,11 @@ def _check_zero_ideal_splits(alg: PoissonAlgebra, budget: LatticeBudget,
         exercised += 1
         if splits_over(alg, b, budget) is None:
             failures.append({"zero_ideal": _fmt_space(b)})
-    return _outcome(alg, "Lemma-3.7", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget,
-                           limit: int) -> TheoremResult:
+                           limit: int) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     failures, exercised = [], 0
@@ -572,7 +562,7 @@ def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget,
                     failures.append({"subideal": _fmt_space(b), "ideal": _fmt_space(c),
                                      "clause": "supersolvable"})
                     break
-    return _outcome(alg, "Thm-4.2", failures, exercised)
+    return _outcome(failures, exercised)
 
 
 def _frattini_ideals_of(b_alg: PoissonAlgebra, embed, phi: Subspace,
@@ -592,45 +582,43 @@ def _frattini_ideals_of(b_alg: PoissonAlgebra, embed, phi: Subspace,
 
 
 def _check_phi_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
-                         limit: int) -> TheoremResult:
+                         limit: int) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     if lower_central_series(alg, phi).terminates:
-        return TheoremResult("Cor-4.3", alg.name, PASS, 1)
-    return TheoremResult("Cor-4.3", alg.name, FAIL, 1, {"phi": _fmt_space(phi)})
+        return _outcome([], 1)
+    return _outcome([{"phi": _fmt_space(phi)}], 1)
 
 
 def _check_phi_free_split(alg: PoissonAlgebra, budget: LatticeBudget,
-                          limit: int) -> TheoremResult:
+                          limit: int) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     zsoc = zero_socle(alg, budget)
     complement = splits_over(alg, zsoc, budget)
     if phi.is_zero() == (complement is not None):
-        return TheoremResult("Thm-4.5", alg.name, PASS, 1)
-    return TheoremResult("Thm-4.5", alg.name, FAIL, 1,
-                         {"phi": _fmt_space(phi), "zero_socle": _fmt_space(zsoc),
-                          "split_found": complement is not None})
+        return _outcome([], 1)
+    return _outcome([{"phi": _fmt_space(phi), "zero_socle": _fmt_space(zsoc),
+                      "split_found": complement is not None}], 1)
 
 
 def _check_phi_free_socle(alg: PoissonAlgebra, budget: LatticeBudget,
-                          limit: int) -> TheoremResult:
+                          limit: int) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     if not phi.is_zero():
-        return TheoremResult("Thm-4.6", alg.name, PASS, 0, detail="vacuous: not phi-free")
+        return _outcome([], 0, "vacuous: not phi-free")
     zsoc = zero_socle(alg, budget)
     nil = nilradical(alg, budget)
     ann = annihilator(alg, socle(alg, budget)).space
     if zsoc == nil == ann:
-        return TheoremResult("Thm-4.6", alg.name, PASS, 1)
-    return TheoremResult("Thm-4.6", alg.name, FAIL, 1,
-                         {"zero_socle": _fmt_space(zsoc), "nilradical": _fmt_space(nil),
-                          "annihilator_of_socle": _fmt_space(ann)})
+        return _outcome([], 1)
+    return _outcome([{"zero_socle": _fmt_space(zsoc), "nilradical": _fmt_space(nil),
+                      "annihilator_of_socle": _fmt_space(ann)}], 1)
 
 
 def _check_phi_free_shape(alg: PoissonAlgebra, budget: LatticeBudget,
-                          limit: int) -> TheoremResult:
+                          limit: int) -> tuple:
     if not alg.field.is_finite:
         return _check_phi_free_shape_q(alg)
     phi = frattini(alg, budget)[1]
@@ -641,34 +629,29 @@ def _check_phi_free_shape(alg: PoissonAlgebra, budget: LatticeBudget,
     rad_dot_sq = subspace_product_dot(alg, rad, rad)
     shape = (nil == zsoc) and (split is not None) and rad_dot_sq.is_zero()
     if phi.is_zero() == shape:
-        return TheoremResult("Thm-4.7", alg.name, PASS, 1)
-    return TheoremResult("Thm-4.7", alg.name, FAIL, 1,
-                         {"phi": _fmt_space(phi), "nilradical": _fmt_space(nil),
-                          "zero_socle": _fmt_space(zsoc),
-                          "split_found": split is not None,
-                          "radical_dot_square": _fmt_space(rad_dot_sq)})
+        return _outcome([], 1)
+    return _outcome([{"phi": _fmt_space(phi), "nilradical": _fmt_space(nil),
+                      "zero_socle": _fmt_space(zsoc), "split_found": split is not None,
+                      "radical_dot_square": _fmt_space(rad_dot_sq)}], 1)
 
 
-def _check_phi_free_shape_q(alg: PoissonAlgebra) -> TheoremResult:
+def _check_phi_free_shape_q(alg: PoissonAlgebra) -> tuple:
     """Characteristic-zero clause on explicitly supplied configurations: with
     a verified radical, complement and nilradical and a phi-free claim, the
     full square of (complement meet radical) must vanish.  The weaker
     dot-square variants are reported in the detail, not asserted."""
     if alg.meta_value("phi_free") is not True:
-        return TheoremResult("Thm-4.7", alg.name, NOT_APPLICABLE, 0,
-                             detail="needs phi_free metadata plus a verified complement over Q")
+        return _not_applicable("needs phi_free metadata plus a verified complement over Q")
     rad = _meta_subspace(alg, "radical")
     comp = _meta_subspace(alg, "complement")
     nil = _meta_subspace(alg, "nilradical")
     if rad is None or comp is None or nil is None or not verify_radical(alg, rad) \
             or not verify_nilradical(alg, nil):
-        return TheoremResult("Thm-4.7", alg.name, NOT_APPLICABLE, 0,
-                             detail="metadata configuration missing or unverifiable")
+        return _not_applicable("metadata configuration missing or unverifiable")
     if subalgebra_defect(alg, comp) is not None or \
             not subspace_intersect(comp, nil).is_zero() or \
             subspace_sum(comp, nil).dim != alg.dim:
-        return TheoremResult("Thm-4.7", alg.name, NOT_APPLICABLE, 0,
-                             detail="complement metadata is not a complementary subalgebra")
+        return _not_applicable("complement metadata is not a complementary subalgebra")
     meet = subspace_intersect(comp, rad)
     full_square = subspace_square(alg, meet)
     dot_square = subspace_product_dot(alg, meet, meet)
@@ -676,16 +659,15 @@ def _check_phi_free_shape_q(alg: PoissonAlgebra) -> TheoremResult:
     detail = (f"variants: (U meet R) dot-square zero: {dot_square.is_zero()}; "
               f"radical dot-square zero: {rad_dot_sq.is_zero()}")
     if full_square.is_zero():
-        return TheoremResult("Thm-4.7", alg.name, PASS, 1, detail=detail)
-    return TheoremResult("Thm-4.7", alg.name, FAIL, 1,
-                         {"meet": _fmt_space(meet), "square": _fmt_space(full_square)}, detail)
+        return _outcome([], 1, detail)
+    return _outcome([{"meet": _fmt_space(meet), "square": _fmt_space(full_square)}], 1, detail)
 
 
 def _check_solvable_phi_free(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> TheoremResult:
+                             limit: int) -> tuple:
     _require_finite(alg)
     if not is_solvable(alg):
-        return TheoremResult("Cor-4.8", alg.name, PASS, 0, detail="vacuous: not solvable")
+        return _outcome([], 0, "vacuous: not solvable")
     phi = frattini(alg, budget)[1]
     phi_l = frattini_lie(alg, budget)[1]
     dot_square = subspace_product_dot(alg, alg.full_space(), alg.full_space())
@@ -698,11 +680,11 @@ def _check_solvable_phi_free(alg: PoissonAlgebra, budget: LatticeBudget,
                              "phi_lie": _fmt_space(phi_l)})
     if dot_square.is_zero() and phi_l.is_zero() and not phi.is_zero():
         failures.append({"clause": "converse", "phi": _fmt_space(phi)})
-    return _outcome(alg, "Cor-4.8", failures, 1)
+    return _outcome(failures, 1)
 
 
 def _check_nilpotent_iff_phi_square(alg: PoissonAlgebra, budget: LatticeBudget,
-                                    limit: int) -> TheoremResult:
+                                    limit: int) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     square = subspace_square(alg, alg.full_space())
@@ -716,27 +698,23 @@ def _check_nilpotent_iff_phi_square(alg: PoissonAlgebra, budget: LatticeBudget,
             if not is_ideal(alg, m):
                 failures.append({"clause": "maximal not ideal", "maximal": _fmt_space(m)})
                 break
-    return _outcome(alg, "Thm-4.9", failures, 1)
+    return _outcome(failures, 1)
 
 
 def _check_all_maximal_ideals_lie(alg: PoissonAlgebra, budget: LatticeBudget,
-                                  limit: int) -> TheoremResult:
+                                  limit: int) -> tuple:
     _require_finite(alg)
     if not all(is_ideal(alg, m) for m in maximal_subalgebras(alg, budget)):
-        return TheoremResult("Lemma-4.10", alg.name, PASS, 0,
-                             detail="vacuous: some maximal subalgebra is not an ideal")
-    if is_lie_nilpotent(alg):
-        return TheoremResult("Lemma-4.10", alg.name, PASS, 1)
-    return TheoremResult("Lemma-4.10", alg.name, FAIL, 1, {})
+        return _outcome([], 0, "vacuous: some maximal subalgebra is not an ideal")
+    return _outcome([] if is_lie_nilpotent(alg) else [{}], 1)
 
 
 def _check_max_ideal_classification(alg: PoissonAlgebra, budget: LatticeBudget,
-                                    limit: int) -> TheoremResult:
+                                    limit: int) -> tuple:
     _require_finite(alg)
     classification = classify_max_ideal_property(alg, budget)
     if classification.kind != CLASS_FAILS:
-        return TheoremResult("Thm-4.11", alg.name, PASS, 1,
-                             detail=f"shape: {classification.kind}")
+        return _outcome([], 1, f"shape: {classification.kind}")
     # converse: with a non-ideal maximal subalgebra the algebra must be
     # neither nilpotent nor an idempotent line plus its nilradical
     failures = []
@@ -750,8 +728,7 @@ def _check_max_ideal_classification(alg: PoissonAlgebra, budget: LatticeBudget,
                 failures.append({"clause": "decomposition exists despite non-ideal maximal",
                                  "idempotent": _fmt_vec(alg.field, e)})
                 break
-    return _outcome(alg, "Thm-4.11", failures, 1,
-                    detail="shape: fails (converse direction exercised)")
+    return _outcome(failures, 1, "shape: fails (converse direction exercised)")
 
 
 # ---------------------------------------------------------------------------
@@ -842,20 +819,21 @@ _BY_ID = {check.id: check for check in REGISTRY}
 
 def _run_guarded(check: TheoremCheck, args: tuple, budget: LatticeBudget,
                  limit: int) -> TheoremResult:
-    names = " (+) ".join(a.name for a in args)
+    """Run the check and stamp its verdict with the check id and the algebra
+    names; the errors a check can meet become verdicts too."""
     try:
-        return check.runner(*args, budget, limit)
+        verdict = check.runner(*args, budget, limit)
     except BudgetExceededError as exc:
-        return TheoremResult(check.id, names, NOT_APPLICABLE, 0,
-                             detail=f"budget {exc.budget} exceeded: {exc.detail}")
+        verdict = _not_applicable(f"budget {exc.budget} exceeded: {exc.detail}")
     except FieldError as exc:
-        return TheoremResult(check.id, names, NOT_APPLICABLE, 0, detail=str(exc))
+        verdict = _not_applicable(str(exc))
     except SeriesConsistencyError as exc:
-        witness = {"error": "lower-central recursion mismatch", "step": exc.step,
-                   "full": _fmt_space(exc.full), "shortcut": _fmt_space(exc.shortcut)}
-        return TheoremResult(check.id, names, FAIL, 1, witness)
+        verdict = _outcome([{"error": "lower-central recursion mismatch", "step": exc.step,
+                             "full": _fmt_space(exc.full),
+                             "shortcut": _fmt_space(exc.shortcut)}], 1)
     except (StructureInconsistencyError, EngelClosureError) as exc:
-        return TheoremResult(check.id, names, FAIL, 1, {"error": str(exc)})
+        verdict = _outcome([{"error": str(exc)}], 1)
+    return TheoremResult(check.id, " (+) ".join(a.name for a in args), *verdict)
 
 
 def check_one(theorem_id: str, algebras, budget: LatticeBudget = DEFAULT_BUDGET,
@@ -891,7 +869,7 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
     corpus = _uniquely_named(corpus)
     tasks = []
     for check in REGISTRY:
-        if theorem_filter and theorem_filter != check.id:
+        if theorem_filter is not None and theorem_filter != check.id:
             continue
         if check.scope == "per-algebra":
             for alg in corpus:
@@ -923,7 +901,7 @@ def check_suite_request(theorem_filter: str | None, jobs: int) -> None:
     naming no registered check.  ``run_suite`` checks both first; ``palg
     check`` checks them before it reads the corpus, so a typo fails fast."""
     _check_limit("jobs", jobs, least=1)
-    if theorem_filter and theorem_filter not in _BY_ID:
+    if theorem_filter is not None and theorem_filter not in _BY_ID:
         raise ValueError(f"unknown check {theorem_filter!r}; palg check --list names them")
 
 
@@ -944,15 +922,23 @@ def _diagonal_pairs(items: Sequence):
 
 
 def _uniquely_named(corpus: Sequence[PoissonAlgebra]) -> list:
-    seen: dict = {}
+    """The corpus with each repeat of a name renamed "name#k" ("unnamed#k"
+    for the empty name): k counts up from the name's last suffix, past every
+    name the corpus gives or this renaming has assigned.  A name used once
+    is kept."""
+    taken = {alg.name for alg in corpus}
+    last: dict = {}
     out = []
     for alg in corpus:
-        name = alg.name or "unnamed"
-        if name in seen:
-            seen[name] += 1
-            alg = alg.with_name(f"{name}#{seen[name]}")
+        if alg.name in last:
+            base, k = alg.name or "unnamed", last[alg.name] + 1
+            while f"{base}#{k}" in taken:
+                k += 1
+            last[alg.name] = k
+            taken.add(f"{base}#{k}")
+            alg = alg.with_name(f"{base}#{k}")
         else:
-            seen[name] = 0
+            last[alg.name] = 0
         out.append(alg)
     return out
 

@@ -161,7 +161,8 @@ def test_check_unknown_theorem_is_a_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flags,message", [(("--theorem", "Bogus"), "unknown check 'Bogus'"),
-                                           (("--jobs", "0"), "jobs")])
+                                           (("--jobs", "0"), "jobs"),
+                                           (("--theorem", ""), "unknown check ''")])
 def test_check_rejects_bad_flags_before_reading_members(capsys, tmp_path, flags, message):
     # the member does not exist, so reading it first would fail differently
     manifest = tmp_path / "manifest.json"

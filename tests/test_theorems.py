@@ -105,7 +105,7 @@ def test_run_suite_rejects_bad_limits(param, bad):
         run_suite([two_dim_nonabelian(GF3)], theorem_filter="Thm-3.5", **{param: bad})
 
 
-@pytest.mark.parametrize("bad", ["Bogus", "prop-2.4", "Prop-2.4 "])
+@pytest.mark.parametrize("bad", ["Bogus", "prop-2.4", "Prop-2.4 ", ""])
 def test_run_suite_rejects_an_unknown_check_id(bad):
     # an unknown id used to filter every check out and return no results
     with pytest.raises(ValueError, match=repr(bad)):
@@ -270,6 +270,14 @@ def test_duplicate_names_are_disambiguated():
     corpus = [zero_algebra(GF2, 1), zero_algebra(GF2, 1)]
     results = run_suite(corpus, theorem_filter="Prop-2.4")
     assert len({r.algebra for r in results}) == 2
+
+
+def test_generated_names_avoid_the_given_ones():
+    # ["a", "a", "a#1"] used to come out as ["a", "a#1", "a#1"]
+    names = ("a", "a", "a#1", "a", "", "", "unnamed")
+    corpus = [zero_algebra(GF2, 1).with_name(name) for name in names]
+    results = run_suite(corpus, theorem_filter="Prop-2.4")
+    assert [r.algebra for r in results] == ["a", "a#2", "a#1", "a#3", "", "unnamed#1", "unnamed"]
 
 
 # ---------------------------------------------------------------------------
