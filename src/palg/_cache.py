@@ -15,10 +15,12 @@ one entry.  Inside the entry each result sits under its own key:
   under a name alone, because they never read a budget;
 * the subspace products and closure witnesses (``algebra``) store under
   ``("dot", u, v)``, ``("bracket", u, v)``, ``("subalgebra_defect", u)``
-  and ``("ideal_defect", u)``, and the Engel-Lie space of an element
-  (``engel``) under ``("engel_lie", a)`` with ``a`` as field scalars.  They
-  read the tensors and their arguments and nothing else: no budget, no
-  enumeration, no way to raise on a budget, so no budget goes in the key.
+  and ``("ideal_defect", u)``, the Engel and eigenvalue-part spaces
+  (``engel``) under ``("engel_assoc" | "engel_lie" | "s_space", a)``, ``a``
+  a projective point.  They read the tensors and their arguments only: no
+  budget, no enumeration, no way to raise on one, so no budget in the key;
+* the table of basis products (``algebra._products``) is the tensors in
+  another form, not a result, so it sits in the entry's ``products`` slot.
 
 One entry per tensor, not one per (tensor, budget), keeps the series
 verdicts from competing with the lattice profiles for the ``maxsize`` slots.
@@ -52,9 +54,9 @@ _STASH = "_cache_entry"  # the algebra attribute holding the weak reference
 
 class _Entry(dict):
     """The results cached for one tensor pair; a dict that can be referred
-    to weakly."""
+    to weakly, with the tensors' table of basis products beside its keys."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "products")
 
 
 @lru_cache(maxsize=256)

@@ -18,11 +18,12 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from ._cache import memo, memo_space
+from ._cache import _entry, memo, memo_space
 from .fields import FieldSpec
 from .linalg import (
     Matrix,
     Subspace,
+    _matrix,
     basis_vector,
     kernel,
     rref,  # unused here; kept because perfbench/test_tracer.py asserts this binding
@@ -152,28 +153,26 @@ class PoissonAlgebra:
     # -- multiplication --------------------------------------------------------
 
     def mul_dot(self, x: Sequence, y: Sequence) -> tuple:
-        return self._mul(self.dot_tensor, x, y)
+        return self._mul(_products(self)[0], x, y)
 
     def mul_bracket(self, x: Sequence, y: Sequence) -> tuple:
-        return self._mul(self.bracket_tensor, x, y)
+        return self._mul(_products(self)[1], x, y)
 
-    def _mul(self, tensor: tuple, x: Sequence, y: Sequence) -> tuple:
-        # Raw scalars: over GF(p) the coordinates accumulate as Python ints
-        # and are reduced once at the end, over Q they are Fractions from
-        # the start.  Indexing the tensor keeps the IndexError for a vector
-        # longer than the algebra.
+    def _mul(self, rows: list, x: Sequence, y: Sequence) -> tuple:
+        # rows is one tensor of _products.  Raw scalars: over GF(p) the
+        # coordinates accumulate as Python ints and are reduced once at the
+        # end, over Q they are Fractions from the start.  Indexing the rows
+        # keeps the IndexError for a vector longer than the algebra.
         p = self.field.modulus
         out = [0 if p else self.field.zero()] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            ti = tensor[i]
+            ri = rows[i]
             for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                for k, c in enumerate(ti[j]):
-                    if c:
+                if yj:
+                    coeff = xi * yj
+                    for k, c in ri[j]:
                         out[k] += coeff * c
         if p:
             return tuple([a % p for a in out])
@@ -183,11 +182,11 @@ class PoissonAlgebra:
 
     def p_operator(self, a: Sequence) -> Matrix:
         """Matrix of y -> a . y in the standard basis."""
-        return _operator(self, lambda y: self.mul_dot(a, y))
+        return _contraction(self, _products(self)[0], a, left=True)
 
     def q_operator(self, a: Sequence) -> Matrix:
         """Matrix of y -> [a, y] in the standard basis."""
-        return _operator(self, lambda y: self.mul_bracket(a, y))
+        return _contraction(self, _products(self)[1], a, left=True)
 
     # -- ambient spaces ----------------------------------------------------------
 
@@ -199,6 +198,31 @@ class PoissonAlgebra:
 
     def tensors(self) -> DialgebraTensors:
         return DialgebraTensors(self.field, self.dim, self.dot_tensor, self.bracket_tensor)
+
+
+def _products(alg: PoissonAlgebra) -> tuple:
+    """The dot and bracket tensors with each basis product e_i e_j, rows[i][j],
+    listed as its nonzero (k, c) entries on the raw scalars; built on the
+    first product and kept with the cache entry, so loops fetch it once."""
+    entry = _entry(alg)
+    if not hasattr(entry, "products"):
+        entry.products = tuple([[[(k, c) for k, c in enumerate(line) if c] for line in plane]
+                                for plane in t] for t in (alg.dot_tensor, alg.bracket_tensor))
+    return entry.products
+
+
+def _contraction(alg: PoissonAlgebra, rows: list, a: Sequence, left: bool) -> Matrix:
+    """Matrix of x -> a x (left) or x -> x a on one tensor of _products: entry
+    (k, j) is sum_i a_i T[i][j][k] (or T[j][i][k]), reduced once per entry."""
+    n, p = alg.dim, alg.field.modulus
+    m = [[0 if p else alg.field.zero()] * n for _ in range(n)]
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(n):
+                for k, c in rows[i][j] if left else rows[j][i]:
+                    m[k][j] += ai * c
+    entries = tuple([tuple([x % p for x in row]) for row in m] if p else map(tuple, m))
+    return _matrix(alg.field, n, n, entries)
 
 
 def _operator(alg: PoissonAlgebra, linear_map: Callable) -> Matrix:
@@ -363,7 +387,8 @@ def subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subsp
 
 
 def _subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    prods = [alg.mul_dot(a, b) for a in u.rows() for b in v.rows()]
+    rows = _products(alg)[0]
+    prods = [alg._mul(rows, a, b) for a in u.rows() for b in v.rows()]
     return Subspace.span(alg.field, alg.dim, prods)
 
 
@@ -374,7 +399,8 @@ def subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> S
 
 
 def _subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    prods = [alg.mul_bracket(a, b) for a in u.rows() for b in v.rows()]
+    rows = _products(alg)[1]
+    prods = [alg._mul(rows, a, b) for a in u.rows() for b in v.rows()]
     return Subspace.span(alg.field, alg.dim, prods)
 
 
@@ -389,14 +415,19 @@ def subalgebra_defect(alg: PoissonAlgebra, u: Subspace):
 
 
 def _subalgebra_defect(alg: PoissonAlgebra, u: Subspace):
+    return _defect(alg, u, u.rows())
+
+
+def _defect(alg: PoissonAlgebra, u: Subspace, others: Sequence):
+    """The first (a, b, kind, product) with a in u's basis and b in others
+    whose dot or bracket leaves u, or None."""
+    kinds = tuple(zip(("dot", "bracket"), _products(alg)))
     for a in u.rows():
-        for b in u.rows():
-            p = alg.mul_dot(a, b)
-            if not u.contains_vector(p):
-                return (a, b, "dot", p)
-            p = alg.mul_bracket(a, b)
-            if not u.contains_vector(p):
-                return (a, b, "bracket", p)
+        for b in others:
+            for kind, rows in kinds:
+                p = alg._mul(rows, a, b)
+                if not u.contains_vector(p):
+                    return (a, b, kind, p)
     return None
 
 
@@ -412,16 +443,7 @@ def ideal_defect(alg: PoissonAlgebra, u: Subspace):
 
 
 def _ideal_defect(alg: PoissonAlgebra, u: Subspace):
-    for a in u.rows():
-        for i in range(alg.dim):
-            b = alg.basis_element(i)
-            p = alg.mul_dot(a, b)
-            if not u.contains_vector(p):
-                return (a, b, "dot", p)
-            p = alg.mul_bracket(a, b)
-            if not u.contains_vector(p):
-                return (a, b, "bracket", p)
-    return None
+    return _defect(alg, u, [alg.basis_element(i) for i in range(alg.dim)])
 
 
 def is_ideal(alg: PoissonAlgebra, u: Subspace) -> bool:
@@ -473,13 +495,14 @@ def _close(alg: PoissonAlgebra, seed: Subspace, against: Subspace | None = None)
     """
     space = seed
     frontier = list(seed.rows())
+    dot, bracket = _products(alg)
     while frontier:
         others = (space if against is None else against).rows()
         prods = list(space.rows())
         for a in frontier:
             for b in others:
-                prods.append(alg.mul_dot(a, b))
-                prods.append(alg.mul_bracket(a, b))
+                prods.append(alg._mul(dot, a, b))
+                prods.append(alg._mul(bracket, a, b))
         bigger = Subspace.span(alg.field, alg.dim, prods)
         frontier = [r for r in bigger.rows() if not space.contains_vector(r)]
         space = bigger
@@ -532,12 +555,12 @@ def quotient(alg: PoissonAlgebra, ideal: Subspace) -> tuple:
 
 def project_subspace(data: QuotientData, u: Subspace) -> Subspace:
     rows = [data.projection.mat_vec(r) for r in u.rows()]
-    return Subspace.from_vectors(data.algebra.field, data.algebra.dim, rows)
+    return Subspace.span(data.algebra.field, data.algebra.dim, rows)
 
 
 def preimage_subspace(data: QuotientData, w: Subspace) -> Subspace:
     rows = list(data.ideal.rows()) + [data.lift.mat_vec(r) for r in w.rows()]
-    return Subspace.from_vectors(data.ideal.field, data.ideal.ambient_dim, rows)
+    return Subspace.span(data.ideal.field, data.ideal.ambient_dim, rows)
 
 
 def subalgebra_algebra(alg: PoissonAlgebra, u: Subspace) -> tuple:
@@ -561,15 +584,15 @@ def _induced(alg: PoissonAlgebra, vectors: Sequence, coords: Callable,
     """The structure on the given vectors: entry [a][b] of each tensor is
     coords of the product of vectors a and b, so coords must read an
     ambient vector in the new basis."""
-    dot = tuple(tuple(coords(alg.mul_dot(x, y)) for y in vectors) for x in vectors)
-    bracket = tuple(tuple(coords(alg.mul_bracket(x, y)) for y in vectors) for x in vectors)
+    dot, bracket = (tuple(tuple(coords(alg._mul(rows, x, y)) for y in vectors) for x in vectors)
+                    for rows in _products(alg))
     return PoissonAlgebra(alg.field, len(vectors), dot, bracket, name=name)
 
 
 def embed_subspace(embed: Matrix, w: Subspace) -> Subspace:
     """Push a subspace of the restricted algebra back into ambient coordinates."""
     rows = [embed.mat_vec(r) for r in w.rows()]
-    return Subspace.from_vectors(embed.field, embed.nrows, rows)
+    return Subspace.span(embed.field, embed.nrows, rows)
 
 
 def direct_sum(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:
@@ -614,12 +637,12 @@ def summand_embeddings(a: PoissonAlgebra, b: PoissonAlgebra) -> tuple:
 
 def _left_dot_matrix(alg: PoissonAlgebra, b) -> Matrix:
     """Matrix of x -> x . b."""
-    return _operator(alg, lambda x: alg.mul_dot(x, b))
+    return _contraction(alg, _products(alg)[0], b, left=False)
 
 
 def _left_bracket_matrix(alg: PoissonAlgebra, b) -> Matrix:
     """Matrix of x -> [x, b]."""
-    return _operator(alg, lambda x: alg.mul_bracket(x, b))
+    return _contraction(alg, _products(alg)[1], b, left=False)
 
 
 def annihilator(alg: PoissonAlgebra, b: Subspace) -> AlgebraSubspace:

@@ -6,6 +6,15 @@ of left dot multiplication P_a and left bracket multiplication Q_a.  The
 split pair collects the generalized eigenspaces of Q_a for eigenvalues lying
 in the ground field (kernel of f(Q_a) where f gathers those eigenvalues with
 their multiplicities) together with the complementary stable image.
+
+Over GF(p) the split is the Fitting decomposition of M = Q_a^p - Q_a: the
+eigenvalue part is ker M^n and the rest im M^n (n = dim).  Proof: t^p - t
+is the product of t - lambda over all lambda in GF(p), so over an algebraic
+closure M acts on each generalized eigenspace V_mu of Q_a with the single
+eigenvalue mu^p - mu, zero iff mu lies in GF(p).  Hence ker M^n is the sum
+of the V_mu with mu in the field, which is ker f(Q_a), and im M^n the sum of
+the others, which is im f(Q_a).  Over Q the characteristic polynomial stays
+(Berkowitz, then rational roots); it is the tests' oracle for GF(p) too.
 """
 
 from __future__ import annotations
@@ -61,16 +70,26 @@ class SplitPair:
     k_part: Subspace
 
 
+def _per_point(alg: PoissonAlgebra, key: str, a, compute) -> Subspace:
+    """compute(point) cached under (key, point), point = a scaled to first
+    nonzero coordinate 1.  Exact: for lambda != 0, P_{lambda a} = lambda P_a,
+    Q_{lambda a} = lambda Q_a and (lambda Q)^p - lambda Q = lambda (Q^p - Q)
+    keep their generalized eigenspaces, and lambda mu is in the field iff mu is."""
+    f = alg.field
+    a = tuple(map(f.coerce, a))
+    lead = next((c for c in a if c), 1)
+    point = a if lead == 1 else vec_scale(f, f.inv(lead), a)
+    return memo_space(alg, (key, point), lambda: compute(point))
+
+
 def engel_assoc_space(alg: PoissonAlgebra, a) -> Subspace:
-    """Generalized null space of P_a, computed as ker(P_a^dim)."""
-    return fitting_null(alg.p_operator(a))
+    """Generalized null space of P_a, cached per projective point."""
+    return _per_point(alg, "engel_assoc", a, lambda b: fitting_null(alg.p_operator(b)))
 
 
 def engel_lie_space(alg: PoissonAlgebra, a) -> Subspace:
-    """Generalized null space of Q_a; cached per tensor and element, the
-    computation itself is _engel_lie_space."""
-    a = tuple(map(alg.field.coerce, a))
-    return memo_space(alg, ("engel_lie", a), lambda: _engel_lie_space(alg, a))
+    """Generalized null space of Q_a, cached per projective point."""
+    return _per_point(alg, "engel_lie", a, lambda b: _engel_lie_space(alg, b))
 
 
 def _engel_lie_space(alg: PoissonAlgebra, a) -> Subspace:
@@ -91,8 +110,10 @@ def engel(alg: PoissonAlgebra, a) -> EngelPair:
 
 def split_polynomial(alg: PoissonAlgebra, a) -> tuple:
     """f(t) = prod (t - lambda)^mult over the eigenvalues of Q_a in the field."""
-    f = alg.field
-    q = alg.q_operator(a)
+    return _split_polynomial(alg.field, alg.q_operator(a))
+
+
+def _split_polynomial(f, q: Matrix) -> tuple:
     poly = (f.one(),)
     for value, mult in roots_in_field(f, char_poly(q)):
         factor = (f.one(), f.neg(value))
@@ -101,14 +122,22 @@ def split_polynomial(alg: PoissonAlgebra, a) -> tuple:
     return poly
 
 
+def _split_matrix(alg: PoissonAlgebra, q: Matrix) -> Matrix:
+    """(q^p - q)^n over GF(p), f(q) over Q: kernel s_space, image k_space."""
+    f = alg.field
+    if f.is_finite:
+        return q.pow(f.modulus).sub(q).pow(alg.dim)
+    return poly_eval_matrix(_split_polynomial(f, q), q)
+
+
 def s_space(alg: PoissonAlgebra, a) -> Subspace:
-    """Kernel of f(Q_a): the sum of generalized eigenspaces over the field."""
-    return kernel(poly_eval_matrix(split_polynomial(alg, a), alg.q_operator(a)))
+    """Kernel of f(Q_a), the field's generalized eigenspaces; cached per point."""
+    return _per_point(alg, "s_space", a, lambda b: kernel(_split_matrix(alg, alg.q_operator(b))))
 
 
 def k_space(alg: PoissonAlgebra, a) -> Subspace:
     """Image of f(Q_a): the complementary Q_a-stable subspace."""
-    return image(poly_eval_matrix(split_polynomial(alg, a), alg.q_operator(a)))
+    return image(_split_matrix(alg, alg.q_operator(a)))
 
 
 def s_k_split(alg: PoissonAlgebra, a) -> SplitPair:
@@ -117,9 +146,9 @@ def s_k_split(alg: PoissonAlgebra, a) -> SplitPair:
     Checks that the two pieces are complementary, both stable under Q_a,
     and that the eigenvalue part closes under both multiplications.
     """
-    s = s_space(alg, a)
-    k = k_space(alg, a)
     q = alg.q_operator(a)
+    split = _split_matrix(alg, q)
+    s, k = kernel(split), image(split)
     if not subspace_intersect(s, k).is_zero() or s.dim + k.dim != alg.dim:
         raise EngelClosureError("eigenvalue split", (s, k))
     for space in (s, k):

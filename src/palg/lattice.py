@@ -49,6 +49,7 @@ from .algebra import (
     _left_bracket_matrix,
     _left_dot_matrix,
     _preimage_condition,
+    _products,
 )
 from .fields import FieldError, FieldSpec
 from .linalg import (
@@ -322,13 +323,13 @@ def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
     bit[alg.zero_element()] = 0
     everywhere = (1 << width) - 1  # complements are taken in it: a negative int is slower
 
-    def products(mul) -> _Table:
+    def products(rows) -> _Table:
         def fill(key: int) -> int:
             a, b = divmod(key, width)
-            return bit[mul(lines[a], lines[b])]
+            return bit[alg._mul(rows, lines[a], lines[b])]
         return _Table(fill)
 
-    dot, bracket = products(alg.mul_dot), products(alg.mul_bracket)
+    dot, bracket = map(products, _products(alg))
     basis = [point[e] for e in map(alg.basis_element, range(alg.dim))]
 
     def ideal_bits(a: int) -> int:

@@ -5,19 +5,20 @@ a :class:`Subspace` is identified with its reduced-row-echelon basis, so two
 subspaces are equal iff their basis matrices are identical.  That canonical
 form is what makes series stabilisation and lattice deduplication exact.
 
-The hot loops (``Matrix.matmul``, ``rref``, ``Subspace.reduce_vector``) work
-on the raw scalars instead of calling the ``FieldSpec`` methods per term:
-over GF(p) they compute with Python ints, over Q they apply the ``Fraction``
-operators directly.  ``matmul`` sums a whole dot product before its one
-``% p``; the eliminations reduce each entry as they update it, because they
-test entries for zero as they go.  The generic ``FieldSpec`` bodies they
-replace are kept as the reference in the tests.
+The ``Matrix`` arithmetic, ``rref`` and ``Subspace.reduce_vector`` work on
+the raw scalars instead of calling the ``FieldSpec`` methods per term: over
+GF(p) they compute with Python ints, over Q they apply the ``Fraction``
+operators directly.  ``matmul`` and ``mat_vec`` sum a whole dot product, the
+entrywise operations form each entry, before its one ``% p``; the
+eliminations reduce each entry as they update it, because they test entries
+for zero as they go.  The generic ``FieldSpec`` bodies are the tests' oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -121,21 +122,21 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        return self._entrywise(operator.add, other)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        return self._entrywise(operator.sub, other)
 
     def scale(self, c: Scalar) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(tuple(f.mul(c, a) for a in row) for row in self.entries))
+        return self._entrywise(lambda a, _: c * a, self)
+
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        p = self.field.modulus
+        rows = [list(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)]
+        entries = tuple([tuple([x % p for x in row]) for row in rows] if p else map(tuple, rows))
+        return _matrix(self.field, self.nrows, self.ncols, entries)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -156,29 +157,23 @@ class Matrix:
     def mat_vec(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = f.zero()
-            for a, b in zip(row, v):
-                if a != 0 and b != 0:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        p = self.field.modulus
+        if p:
+            return tuple([sum(map(mul, row, v)) % p for row in self.entries])
+        zero = self.field.zero()
+        return tuple([sum((a * b for a, b in zip(row, v) if a and b), zero)
+                      for row in self.entries])
 
     def pow(self, k: int) -> "Matrix":
         if not self.is_square:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError(f"negative matrix power {k}")
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while k > 0:
-            if k & 1:
-                result = result.matmul(base)
-            base = base.matmul(base)
-            k >>= 1
-        return result
+        if k <= 1:
+            return self if k else Matrix.identity(self.field, self.nrows)
+        half = self.pow(k >> 1)
+        square = half.matmul(half)
+        return square.matmul(self) if k & 1 else square
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(row) for row in self.entries)

@@ -922,12 +922,12 @@ def _diagonal_pairs(items: Sequence):
 
 
 def _uniquely_named(corpus: Sequence[PoissonAlgebra]) -> list:
-    """The corpus with each repeat of a name renamed "name#k" ("unnamed#k"
-    for the empty name): k counts up from the name's last suffix, past every
-    name the corpus gives or this renaming has assigned.  A name used once
-    is kept."""
+    """The corpus with each repeat of a name renamed "name#k", and every
+    nameless algebra "unnamed#k" once the empty name repeats: k counts up
+    from the name's last suffix, past every name the corpus gives or this
+    renaming has assigned.  A name used once is kept."""
     taken = {alg.name for alg in corpus}
-    last: dict = {}
+    last: dict = {"": 0} if sum(not alg.name for alg in corpus) > 1 else {}
     out = []
     for alg in corpus:
         if alg.name in last:

@@ -39,7 +39,8 @@ from palg.corpus import (
     zero_algebra,
 )
 from palg.fields import FieldSpec
-from palg.lattice import BudgetExceededError
+from palg import algebra
+from palg.lattice import BudgetExceededError, lattice_profile
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
@@ -160,6 +161,25 @@ def _assert_round_trips(alg):
     assert back.dot_tensor == alg.dot_tensor and back.bracket_tensor == alg.bracket_tensor
     assert back.labels() == alg.labels() and back.meta == alg.meta
     assert serialize_document(back) == text
+
+
+def test_enumerate_validate_and_the_format_multiply_nothing(monkeypatch):
+    # palg enumerate validates from the sparse axiom scan and writes and
+    # reads documents: no product, no operator and no per-tensor cache
+    # entry, so no table of basis products (it lives in the entry) and no
+    # speed-up of the checks charged to it
+    calls = []
+    original = algebra.PoissonAlgebra._mul
+    monkeypatch.setattr(algebra.PoissonAlgebra, "_mul",
+                        lambda *args: calls.append(args) or original(*args))
+    lattice_profile.cache_clear()
+    algebras = enumerate_poisson_structures(2, 3)
+    assert len(algebras) == 113
+    for alg in algebras:
+        _assert_round_trips(alg)
+    assert calls == []
+    info = lattice_profile.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
 
 
 @pytest.mark.parametrize("source", ["enumerate-2-2", "enumerate-2-3", "enumerate-2-5",

@@ -1,8 +1,13 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from palg import _cache
 from palg.corpus import (
+    curated_corpus,
+    enumerate_poisson_structures,
     fe_plus_nilpotent_line,
     heisenberg_zero_dot,
     idempotent_line,
@@ -15,12 +20,25 @@ from palg.engel import (
     check_pa_bracket_identity,
     check_qa_derivation_power,
     engel,
+    engel_assoc_space,
+    engel_lie_space,
     fitting_split_holds,
+    k_space,
     s_k_split,
+    s_space,
     split_polynomial,
 )
 from palg.fields import FieldSpec
-from palg.linalg import Subspace, char_poly, fitting_null, image, vec_is_zero
+from palg.linalg import (
+    Subspace,
+    char_poly,
+    fitting_null,
+    image,
+    kernel,
+    poly_eval_matrix,
+    vec_is_zero,
+    vec_scale,
+)
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
@@ -120,6 +138,97 @@ def test_split_over_gf5_with_spread_spectrum():
                        basis_labels=("a", "u", "v"))
     pair = s_k_split(alg, alg.basis_element(0))
     assert pair.s_part.space.is_full() and pair.k_part.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the GF(p) route and the per-point cache
+# ---------------------------------------------------------------------------
+
+FINITE_SOURCES = {
+    "exhaustive-2-2": lambda: enumerate_poisson_structures(2, 2),
+    "exhaustive-2-3": lambda: enumerate_poisson_structures(2, 3),
+    "exhaustive-2-5": lambda: enumerate_poisson_structures(2, 5),
+    "curated-finite": lambda: [a for a in curated_corpus() if a.field.is_finite],
+    # the operator identity holds for any tensors, valid or not
+    "negative-controls": lambda: [xyz_algebra(f, allow_invalid=True) for f in (GF3, GF5)],
+}
+
+
+def _char_poly_split(alg, a):
+    """Kernel and image of f(Q_a), f from the characteristic polynomial: the
+    route Q keeps, and the oracle for the GF(p) one."""
+    m = poly_eval_matrix(split_polynomial(alg, a), alg.q_operator(a))
+    return kernel(m), image(m)
+
+
+def _uncached_spaces(alg, a):
+    """The three per-point spaces of a from their definitions: the Fitting
+    null spaces of P_a and Q_a, and the characteristic-polynomial split."""
+    return (fitting_null(alg.p_operator(a)), fitting_null(alg.q_operator(a)),
+            _char_poly_split(alg, a)[0])
+
+
+@pytest.mark.parametrize("source", FINITE_SOURCES)
+def test_gf_p_split_matches_the_characteristic_polynomial(source):
+    algebras = FINITE_SOURCES[source]()
+    assert algebras
+    for alg in algebras:
+        for a in itertools.product(alg.field.elements(), repeat=alg.dim):
+            s, k = _char_poly_split(alg, a)
+            assert (s_space(alg, a), k_space(alg, a)) == (s, k), (alg.name, a)
+
+
+@pytest.mark.parametrize("alg", [a for a in curated_corpus() if a.field.is_finite],
+                         ids=lambda a: a.name)
+def test_split_pair_matches_the_characteristic_polynomial(alg):
+    for a in itertools.product(alg.field.elements(), repeat=alg.dim):
+        pair = s_k_split(alg, a)
+        assert (pair.s_part.space, pair.k_part) == _char_poly_split(alg, a)
+
+
+def _rational_elements(alg):
+    f, n = alg.field, alg.dim
+    unit = [alg.basis_element(i) for i in range(n)]
+    skew = [tuple(f.coerce(c) for c in (1, -1, Fraction(1, 2), 2, 3)[:n]),
+            tuple(f.coerce(c) for c in (0, 3, 0, -1, 1)[:n])]
+    return [alg.zero_element()] + unit + skew
+
+
+SCALING = ([a for a in curated_corpus() if a.dim <= 3]
+           + [two_dim_nonabelian(GF5), fe_plus_nilpotent_line(GF5)]
+           + [xyz_algebra(f, allow_invalid=True) for f in (GF3, Q)])
+
+
+@pytest.mark.parametrize("alg", SCALING, ids=lambda a: a.name)
+def test_spaces_of_a_multiple_are_those_of_the_element(alg):
+    # P_{la} = l P_a and Q_{la} = l Q_a, so the spaces agree on a and every
+    # nonzero multiple, invalid tensors included, and the cache serves every
+    # multiple from one entry
+    f = alg.field
+    if f.is_finite:
+        elements = list(itertools.product(f.elements(), repeat=alg.dim))
+        multiples = list(f.elements())[1:]
+    else:
+        elements = _rational_elements(alg)
+        multiples = [f.coerce(c) for c in (-1, 2, Fraction(-1, 3), Fraction(7, 2))]
+    cached = (engel_assoc_space, engel_lie_space, s_space)
+    for a in elements:
+        spaces = _uncached_spaces(alg, a)
+        assert tuple(space(alg, a) for space in cached) == spaces, a
+        for lam in multiples:
+            la = vec_scale(f, lam, a)
+            assert _uncached_spaces(alg, la) == spaces, (a, lam)
+            assert all(space(alg, la) is space(alg, a) for space in cached)
+
+
+def test_per_point_keys_are_the_normalised_elements():
+    alg = two_dim_nonabelian(GF5)
+    entry = _cache._structure(alg.field, alg.dot_tensor, alg.bracket_tensor)
+    for a in ((3, 1), (1, 2), (2, 4), (0, 3), (0, 0)):
+        engel_assoc_space(alg, a)
+        s_space(alg, a)
+    for key in ("engel_assoc", "s_space"):
+        assert sorted(k[1] for k in entry if k[0] == key) == [(0, 0), (0, 1), (1, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The raw-scalar kernel against the generic FieldSpec arithmetic.
 
-``PoissonAlgebra._mul``, ``Matrix.matmul``, ``rref`` and
+``PoissonAlgebra._mul`` on the sparse table of basis products, the operator
+matrices read off the tensors, the ``Matrix`` arithmetic, ``rref`` and
 ``Subspace.reduce_vector`` compute on the raw scalars: Python ints reduced
 ``% p`` once per coordinate over GF(p), ``Fraction`` operators over Q.  The
 ``ref_*`` functions below are their bodies written with the ``FieldSpec``
-methods, one call per term; every fast path must give the same scalars, of
-the same types, and never a float.  ``Subspace.span`` must give the subspace
+methods, one call per term, and the operators' reference is the matrix of
+basis images (``algebra._operator``) of the generic product; every fast path
+must give the same scalars, of the same types, and never a float.  ``Subspace.span`` must give the subspace
 ``from_vectors`` gives, with a basis the checked constructor accepts, and
 ``find_axiom_violation``'s table of basis products must report what
 evaluating every residual from scratch reports, whatever representatives
@@ -14,6 +16,7 @@ the tensor's scalars are written in.
 
 import collections
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,9 @@ from hypothesis import given, strategies as st
 
 from palg.algebra import (
     PoissonAlgebra,
+    _left_bracket_matrix,
+    _left_dot_matrix,
+    _operator,
     direct_sum,
     evaluate_axiom,
     find_axiom_violation,
@@ -83,6 +89,33 @@ def ref_matmul(a, b):
             out.append(acc)
         rows.append(tuple(out))
     return tuple(rows)
+
+
+def ref_entrywise(a, b, op):
+    return tuple(tuple(op(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries))
+
+
+def ref_scale(c, a):
+    return tuple(tuple(a.field.mul(c, x) for x in row) for row in a.entries)
+
+
+def ref_mat_vec(m, v):
+    f = m.field
+    out = []
+    for row in m.entries:
+        acc = f.zero()
+        for x, y in zip(row, v):
+            if x != 0 and y != 0:
+                acc = f.add(acc, f.mul(x, y))
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_pow(m, k):
+    entries = Matrix.identity(m.field, m.nrows).entries
+    for _ in range(k):
+        entries = ref_matmul(Matrix(m.field, m.nrows, m.ncols, entries), m)
+    return entries
 
 
 def ref_rref(m):
@@ -288,6 +321,45 @@ def test_matmul_matches_the_fieldspec_body(field, data):
     fast = a.matmul(b)
     assert (fast.nrows, fast.ncols) == (r, c)
     assert typed(fast.entries) == typed(ref_matmul(a, b))
+    assert_reduced(field, fast.entries)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_entrywise_arithmetic_and_mat_vec_match_the_fieldspec_bodies(field, data):
+    r, c = data.draw(DIMS), data.draw(DIMS)
+    a, b = (Matrix(field, r, c, data.draw(grids(field, r, c))) for _ in range(2))
+    scalar, v = data.draw(scalars(field)), data.draw(vectors(field, c))
+    for fast, reference in ((a.add(b), ref_entrywise(a, b, field.add)),
+                            (a.sub(b), ref_entrywise(a, b, field.sub)),
+                            (a.scale(scalar), ref_scale(scalar, a))):
+        assert (fast.nrows, fast.ncols) == (r, c)
+        assert typed(fast.entries) == typed(reference)
+        assert_reduced(field, fast.entries)
+    fast = a.mat_vec(v)
+    assert typed(fast) == typed(ref_mat_vec(a, v))
+    assert_reduced(field, [fast])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_entrywise_arithmetic_and_mat_vec_refuse_other_shapes(field):
+    a, b = Matrix.zero(field, 2, 3), Matrix.zero(field, 3, 2)
+    for call in (lambda: a.add(b), lambda: a.sub(b), lambda: a.add(Matrix.zero(field, 2, 2)),
+                 lambda: a.mat_vec((field.zero(),) * 2)):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_pow_matches_repeated_fieldspec_products(field, data):
+    # entries are field elements, as every matrix palg builds holds
+    n, k = data.draw(DIMS), data.draw(st.integers(0, 9))
+    m = Matrix(field, n, n, data.draw(st.tuples(*[st.tuples(
+        *[scalars(field).map(field.coerce)] * n)] * n)))
+    fast = m.pow(k)
+    assert (fast.nrows, fast.ncols) == (n, n)
+    assert typed(fast.entries) == typed(ref_pow(m, k))
     assert_reduced(field, fast.entries)
 
 
@@ -507,6 +579,53 @@ def assert_same_first_violation(alg):
     assert_reduced(alg.field, [found.residual])
     assert typed(evaluate_axiom(alg, found.axiom, found.witness)) == typed(found.residual)
     return found.axiom
+
+
+def assert_operators_match_basis_images(alg, a):
+    """The four operators of a, read off the tensors, against the matrices of
+    basis images of the generic product: a y and [a, y] on the left, x b and
+    [x, b] on the right."""
+    f, n = alg.field, alg.dim
+    for fast, tensor, left in ((alg.p_operator(a), alg.dot_tensor, True),
+                               (alg.q_operator(a), alg.bracket_tensor, True),
+                               (_left_dot_matrix(alg, a), alg.dot_tensor, False),
+                               (_left_bracket_matrix(alg, a), alg.bracket_tensor, False)):
+        if left:
+            reference = _operator(alg, lambda y: ref_mul(f, n, tensor, a, y))
+        else:
+            reference = _operator(alg, lambda x: ref_mul(f, n, tensor, x, a))
+        assert (fast.nrows, fast.ncols) == (n, n)
+        assert typed(fast.entries) == typed(reference.entries)
+        assert_reduced(f, fast.entries)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_products_and_operators_on_raw_tensors_match_the_fieldspec_bodies(field, data):
+    alg = data.draw(raw_algebras(field))
+    x, y = data.draw(vectors(field, alg.dim)), data.draw(vectors(field, alg.dim))
+    for tensor, product in ((alg.dot_tensor, alg.mul_dot), (alg.bracket_tensor, alg.mul_bracket)):
+        fast = product(x, y)
+        assert typed(fast) == typed(ref_mul(field, alg.dim, tensor, x, y))
+        assert_reduced(field, [fast])
+    assert_operators_match_basis_images(alg, x)
+
+
+@pytest.mark.parametrize("alg", NEGATIVE_CONTROLS, ids=lambda a: a.name or "broken-comm")
+def test_negative_controls_keep_each_operator_on_its_side(alg):
+    # neither tensor need be commutative or alternating here, so a x and x a
+    # differ and each operator must contract its own index
+    f = alg.field
+    coords = f.elements() if f.is_finite else (-1, 0, Fraction(1, 2), 2)
+    for a in itertools.product(list(coords), repeat=alg.dim):
+        assert_operators_match_basis_images(alg, tuple(map(f.coerce, a)))
+
+
+def test_a_non_commutative_dot_has_different_sides():
+    alg = _broken_commutativity()  # e0 . e1 = e1, e1 . e0 = 0
+    e0 = alg.basis_element(0)
+    assert alg.p_operator(e0).entries == ((0, 0), (0, 1))
+    assert _left_dot_matrix(alg, e0).entries == ((0, 0), (0, 0))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

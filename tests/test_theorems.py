@@ -277,7 +277,21 @@ def test_generated_names_avoid_the_given_ones():
     names = ("a", "a", "a#1", "a", "", "", "unnamed")
     corpus = [zero_algebra(GF2, 1).with_name(name) for name in names]
     results = run_suite(corpus, theorem_filter="Prop-2.4")
-    assert [r.algebra for r in results] == ["a", "a#2", "a#1", "a#3", "", "unnamed#1", "unnamed"]
+    assert [r.algebra for r in results] == ["a", "a#2", "a#1", "a#3", "unnamed#1", "unnamed#2",
+                                            "unnamed"]
+
+
+@pytest.mark.parametrize("names, expected", [
+    (("", "", ""), ["unnamed#1", "unnamed#2", "unnamed#3"]),
+    (("", "unnamed#1", ""), ["unnamed#2", "unnamed#1", "unnamed#3"]),
+    (("x", ""), ["x", ""]),
+    (("",), [""]),
+])
+def test_a_repeated_empty_name_is_replaced_on_every_copy(names, expected):
+    # the first nameless algebra used to keep "" beside "unnamed#1", ...
+    corpus = [zero_algebra(GF2, 1).with_name(name) for name in names]
+    results = run_suite(corpus, theorem_filter="Prop-2.4")
+    assert [r.algebra for r in results] == expected
 
 
 # ---------------------------------------------------------------------------
