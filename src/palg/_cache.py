@@ -19,6 +19,10 @@ one entry.  Inside the entry each result sits under its own key:
   (``engel``) under ``("engel_assoc" | "engel_lie" | "s_space", a)``, ``a``
   a projective point.  They read the tensors and their arguments only: no
   budget, no enumeration, no way to raise on one, so no budget in the key;
+* the induced structures (``algebra._induced``) store their tensors under
+  ``("restrict", u)`` and ``("quotient", ideal)``, as the (dot, bracket)
+  pair kept in the child entry's ``tensors`` slot (``canonical_tensors``),
+  so equal ones are one object and a key costs a dict slot, not a copy;
 * the table of basis products (``algebra._products``) is the tensors in
   another form, not a result, so it sits in the entry's ``products`` slot.
 
@@ -29,8 +33,10 @@ Nothing is stored when a computation raises, so a budget overrun or a
 Subspace results are hash-consed per entry (``memo_space``): a result equal
 to one the entry already holds under ``("space", s)`` is replaced by that
 object, so the many equal products of one algebra are one object in memory.
-``lattice.lattice_profile.cache_info()`` and ``cache_clear()`` report on and
-empty this cache.
+The one store beside the entries, keyed on (field, n) (``memo_shared``),
+holds the subspace enumeration every tensor of that shape reads
+(``lattice._enumeration``).  ``lattice.lattice_profile.cache_info()``
+reports on the entries; ``cache_clear()`` empties them and that store.
 
 Finding an entry hashes both tensors, which over Q means a Python-level
 ``Fraction.__hash__`` per entry.  So the first lookup stashes a weak
@@ -50,13 +56,14 @@ from functools import lru_cache
 
 _MISSING = object()
 _STASH = "_cache_entry"  # the algebra attribute holding the weak reference
+_SHARED: dict = {}  # the (field, n) store
 
 
 class _Entry(dict):
     """The results cached for one tensor pair; a dict that can be referred
     to weakly, with the tensors' table of basis products beside its keys."""
 
-    __slots__ = ("__weakref__", "products")
+    __slots__ = ("__weakref__", "products", "tensors")
 
 
 @lru_cache(maxsize=256)
@@ -97,5 +104,27 @@ def memo_space(alg, key, compute):
     return memo(alg, key, shared)
 
 
+def canonical_tensors(field, dot_tensor: tuple, bracket_tensor: tuple) -> tuple:
+    """The (dot, bracket) pair kept in the entry of these tensors: the pair
+    itself on first use, the equal pair kept earlier after that."""
+    entry = _structure(field, dot_tensor, bracket_tensor)
+    if not hasattr(entry, "tensors"):
+        entry.tensors = (dot_tensor, bracket_tensor)
+    return entry.tensors
+
+
+def memo_shared(key, compute):
+    """``memo`` in the (field, n) store."""
+    result = _SHARED.get(key, _MISSING)
+    if result is _MISSING:
+        result = _SHARED[key] = compute()
+    return result
+
+
+def cache_clear() -> None:
+    """Empty the per-tensor entries and the (field, n) store."""
+    _structure.cache_clear()
+    _SHARED.clear()
+
+
 cache_info = _structure.cache_info
-cache_clear = _structure.cache_clear

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from ._cache import _entry, memo, memo_space
+from ._cache import _entry, canonical_tensors, memo, memo_space
 from .fields import FieldSpec
 from .linalg import (
     Matrix,
@@ -490,20 +490,21 @@ def _close(alg: PoissonAlgebra, seed: Subspace, against: Subspace | None = None)
     ``against``, or with itself when ``against`` is None.
 
     Each round multiplies only the newly added directions; bilinearity,
-    commutativity and antisymmetry cover the rest.  Terminates because the
-    dimension strictly increases.
+    commutativity and antisymmetry cover the rest; a round spans only the
+    products it finds outside the space, and none ends the closure.
+    Terminates because the dimension strictly increases.
     """
     space = seed
     frontier = list(seed.rows())
     dot, bracket = _products(alg)
     while frontier:
         others = (space if against is None else against).rows()
-        prods = list(space.rows())
-        for a in frontier:
-            for b in others:
-                prods.append(alg._mul(dot, a, b))
-                prods.append(alg._mul(bracket, a, b))
-        bigger = Subspace.span(alg.field, alg.dim, prods)
+        outside = [p for p in (space.reduce_vector(alg._mul(rows, a, b))
+                               for a in frontier for b in others for rows in (dot, bracket))
+                   if any(p)]
+        if not outside:
+            break
+        bigger = Subspace.span(alg.field, alg.dim, space.rows() + tuple(outside))
         frontier = [r for r in bigger.rows() if not space.contains_vector(r)]
         space = bigger
     return space
@@ -536,7 +537,7 @@ def quotient_maps(alg: PoissonAlgebra, ideal: Subspace) -> QuotientData:
         reduced = ideal.reduce_vector(v)
         return tuple(reduced[j] for j in reps)
 
-    q_alg = _induced(alg, [alg.basis_element(j) for j in reps], project,
+    q_alg = _induced(alg, ("quotient", ideal), [alg.basis_element(j) for j in reps], project,
                      f"{alg.name}/[dim {ideal.dim}]" if alg.name else "")
     images = [project(alg.basis_element(i)) for i in range(n)]
     proj = Matrix(f, m, n, tuple(zip(*images)))
@@ -572,20 +573,22 @@ def subalgebra_algebra(alg: PoissonAlgebra, u: Subspace) -> tuple:
     if subalgebra_defect(alg, u) is not None:
         raise ValueError("restriction to a subspace that is not a subalgebra")
     k, pivots, rows = u.dim, u.pivots, u.rows()
-    sub = _induced(alg, rows, lambda v: tuple(v[p] for p in pivots),
+    sub = _induced(alg, ("restrict", u), rows, lambda v: tuple(v[p] for p in pivots),
                    f"{alg.name}|[dim {k}]" if alg.name else "")
     embed = Matrix(alg.field, alg.dim, k, tuple(tuple(rows[c][i] for c in range(k))
                                                 for i in range(alg.dim)))
     return sub, embed
 
 
-def _induced(alg: PoissonAlgebra, vectors: Sequence, coords: Callable,
+def _induced(alg: PoissonAlgebra, key: tuple, vectors: Sequence, coords: Callable,
              name: str) -> PoissonAlgebra:
     """The structure on the given vectors: entry [a][b] of each tensor is
     coords of the product of vectors a and b, so coords must read an
-    ambient vector in the new basis."""
-    dot, bracket = (tuple(tuple(coords(alg._mul(rows, x, y)) for y in vectors) for x in vectors)
-                    for rows in _products(alg))
+    ambient vector in the new basis.  The tensors are cached per parent
+    tensor under ``key``, which must determine vectors and coords."""
+    dot, bracket = memo(alg, key, lambda: canonical_tensors(alg.field, *(
+        tuple(tuple(coords(alg._mul(rows, x, y)) for y in vectors) for x in vectors)
+        for rows in _products(alg))))
     return PoissonAlgebra(alg.field, len(vectors), dot, bracket, name=name)
 
 
@@ -652,15 +655,9 @@ def annihilator(alg: PoissonAlgebra, b: Subspace) -> AlgebraSubspace:
     the two linear systems x . b_j = 0 and [x, b_j] = 0.  When b is an ideal
     the result is returned verified as one.
     """
-    f, n = alg.field, alg.dim
-    blocks = []
-    for row in b.rows():
-        blocks.append(_left_dot_matrix(alg, row))
-        blocks.append(_left_bracket_matrix(alg, row))
-    if not blocks:
-        space = Subspace.full(f, n)
-    else:
-        space = kernel(stack_rows(f, blocks, n))
+    maps = [m for row in b.rows()
+            for m in (_left_dot_matrix(alg, row), _left_bracket_matrix(alg, row))]
+    space = _preimage_condition(alg, alg.zero_space(), maps)
     if is_ideal(alg, b) and ideal_defect(alg, space) is None:
         return AlgebraSubspace(alg, space, VERIFIED_IDEAL)
     return AlgebraSubspace(alg, space, VERIFIED_NONE)
@@ -676,10 +673,13 @@ def _reduction_matrix(alg: PoissonAlgebra, u: Subspace) -> Matrix:
 
 
 def _preimage_condition(alg: PoissonAlgebra, u: Subspace, maps: Iterable[Matrix]) -> Subspace:
-    """Largest subspace X with M x in u for every listed map M."""
+    """Largest subspace X with M x in u for every listed map M (M x = 0 when
+    u is zero, with no reduction)."""
     f, n = alg.field, alg.dim
-    reduce_mod = _reduction_matrix(alg, u)
-    blocks = [reduce_mod.matmul(m) for m in maps]
+    blocks = list(maps)
+    if not u.is_zero():
+        reduce_mod = _reduction_matrix(alg, u)
+        blocks = [reduce_mod.matmul(m) for m in blocks]
     if not blocks:
         return Subspace.full(f, n)
     return kernel(stack_rows(f, blocks, n))

@@ -19,7 +19,10 @@ masks and dimensions beside the subspaces.  Containment in the maximal
 scans is then ``m & big == m`` on ints, and the closure flags are bit
 tests whose product bits are carried along the enumeration order.  The
 minimal-ideal scan keeps ``Subspace.contains``: its candidates are ideal
-closures built by ``Subspace.span``, which carry no mask.
+closures built by ``Subspace.span``, which carry no mask.  The subspaces,
+masks and dimensions depend on (field, n) alone: ``_enumeration`` keeps
+them once per (field, n) in ``_cache``, and each profile checks its own
+budget before it reads them.
 
 Discovery results are cached in the one per-tensor cache of ``_cache``: the
 entry is keyed on (field, dot tensor, bracket tensor), the fields of the
@@ -32,10 +35,11 @@ cache slots of their own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
 
-from ._cache import cache_clear, cache_info, memo
+from ._cache import cache_clear, cache_info, memo, memo_shared
 from .algebra import (
     PoissonAlgebra,
     closure_ideal,
@@ -270,14 +274,22 @@ class LatticeProfile:
 
 def lattice_profile(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> LatticeProfile:
     def compute():
-        subspaces = tuple(enumerate_subspaces(alg.field, alg.dim, budget))
-        masks = tuple(s.mask for s in subspaces)
-        dims = tuple(s.basis.nrows for s in subspaces)
+        _check_enumeration_budget(alg.field, alg.dim, budget)
+        subspaces, masks, dims = _enumeration(alg.field, alg.dim, budget)
         assoc_flags, lie_flags, ideal_flags = _closure_flags(alg, subspaces)
         sub_flags = tuple(a and b for a, b in zip(assoc_flags, lie_flags))
         return LatticeProfile(subspaces, masks, dims, sub_flags, assoc_flags, lie_flags,
                               ideal_flags)
     return memo(alg, ("profile", budget), compute)
+
+
+def _enumeration(field: FieldSpec, n: int, budget: LatticeBudget) -> tuple:
+    """The subspaces of F^n with their masks and dimensions, enumerated once
+    per (field, n); the caller checks its own budget first."""
+    def compute():
+        subspaces = tuple(enumerate_subspaces(field, n, budget))
+        return subspaces, tuple(s.mask for s in subspaces), tuple(s.basis.nrows for s in subspaces)
+    return memo_shared(("subspaces", field, n), compute)
 
 
 class _Table(dict):
@@ -444,13 +456,7 @@ def maximal_lie_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT
 
 
 def _intersect_all(field: FieldSpec, n: int, spaces) -> Subspace:
-    spaces = list(spaces)
-    if not spaces:
-        return Subspace.full(field, n)
-    acc = spaces[0]
-    for s in spaces[1:]:
-        acc = subspace_intersect(acc, s)
-    return acc
+    return functools.reduce(subspace_intersect, spaces or [Subspace.full(field, n)])
 
 
 def ideal_core(alg: PoissonAlgebra, w: Subspace, dot: bool = True, bracket: bool = True) -> Subspace:
@@ -548,10 +554,7 @@ def zero_socle(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> S
 
 
 def _sum_all(alg: PoissonAlgebra, spaces) -> Subspace:
-    acc = alg.zero_space()
-    for s in spaces:
-        acc = subspace_sum(acc, s)
-    return acc
+    return functools.reduce(subspace_sum, spaces, alg.zero_space())
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,16 @@ class Subspace:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __eq__(self, other) -> bool:
+        # not the generated one, which compares Matrix, then FieldSpec objects
+        if self is other:
+            return True
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        b, c = self.basis, other.basis
+        return (self.ambient_dim == other.ambient_dim and b.entries == c.entries
+                and (b.field is c.field or b.field == c.field))
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -332,10 +342,12 @@ class Subspace:
         return _subspace(ambient_dim, basis, tuple(map(_first_nonzero, basis.entries)))
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, Matrix(field, 0, ambient_dim, ()))
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, Matrix.identity(field, ambient_dim))
 
@@ -380,15 +392,7 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         _check_compatible(self, other)
-        # Over a finite field a subspace is the union of its points, so
-        # containment of the point sets is containment of the subspaces.
-        if self.mask is not None and other.mask is not None:
-            return other.mask & self.mask == other.mask
-        # Every vector of this subspace leads at one of its pivots, so a
-        # row of other leading elsewhere already lies outside.
-        if not set(self.pivots).issuperset(other.pivots):
-            return False
-        return all(self.contains_vector(r) for r in other.rows())
+        return _holds(self, other)
 
     def coordinates(self, v: Vector) -> Vector:
         """Coefficients of v in this basis; raises if v is not a member."""
@@ -422,22 +426,45 @@ def _first_nonzero(row: Sequence) -> int | None:
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+    """u + v; the larger one itself when one holds the other."""
     _check_compatible(u, v)
+    if _holds(u, v):
+        return u
+    if _holds(v, u):
+        return v
     return Subspace.span(u.field, u.ambient_dim, u.rows() + v.rows())
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Zassenhaus: reduce [U|U; V|0] and read the intersection off the right block."""
+    """u meet v; the smaller one itself when one holds the other, else by
+    Zassenhaus: reduce [U|U; V|0] and read the intersection off the right block."""
     _check_compatible(u, v)
+    if _holds(u, v):
+        return v
+    if _holds(v, u):
+        return u
     f, n = u.field, u.ambient_dim
     z = f.zero()
     rows = [tuple(r) + tuple(r) for r in u.rows()]
     rows += [tuple(r) + tuple(z for _ in range(n)) for r in v.rows()]
-    if not rows:
-        return Subspace.zero(f, n)
     reduced = rref(_matrix(f, len(rows), 2 * n, tuple(rows)))
     inter_rows = [row[n:] for row in reduced.entries if vec_is_zero(row[:n])]
     return Subspace.span(f, n, inter_rows)
+
+
+def _holds(u: Subspace, v: Subspace) -> bool:
+    """Whether u contains v, for subspaces already checked compatible."""
+    # Over a finite field a subspace is the union of its points, so
+    # containment of the point sets is containment of the subspaces.
+    um, vm = u.mask, v.mask
+    if um is not None and vm is not None:
+        return vm & um == vm
+    # Every vector of u leads at one of its pivots, so a row of v leading
+    # elsewhere already lies outside.
+    up, vp = u.pivots, v.pivots
+    if len(up) < len(vp) or not set(up).issuperset(vp):
+        return False
+    return all(u.contains_vector(r) for r in v.rows())
 
 
 def quotient_basis(u: Subspace, v: Subspace) -> tuple:

@@ -39,7 +39,7 @@ from palg.corpus import (
     zero_algebra,
 )
 from palg.fields import FieldSpec
-from palg import algebra
+from palg import _cache, algebra
 from palg.lattice import BudgetExceededError, lattice_profile
 
 GF2 = FieldSpec.prime(2)
@@ -165,13 +165,16 @@ def _assert_round_trips(alg):
 
 def test_enumerate_validate_and_the_format_multiply_nothing(monkeypatch):
     # palg enumerate validates from the sparse axiom scan and writes and
-    # reads documents: no product, no operator and no per-tensor cache
-    # entry, so no table of basis products (it lives in the entry) and no
-    # speed-up of the checks charged to it
+    # reads documents: no product, no operator, no induced structure, no
+    # per-tensor cache entry and no shared subspace enumeration, so no table
+    # of basis products (it lives in the entry) and no speed-up of the
+    # checks charged to it
     calls = []
     original = algebra.PoissonAlgebra._mul
     monkeypatch.setattr(algebra.PoissonAlgebra, "_mul",
                         lambda *args: calls.append(args) or original(*args))
+    induced = algebra._induced
+    monkeypatch.setattr(algebra, "_induced", lambda *args: calls.append(args) or induced(*args))
     lattice_profile.cache_clear()
     algebras = enumerate_poisson_structures(2, 3)
     assert len(algebras) == 113
@@ -180,6 +183,7 @@ def test_enumerate_validate_and_the_format_multiply_nothing(monkeypatch):
     assert calls == []
     info = lattice_profile.cache_info()
     assert (info.misses, info.currsize) == (0, 0)
+    assert _cache._SHARED == {}
 
 
 @pytest.mark.parametrize("source", ["enumerate-2-2", "enumerate-2-3", "enumerate-2-5",
