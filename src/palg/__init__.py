@@ -15,22 +15,18 @@ from .linalg import (
     Subspace,
     char_poly,
     fitting_null,
-    fitting_one,
     kernel,
     image,
     roots_in_field,
     rref,
     subspace_intersect,
     subspace_sum,
-    quotient_basis,
 )
 from .algebra import (
-    AlgebraSubspace,
     AxiomViolation,
     DialgebraTensors,
     PoissonAlgebra,
     annihilator,
-    assoc_idealiser,
     centre,
     closure_ideal,
     closure_subalgebra,

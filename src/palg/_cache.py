@@ -23,8 +23,10 @@ one entry.  Inside the entry each result sits under its own key:
   ``("restrict", u)`` and ``("quotient", ideal)``, as the (dot, bracket)
   pair kept in the child entry's ``tensors`` slot (``canonical_tensors``),
   so equal ones are one object and a key costs a dict slot, not a copy;
-* the table of basis products (``algebra._products``) is the tensors in
-  another form, not a result, so it sits in the entry's ``products`` slot.
+* the table of basis products (``algebra._sparse_products``) is the
+  tensors in another form, not a result, so ``algebra._products`` keeps it
+  in the entry's ``products`` slot; ``validate`` builds the same table
+  without an entry, so the axiom scan leaves the cache empty.
 
 One entry per tensor, not one per (tensor, budget), keeps the series
 verdicts from competing with the lattice profiles for the ``maxsize`` slots.

@@ -201,14 +201,19 @@ class PoissonAlgebra:
 
 
 def _products(alg: PoissonAlgebra) -> tuple:
-    """The dot and bracket tensors with each basis product e_i e_j, rows[i][j],
-    listed as its nonzero (k, c) entries on the raw scalars; built on the
-    first product and kept with the cache entry, so loops fetch it once."""
+    """``_sparse_products`` built on the first product and kept with the
+    cache entry, so loops fetch it once."""
     entry = _entry(alg)
     if not hasattr(entry, "products"):
-        entry.products = tuple([[[(k, c) for k, c in enumerate(line) if c] for line in plane]
-                                for plane in t] for t in (alg.dot_tensor, alg.bracket_tensor))
+        entry.products = _sparse_products(alg)
     return entry.products
+
+
+def _sparse_products(alg: PoissonAlgebra) -> tuple:
+    """The dot and bracket tensors with each basis product e_i e_j, rows[i][j],
+    listed as its nonzero (k, c) entries on the raw scalars."""
+    return tuple([[[(k, c) for k, c in enumerate(line) if c] for line in plane]
+                  for plane in t] for t in (alg.dot_tensor, alg.bracket_tensor))
 
 
 def _contraction(alg: PoissonAlgebra, rows: list, a: Sequence, left: bool) -> Matrix:
@@ -275,10 +280,9 @@ def evaluate_axiom(alg: PoissonAlgebra, axiom: str, witness: tuple) -> tuple:
 
 
 class _SparseProducts:
-    """The basis products as lists of their nonzero (k, c) entries, on the
-    tensor's raw scalars: dot[i][j] is e_i . e_j, and dot_col[k][m] is
-    dot[m][k], the entries x . e_k takes from x_m (bracket likewise).
-    unit[i] is e_i in the same form."""
+    """The basis products of ``_sparse_products``: dot[i][j] is e_i . e_j,
+    and dot_col[k][m] is dot[m][k], the entries x . e_k takes from x_m
+    (bracket likewise).  unit[i] is e_i in the same form."""
 
     __slots__ = ("n", "p", "zero", "unit", "dot", "bracket", "dot_col", "bracket_col")
 
@@ -286,9 +290,7 @@ class _SparseProducts:
         r = range(alg.dim)
         self.n, self.p, self.zero = alg.dim, alg.field.modulus, alg.field.zero()
         self.unit = [[(i, 1)] for i in r]
-        self.dot, self.bracket = (
-            [[[(k, c) for k, c in enumerate(line) if c] for line in plane] for plane in tensor]
-            for tensor in (alg.dot_tensor, alg.bracket_tensor))
+        self.dot, self.bracket = _sparse_products(alg)  # no cache entry, unlike _products
         self.dot_col = [[self.dot[m][k] for m in r] for k in r]
         self.bracket_col = [[self.bracket[m][k] for m in r] for k in r]
 
@@ -363,21 +365,8 @@ def _axiom_witnesses(n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# verified subspaces
+# subspace products and closure tests
 # ---------------------------------------------------------------------------
-
-VERIFIED_NONE = "none"
-VERIFIED_SUBALGEBRA = "subalgebra"
-VERIFIED_IDEAL = "ideal"
-
-
-@dataclass(frozen=True)
-class AlgebraSubspace:
-    """A subspace tagged with how much closure has been verified."""
-
-    algebra: PoissonAlgebra
-    space: Subspace
-    verified: str = VERIFIED_NONE
 
 
 def subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -463,26 +452,19 @@ def is_zero_subspace_product(alg: PoissonAlgebra, u: Subspace) -> bool:
     return subspace_square(alg, u).is_zero()
 
 
-def as_ideal(alg: PoissonAlgebra, u: Subspace) -> AlgebraSubspace:
-    defect = ideal_defect(alg, u)
-    if defect is not None:
-        raise ValueError(f"not an ideal: {defect[2]} product escapes")
-    return AlgebraSubspace(alg, u, VERIFIED_IDEAL)
-
-
 # ---------------------------------------------------------------------------
 # closures
 # ---------------------------------------------------------------------------
 
 
-def closure_subalgebra(alg: PoissonAlgebra, seed: Subspace) -> AlgebraSubspace:
+def closure_subalgebra(alg: PoissonAlgebra, seed: Subspace) -> Subspace:
     """Least subalgebra containing the seed."""
-    return AlgebraSubspace(alg, _close(alg, seed), VERIFIED_SUBALGEBRA)
+    return _close(alg, seed)
 
 
-def closure_ideal(alg: PoissonAlgebra, seed: Subspace) -> AlgebraSubspace:
+def closure_ideal(alg: PoissonAlgebra, seed: Subspace) -> Subspace:
     """Least ideal containing the seed."""
-    return AlgebraSubspace(alg, _close(alg, seed, alg.full_space()), VERIFIED_IDEAL)
+    return _close(alg, seed, alg.full_space())
 
 
 def _close(alg: PoissonAlgebra, seed: Subspace, against: Subspace | None = None) -> Subspace:
@@ -624,15 +606,6 @@ def direct_sum(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:
                           block(a.bracket_tensor, b.bracket_tensor), name=name)
 
 
-def summand_embeddings(a: PoissonAlgebra, b: PoissonAlgebra) -> tuple:
-    """The two ideals of direct_sum(a, b) corresponding to the summands."""
-    f = a.field
-    n = a.dim + b.dim
-    first = Subspace.from_vectors(f, n, [basis_vector(f, n, i) for i in range(a.dim)])
-    second = Subspace.from_vectors(f, n, [basis_vector(f, n, a.dim + i) for i in range(b.dim)])
-    return first, second
-
-
 # ---------------------------------------------------------------------------
 # annihilators and idealisers
 # ---------------------------------------------------------------------------
@@ -648,22 +621,19 @@ def _left_bracket_matrix(alg: PoissonAlgebra, b) -> Matrix:
     return _contraction(alg, _products(alg)[1], b, left=False)
 
 
-def annihilator(alg: PoissonAlgebra, b: Subspace) -> AlgebraSubspace:
+def annihilator(alg: PoissonAlgebra, b: Subspace) -> Subspace:
     """Elements with vanishing dot and bracket against all of b.
 
     Commutativity and antisymmetry collapse the four defining conditions to
-    the two linear systems x . b_j = 0 and [x, b_j] = 0.  When b is an ideal
-    the result is returned verified as one.
+    the two linear systems x . b_j = 0 and [x, b_j] = 0.  The annihilator of
+    an ideal is an ideal (Leibniz and Jacobi).
     """
     maps = [m for row in b.rows()
             for m in (_left_dot_matrix(alg, row), _left_bracket_matrix(alg, row))]
-    space = _preimage_condition(alg, alg.zero_space(), maps)
-    if is_ideal(alg, b) and ideal_defect(alg, space) is None:
-        return AlgebraSubspace(alg, space, VERIFIED_IDEAL)
-    return AlgebraSubspace(alg, space, VERIFIED_NONE)
+    return _preimage_condition(alg, alg.zero_space(), maps)
 
 
-def centre(alg: PoissonAlgebra) -> AlgebraSubspace:
+def centre(alg: PoissonAlgebra) -> Subspace:
     return annihilator(alg, alg.full_space())
 
 
@@ -685,22 +655,16 @@ def _preimage_condition(alg: PoissonAlgebra, u: Subspace, maps: Iterable[Matrix]
     return kernel(stack_rows(f, blocks, n))
 
 
-def idealiser(alg: PoissonAlgebra, u: Subspace) -> AlgebraSubspace:
+def idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
     """{x : x . u + [x, u] in U for all u in U} (the combined condition)."""
     maps = [_left_dot_matrix(alg, row).add(_left_bracket_matrix(alg, row)) for row in u.rows()]
-    return AlgebraSubspace(alg, _preimage_condition(alg, u, maps), VERIFIED_NONE)
+    return _preimage_condition(alg, u, maps)
 
 
-def lie_idealiser(alg: PoissonAlgebra, u: Subspace) -> AlgebraSubspace:
+def lie_idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
     """{x : [x, u] in U for all u in U}."""
     maps = [_left_bracket_matrix(alg, row) for row in u.rows()]
-    return AlgebraSubspace(alg, _preimage_condition(alg, u, maps), VERIFIED_NONE)
-
-
-def assoc_idealiser(alg: PoissonAlgebra, u: Subspace) -> AlgebraSubspace:
-    """{x : x . u in U for all u in U}."""
-    maps = [_left_dot_matrix(alg, row) for row in u.rows()]
-    return AlgebraSubspace(alg, _preimage_condition(alg, u, maps), VERIFIED_NONE)
+    return _preimage_condition(alg, u, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +689,15 @@ def is_homomorphism(mapping: Matrix, dom: PoissonAlgebra, cod: PoissonAlgebra) -
     return True
 
 
-def kernel_of(mapping: Matrix, dom: PoissonAlgebra, cod: PoissonAlgebra) -> AlgebraSubspace:
+def kernel_of(mapping: Matrix, dom: PoissonAlgebra, cod: PoissonAlgebra) -> Subspace:
     """Kernel of a homomorphism, verified as an ideal of the domain."""
     if not is_homomorphism(mapping, dom, cod):
         raise ValueError("kernel_of requires a homomorphism")
-    return as_ideal(dom, kernel(mapping))
+    u = kernel(mapping)
+    defect = ideal_defect(dom, u)
+    if defect is not None:
+        raise ValueError(f"not an ideal: {defect[2]} product escapes")
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,7 @@ import math
 from dataclasses import dataclass
 
 from ._cache import memo_space
-from .algebra import (
-    AlgebraSubspace,
-    PoissonAlgebra,
-    VERIFIED_SUBALGEBRA,
-    subalgebra_defect,
-)
+from .algebra import PoissonAlgebra, subalgebra_defect
 from .linalg import (
     Matrix,
     Subspace,
@@ -40,7 +35,6 @@ from .linalg import (
     poly_mul,
     roots_in_field,
     subspace_intersect,
-    subspace_sum,
     vec_scale,
     vec_sub,
 )
@@ -59,14 +53,14 @@ class EngelClosureError(RuntimeError):
 @dataclass(frozen=True)
 class EngelPair:
     element: tuple
-    engel_assoc: AlgebraSubspace
-    engel_lie: AlgebraSubspace
+    engel_assoc: Subspace
+    engel_lie: Subspace
 
 
 @dataclass(frozen=True)
 class SplitPair:
     element: tuple
-    s_part: AlgebraSubspace
+    s_part: Subspace
     k_part: Subspace
 
 
@@ -98,19 +92,12 @@ def _engel_lie_space(alg: PoissonAlgebra, a) -> Subspace:
 
 def engel(alg: PoissonAlgebra, a) -> EngelPair:
     """Both Engel subalgebras of a, verified closed."""
-    spaces = {}
-    for label, space in (("engel-assoc", engel_assoc_space(alg, a)),
-                         ("engel-lie", engel_lie_space(alg, a))):
+    assoc, lie = engel_assoc_space(alg, a), engel_lie_space(alg, a)
+    for label, space in (("engel-assoc", assoc), ("engel-lie", lie)):
         defect = subalgebra_defect(alg, space)
         if defect is not None:
             raise EngelClosureError(label, defect)
-        spaces[label] = AlgebraSubspace(alg, space, VERIFIED_SUBALGEBRA)
-    return EngelPair(tuple(a), spaces["engel-assoc"], spaces["engel-lie"])
-
-
-def split_polynomial(alg: PoissonAlgebra, a) -> tuple:
-    """f(t) = prod (t - lambda)^mult over the eigenvalues of Q_a in the field."""
-    return _split_polynomial(alg.field, alg.q_operator(a))
+    return EngelPair(tuple(a), assoc, lie)
 
 
 def _split_polynomial(f, q: Matrix) -> tuple:
@@ -123,7 +110,7 @@ def _split_polynomial(f, q: Matrix) -> tuple:
 
 
 def _split_matrix(alg: PoissonAlgebra, q: Matrix) -> Matrix:
-    """(q^p - q)^n over GF(p), f(q) over Q: kernel s_space, image k_space."""
+    """(q^p - q)^n over GF(p), f(q) over Q: kernel s_space, image k_part."""
     f = alg.field
     if f.is_finite:
         return q.pow(f.modulus).sub(q).pow(alg.dim)
@@ -133,11 +120,6 @@ def _split_matrix(alg: PoissonAlgebra, q: Matrix) -> Matrix:
 def s_space(alg: PoissonAlgebra, a) -> Subspace:
     """Kernel of f(Q_a), the field's generalized eigenspaces; cached per point."""
     return _per_point(alg, "s_space", a, lambda b: kernel(_split_matrix(alg, alg.q_operator(b))))
-
-
-def k_space(alg: PoissonAlgebra, a) -> Subspace:
-    """Image of f(Q_a): the complementary Q_a-stable subspace."""
-    return image(_split_matrix(alg, alg.q_operator(a)))
 
 
 def s_k_split(alg: PoissonAlgebra, a) -> SplitPair:
@@ -158,7 +140,7 @@ def s_k_split(alg: PoissonAlgebra, a) -> SplitPair:
     defect = subalgebra_defect(alg, s)
     if defect is not None:
         raise EngelClosureError("eigenvalue part", defect)
-    return SplitPair(tuple(a), AlgebraSubspace(alg, s, VERIFIED_SUBALGEBRA), k)
+    return SplitPair(tuple(a), s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +188,3 @@ def check_qa_derivation_power(alg: PoissonAlgebra, a, x, y, r: int) -> tuple:
         term = alg.mul_dot(powers[i].mat_vec(x), powers[r - i].mat_vec(y))
         rhs = tuple(f.add(u, f.mul(coeff, v)) for u, v in zip(rhs, term))
     return vec_sub(f, lhs, rhs)
-
-
-def fitting_split_holds(alg: PoissonAlgebra, a) -> bool:
-    """fitting_null(P_a) and fitting_one(P_a) are complementary, likewise for
-    Q_a; the decomposition used to force Engel subalgebras to be everything."""
-    for op in (alg.p_operator(a), alg.q_operator(a)):
-        null = fitting_null(op)
-        one_ = image(op.pow(alg.dim))
-        if null.dim + one_.dim != alg.dim:
-            return False
-        if not subspace_intersect(null, one_).is_zero():
-            return False
-        if subspace_sum(null, one_).dim != alg.dim:
-            return False
-    return True

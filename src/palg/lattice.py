@@ -525,7 +525,7 @@ def _line_ideal_closures(alg: PoissonAlgebra) -> tuple:
     appearance along ``enumerate_lines``.  Budget-free: every caller checks
     its own budget first."""
     def compute():
-        return tuple(dict.fromkeys(closure_ideal(alg, line).space
+        return tuple(dict.fromkeys(closure_ideal(alg, line)
                                    for line in enumerate_lines(alg.field, alg.dim)))
     return memo(alg, "line_ideal_closures", compute)
 
@@ -645,7 +645,7 @@ def _verify_largest(alg: PoissonAlgebra, candidate: Subspace, series) -> bool:
         if candidate.contains_vector(e):
             continue
         line = Subspace.from_vectors(alg.field, alg.dim, [e])
-        bigger = closure_ideal(alg, subspace_sum(candidate, line)).space
+        bigger = closure_ideal(alg, subspace_sum(candidate, line))
         if series(alg, bigger).terminates:
             return False
     return True

@@ -45,10 +45,6 @@ def basis_vector(field: FieldSpec, n: int, i: int) -> Vector:
     return tuple(o if j == i else z for j in range(n))
 
 
-def vec_add(field: FieldSpec, u: Vector, v: Vector) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
 def vec_sub(field: FieldSpec, u: Vector, v: Vector) -> Vector:
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
@@ -467,20 +463,6 @@ def _holds(u: Subspace, v: Subspace) -> bool:
     return all(u.contains_vector(r) for r in v.rows())
 
 
-def quotient_basis(u: Subspace, v: Subspace) -> tuple:
-    """Vectors from u's basis completing a basis of v <= u to one of u."""
-    _check_compatible(u, v)
-    if not u.contains(v):
-        raise ValueError("second subspace is not contained in the first")
-    reps: list = []
-    span = v
-    for row in u.rows():
-        if not span.contains_vector(row):
-            reps.append(row)
-            span = subspace_sum(span, Subspace.from_vectors(u.field, u.ambient_dim, [row]))
-    return tuple(reps)
-
-
 def _check_compatible(u: Subspace, v: Subspace) -> None:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -679,11 +661,3 @@ def fitting_null(m: Matrix) -> Subspace:
         return Subspace.zero(m.field, 0)
     return kernel(m.pow(m.nrows))
 
-
-def fitting_one(m: Matrix) -> Subspace:
-    """Image of m^n (n = size): the complementary invertible component."""
-    if not m.is_square:
-        raise ValueError("Fitting decomposition of a non-square matrix")
-    if m.nrows == 0:
-        return Subspace.zero(m.field, 0)
-    return image(m.pow(m.nrows))

@@ -209,21 +209,14 @@ def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget,
     subs = _subalgebra_configs(alg, budget)
     failures, exercised = [], 0
     powers = {}  # b -> [b, b.b, (b.b).b, ...], extended on first use
-    dots = {}    # (u, v) -> u.v, so each equal pair is multiplied once
-
-    def dot(u, v):
-        if (u, v) not in dots:
-            dots[u, v] = subspace_product_dot(alg, u, v)
-        return dots[u, v]
-
     for b, c in itertools.islice(_diagonal_pairs(subs), limit):
         bc = subspace_product_bracket(alg, b, c)
         known = powers.setdefault(b, [b])
         for n in range(1, alg.dim + 2):
             if len(known) < n:
-                known.append(dot(known[-1], b))
+                known.append(subspace_product_dot(alg, known[-1], b))
             lhs = subspace_product_bracket(alg, known[n - 1], c)
-            rhs = bc if n == 1 else dot(known[n - 2], bc)
+            rhs = bc if n == 1 else subspace_product_dot(alg, known[n - 2], bc)
             exercised += 1
             if not rhs.contains(lhs):
                 failures.append({"b": _fmt_space(b), "c": _fmt_space(c), "n": n,
@@ -258,14 +251,14 @@ def _check_minimal_in_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
     nil_ideals = [s for s in lattice_profile(alg, budget).ideals()
                   if lower_central_series(alg, s).terminates]
     failures, exercised = [], 0
-    annihilators = {}  # n -> annihilator(alg, n).space, computed on first use
+    annihilators = {}  # n -> annihilator(alg, n), computed on first use
     for b in mins:
         for n in nil_ideals:
             if not n.contains(b):
                 continue
             exercised += 1
             if n not in annihilators:
-                annihilators[n] = annihilator(alg, n).space
+                annihilators[n] = annihilator(alg, n)
             ann = annihilators[n]
             if not ann.contains(b):
                 failures.append({"minimal": _fmt_space(b), "nilpotent": _fmt_space(n),
@@ -328,7 +321,7 @@ def _check_annihilator_in_nilradical(alg: PoissonAlgebra, budget: LatticeBudget,
     if pair is None:
         return _not_applicable("radical and nilradical unavailable over Q without metadata")
     rad, nil = pair
-    ann_in_rad = subspace_intersect(annihilator(alg, nil).space, rad)
+    ann_in_rad = subspace_intersect(annihilator(alg, nil), rad)
     if nil.contains(ann_in_rad):
         return _outcome([], 1)
     return _outcome([{"radical": _fmt_space(rad), "nilradical": _fmt_space(nil),
@@ -360,7 +353,7 @@ def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget,
         lie_subs = [s for s, f in zip(profile.subspaces, profile.lie_flags) if f]
     else:
         lie_subs = None
-    idealisers = {}  # u -> lie_idealiser(alg, u).space, computed on first use
+    idealisers = {}  # u -> lie_idealiser(alg, u), computed on first use
     for a in _element_configs(alg, budget):
         e_space = engel_lie_space(alg, a)
         if lie_subs is not None:
@@ -371,7 +364,7 @@ def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget,
         for u in candidates:
             exercised += 1
             if u not in idealisers:
-                idealisers[u] = lie_idealiser(alg, u).space
+                idealisers[u] = lie_idealiser(alg, u)
             idealiser_space = idealisers[u]
             if idealiser_space != u:
                 failures.append({"element": _fmt_vec(alg.field, a),
@@ -541,24 +534,19 @@ def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget,
         if not is_subideal(alg, b):
             continue
         b_alg, embed = subalgebra_algebra(alg, b)
-        b_nilpotent = b_supersolvable = None  # computed on first use
         for c, c_inside in _frattini_ideals_of(b_alg, embed, phi, budget):
             if exercised >= limit:
                 break
             data = quotient_maps(b_alg, c_inside)
             if is_nilpotent(data.algebra):
                 exercised += 1
-                if b_nilpotent is None:
-                    b_nilpotent = is_nilpotent(b_alg)
-                if not b_nilpotent:
+                if not is_nilpotent(b_alg):
                     failures.append({"subideal": _fmt_space(b), "ideal": _fmt_space(c),
                                      "clause": "nilpotent"})
                     break
             if is_supersolvable(data.algebra)[0]:
                 exercised += 1
-                if b_supersolvable is None:
-                    b_supersolvable = is_supersolvable(b_alg)[0]
-                if not b_supersolvable:
+                if not is_supersolvable(b_alg)[0]:
                     failures.append({"subideal": _fmt_space(b), "ideal": _fmt_space(c),
                                      "clause": "supersolvable"})
                     break
@@ -610,7 +598,7 @@ def _check_phi_free_socle(alg: PoissonAlgebra, budget: LatticeBudget,
         return _outcome([], 0, "vacuous: not phi-free")
     zsoc = zero_socle(alg, budget)
     nil = nilradical(alg, budget)
-    ann = annihilator(alg, socle(alg, budget)).space
+    ann = annihilator(alg, socle(alg, budget))
     if zsoc == nil == ann:
         return _outcome([], 1)
     return _outcome([{"zero_socle": _fmt_space(zsoc), "nilradical": _fmt_space(nil),

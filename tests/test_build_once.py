@@ -347,14 +347,14 @@ def _seeds(alg):
 @pytest.mark.parametrize("alg", SMALL, ids=lambda a: a.name)
 def test_early_exit_closure_matches_the_naive_fixed_point(alg):
     full = alg.full_space()
-    subalgebras = [s for s in _seeds(alg) if closure_subalgebra(alg, s).space == s]
+    subalgebras = [s for s in _seeds(alg) if closure_subalgebra(alg, s) == s]
     for seed in _seeds(alg):
-        assert closure_subalgebra(alg, seed).space == _naive_closure(alg, seed)
-        assert closure_ideal(alg, seed).space == _naive_closure(alg, seed, full)
+        assert closure_subalgebra(alg, seed) == _naive_closure(alg, seed)
+        assert closure_ideal(alg, seed) == _naive_closure(alg, seed, full)
         for ambient in subalgebras:
             if ambient.contains(seed):
                 assert _close(alg, seed, ambient) == _naive_closure(alg, seed, ambient)
-        naive_subideal = closure_subalgebra(alg, seed).space == seed and \
+        naive_subideal = closure_subalgebra(alg, seed) == seed and \
             _naive_subideal(alg, seed)
         assert is_subideal(alg, seed) == naive_subideal
 
@@ -380,7 +380,7 @@ def test_annihilator_and_preimage_match_the_stacked_kernels(alg):
         blocks = [m for row in b.rows()
                   for m in (_left_dot_matrix(alg, row), _left_bracket_matrix(alg, row))]
         expected = kernel(stack_rows(f, blocks, n)) if blocks else Subspace.full(f, n)
-        assert annihilator(alg, b).space == expected
+        assert annihilator(alg, b) == expected
         reduce_mod = _reduction_matrix(alg, b)
         reduced = [reduce_mod.matmul(m) for m in blocks]
         expected = kernel(stack_rows(f, reduced, n)) if reduced else Subspace.full(f, n)

@@ -48,7 +48,7 @@ from palg.corpus import (
     zero_algebra,
 )
 from palg.fields import FieldSpec
-from palg.linalg import Matrix, Subspace, rref, vec_add, vec_is_zero, vec_sub
+from palg.linalg import Matrix, Subspace, rref, vec_is_zero, vec_sub
 
 GF3 = FieldSpec.prime(3)
 FIELDS = [FieldSpec.prime(p) for p in (2, 3, 5, 97)] + [FieldSpec.rationals()]
@@ -161,6 +161,10 @@ def ref_reduce_vector(s, v):
 
 def ref_commutativity(alg, e, i, j):
     return vec_sub(alg.field, alg.mul_dot(e[i], e[j]), alg.mul_dot(e[j], e[i]))
+
+
+def vec_add(field, u, v):
+    return tuple(field.add(a, b) for a, b in zip(u, v))
 
 
 def ref_associativity(alg, e, i, j, k):

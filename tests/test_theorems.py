@@ -28,7 +28,7 @@ from palg.corpus import (
 )
 from palg.fields import FieldSpec
 from palg.lattice import DEFAULT_BUDGET, LatticeBudget, frattini, lattice_profile
-from palg import series, theorems
+from palg import _cache, algebra, series, theorems
 from palg.linalg import Subspace
 from palg.theorems import (
     NOT_APPLICABLE,
@@ -299,60 +299,79 @@ def test_a_repeated_empty_name_is_replaced_on_every_copy(names, expected):
 # ---------------------------------------------------------------------------
 
 
-def _record_calls(monkeypatch, name, position):
-    """Wrap theorems.<name>, recording the argument at ``position`` of each
-    call; the list keeps them alive, so their ids stay distinct."""
-    original = getattr(theorems, name)
+def _record_calls(monkeypatch, module, name, key):
+    """Wrap module.<name>, recording key(*args) of each call that key does
+    not map to None."""
+    original = getattr(module, name)
     seen = []
 
     def recording(*args, **kwargs):
-        seen.append(args[position])
+        k = key(*args, **kwargs)
+        if k is not None:
+            seen.append(k)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(theorems, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return seen
+
+
+def _argument(position):
+    return lambda *args: args[position]
+
+
+def _tensors(alg, *rest):
+    return alg.field, alg.dot_tensor, alg.bracket_tensor
+
+
+def _whole_algebra_tensors(alg, start=None):
+    return _tensors(alg) if start is None else None
+
+
+# what Thm-4.2's is_nilpotent and is_supersolvable compute when not cached
+SERIES_WORK = ((series, "lower_central_series", _whole_algebra_tensors),
+               (series, "_supersolvable", _tensors))
 
 
 # Each algebra below has a nilpotent ideal (Lemma-2.3), a Lie subalgebra
 # containing several elements' Engel spaces (Lemma-2.13) or a subideal
 # (Thm-4.2) that several counted pairs share, so computing the property per
-# pair would call it more than once for one argument.
+# pair would call it more than once for one argument.  Lemma-2.3 and
+# Lemma-2.13 keep their own table; Thm-4.2 reads the per-tensor cache, so
+# its nilpotency and flag searches are counted where they run, from a cold
+# cache, once per tensor.
 @pytest.mark.parametrize("theorem_id,alg,patched", [
-    ("Lemma-2.3", zero_algebra(GF3, 2), (("annihilator", 1),)),
-    ("Lemma-2.3", zero_algebra(GF2, 3), (("annihilator", 1),)),
-    ("Thm-4.2", heisenberg_zero_dot(GF3), (("is_nilpotent", 0), ("is_supersolvable", 0))),
-    ("Thm-4.2", heisenberg_zero_dot(GF2), (("is_nilpotent", 0), ("is_supersolvable", 0))),
-    ("Lemma-2.13", zero_algebra(GF2, 2), (("lie_idealiser", 1),)),
-    ("Lemma-2.13", two_dim_nonabelian(GF3), (("lie_idealiser", 1),)),
+    ("Lemma-2.3", zero_algebra(GF3, 2), ((theorems, "annihilator", _argument(1)),)),
+    ("Lemma-2.3", zero_algebra(GF2, 3), ((theorems, "annihilator", _argument(1)),)),
+    ("Thm-4.2", heisenberg_zero_dot(GF3), SERIES_WORK),
+    ("Thm-4.2", heisenberg_zero_dot(GF2), SERIES_WORK),
+    ("Lemma-2.13", zero_algebra(GF2, 2), ((theorems, "lie_idealiser", _argument(1)),)),
+    ("Lemma-2.13", two_dim_nonabelian(GF3), ((theorems, "lie_idealiser", _argument(1)),)),
 ], ids=lambda p: p if isinstance(p, str) else getattr(p, "name", None))
 def test_per_ideal_properties_are_computed_once(monkeypatch, theorem_id, alg, patched):
     expected = check_one(theorem_id, alg)
-    seen = {name: _record_calls(monkeypatch, name, pos) for name, pos in patched}
+    _cache.cache_clear()
+    seen = {name: _record_calls(monkeypatch, module, name, key) for module, name, key in patched}
     assert check_one(theorem_id, alg) == expected
-    for name, args in seen.items():
-        assert args, name
-        assert max(Counter(map(id, args)).values()) == 1, name
+    for name, keys in seen.items():
+        assert keys, name
+        assert max(Counter(keys).values()) == 1, name
 
 
 # Lemma-2.1 multiplies each subalgebra b into its dot powers b, b.b,
 # (b.b).b, ...; every pair (b, c) reads them, and each algebra below has
-# several pairs per b.
+# several pairs per b.  The per-tensor cache multiplies each equal (u, v)
+# once, counted from a cold cache where the product is formed.
 @pytest.mark.parametrize("alg", [zero_algebra(GF3, 2), heisenberg_zero_dot(GF3),
                                  idempotent_line(GF3), two_dim_nonabelian(GF2)],
                          ids=lambda a: a.name)
 def test_dot_powers_are_computed_once_per_subalgebra(monkeypatch, alg):
     expected = check_one("Lemma-2.1", alg)
-    product = theorems.subspace_product_dot
-    seen = []  # keeps the factors alive, so their ids stay distinct
-
-    def recording(alg, u, v):
-        seen.append((u, v))
-        return product(alg, u, v)
-
-    monkeypatch.setattr(theorems, "subspace_product_dot", recording)
+    _cache.cache_clear()
+    seen = _record_calls(monkeypatch, algebra, "_subspace_product_dot",
+                         lambda alg, u, v: (*_tensors(alg), u, v))
     assert check_one("Lemma-2.1", alg) == expected
     assert seen
-    assert max(Counter((id(u), id(v)) for u, v in seen).values()) == 1
+    assert max(Counter(seen).values()) == 1
 
 
 # ---------------------------------------------------------------------------
