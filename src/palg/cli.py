@@ -10,7 +10,6 @@ is stable across runs except for the elapsed_ms field.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -123,6 +122,7 @@ def _budget_from(args) -> LatticeBudget:
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # loads OpenSSL; only a report envelope needs it
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .algebra import (
     AxiomViolation,
+    BudgetExceededError,
     DialgebraTensors,
     PoissonAlgebra,
     direct_sum,
@@ -29,7 +30,6 @@ from .algebra import (
     validate,
 )
 from .fields import FieldError, FieldSpec
-from .lattice import BudgetExceededError
 from .linalg import _matrix, kernel
 
 SCHEMA_VERSION = "1"

@@ -41,6 +41,7 @@ from dataclasses import dataclass, fields
 
 from ._cache import cache_clear, cache_info, memo, memo_shared
 from .algebra import (
+    BudgetExceededError,
     PoissonAlgebra,
     closure_ideal,
     ideal_defect,
@@ -72,15 +73,6 @@ from .series import (
     is_nilpotent,
     lower_central_series,
 )
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would overrun the stated budget; names the budget."""
-
-    def __init__(self, budget: str, detail: str):
-        self.budget = budget
-        self.detail = detail
-        super().__init__(f"budget {budget} exceeded: {detail}")
 
 
 class StructureInconsistencyError(RuntimeError):

@@ -41,7 +41,7 @@ from palg.corpus import (
     zero_algebra,
 )
 from palg.fields import FieldSpec
-from palg.lattice import lattice_profile
+from palg.lattice import enumerate_subspaces, lattice_profile
 from palg.linalg import Matrix, Subspace, basis_vector, subspace_intersect, vec_is_zero, vec_sub
 
 GF2 = FieldSpec.prime(2)
@@ -482,6 +482,18 @@ def test_nonzero_map_from_idempotent_to_zero_algebra_fails():
     assert not is_homomorphism(bad, a, b)
     with pytest.raises(ValueError):
         kernel_of(bad, a, b)
+
+
+@pytest.mark.parametrize("alg", [a for a in curated_corpus() if a.field.is_finite],
+                         ids=lambda a: a.name)
+def test_the_kernel_of_each_quotient_map_is_its_ideal(alg):
+    # kernel_of checks only the homomorphism; its kernel is an ideal for free
+    ideals = [u for u in enumerate_subspaces(alg.field, alg.dim) if is_ideal(alg, u)]
+    assert alg.full_space() in ideals
+    for ideal in ideals:
+        q_alg, proj = quotient(alg, ideal)
+        kern = kernel_of(proj, alg, q_alg)
+        assert kern == ideal and is_ideal(alg, kern)
 
 
 # ---------------------------------------------------------------------------

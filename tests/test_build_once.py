@@ -359,6 +359,36 @@ def test_early_exit_closure_matches_the_naive_fixed_point(alg):
         assert is_subideal(alg, seed) == naive_subideal
 
 
+def test_a_closure_multiplies_one_row_per_dimension_it_spans(monkeypatch):
+    # the seed's rows, then after each round a basis of what the round added:
+    # the frontier rows of a closure are a basis of its result
+    frames, mul, close = [], algebra.PoissonAlgebra._mul, algebra._close
+    counts = []
+
+    def recording_mul(self, rows, x, y):
+        if frames:
+            frames[-1].add(x)
+        return mul(self, rows, x, y)
+
+    def recording_close(alg, seed, against=None):
+        frames.append(set())
+        try:
+            result = close(alg, seed, against)
+        finally:
+            multiplied = frames.pop()
+        products = against is None or not against.is_zero()
+        counts.append((len(multiplied), result.dim if products else 0,
+                       result.dim - seed.dim))
+        assert result == _naive_closure(alg, seed, against)
+        return result
+
+    monkeypatch.setattr(algebra.PoissonAlgebra, "_mul", recording_mul)
+    monkeypatch.setattr(algebra, "_close", recording_close)
+    run_suite(inputs.suite_corpus())
+    assert all(multiplied == spanned for multiplied, spanned, _ in counts)
+    assert sum(added for _, _, added in counts) > 0
+
+
 def _naive_subideal(alg, b):
     current = alg.full_space()
     while True:

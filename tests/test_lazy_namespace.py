@@ -1,0 +1,93 @@
+"""The package namespace is lazy (PEP 562): importing a submodule loads only
+what that submodule imports, and every exported name still resolves to the
+object its defining module holds.  Each case runs in a fresh interpreter,
+because the modules one test loads stay loaded for the next."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(code: str):
+    """Run code in a fresh interpreter with palg on the path; return the
+    JSON it prints."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _palg_modules_after(statement: str) -> set:
+    code = (f"import json, sys\n{statement}\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'palg')))")
+    return set(_run(code))
+
+
+# engel is loaded eagerly so that palg.engel stays the function; it needs
+# nothing that corpus does not load anyway
+CORE = {"palg", "palg.fields", "palg.linalg", "palg._cache", "palg.algebra", "palg.engel"}
+
+
+def test_importing_the_package_loads_only_the_core():
+    assert _palg_modules_after("import palg") == CORE
+
+
+def test_importing_the_corpus_loads_neither_the_lattice_nor_the_checks():
+    assert _palg_modules_after("import palg.corpus") == CORE | {"palg.corpus"}
+
+
+def test_importing_the_cli_does_not_load_openssl():
+    # hashlib is imported when a report envelope is built, not before
+    code = "import json, sys, palg.cli; print(json.dumps('hashlib' in sys.modules))"
+    assert _run(code) is False
+
+
+def test_every_export_is_the_object_of_its_module():
+    code = """
+import importlib, json, palg
+print(json.dumps([name for name in palg.__all__
+                  if getattr(palg, name) is not getattr(
+                      importlib.import_module(f"palg.{palg._SOURCE[name]}"), name)]))
+"""
+    assert _run(code) == []
+
+
+@pytest.mark.parametrize("first", ["palg", "palg.cli", "palg.theorems", "palg.engel"])
+def test_palg_engel_is_the_function_in_every_import_order(first):
+    code = f"""
+import json, {first}, palg, palg.cli, palg.engel
+from palg.engel import engel
+print(json.dumps(palg.engel is engel))
+"""
+    assert _run(code) is True
+
+
+def test_dir_lists_the_exports_and_an_unknown_name_raises():
+    # a submodule is an attribute of the package, imported on first access
+    code = """
+import json, sys, palg
+try:
+    palg.no_such_name
+    raised = False
+except AttributeError:
+    raised = True
+print(json.dumps({"missing": sorted(set(palg.__all__) - set(dir(palg))), "raised": raised,
+                  "submodule": palg.theorems is sys.modules["palg.theorems"]}))
+"""
+    assert _run(code) == {"missing": [], "raised": True, "submodule": True}
+
+
+def test_one_budget_error_class():
+    code = """
+import json, palg, palg.algebra, palg.cli, palg.corpus, palg.lattice
+print(json.dumps(palg.BudgetExceededError is palg.lattice.BudgetExceededError
+                 is palg.cli.BudgetExceededError is palg.corpus.BudgetExceededError
+                 is palg.algebra.BudgetExceededError))
+"""
+    assert _run(code) is True
