@@ -13,9 +13,10 @@ one entry.  Inside the entry each result sits under its own key:
   lines (``lattice._line_ideal_closures``, read by ``minimal_ideals``,
   ``radical`` and ``nilradical`` after each checks its own budget) store
   under a name alone, because they never read a budget;
-* the subspace products and closure witnesses (``algebra``) store under
-  ``("dot", u, v)``, ``("bracket", u, v)``, ``("subalgebra_defect", u)``
-  and ``("ideal_defect", u)``, the Engel and eigenvalue-part spaces
+* the subspace products, closure witnesses and kernels (``algebra``) store
+  under ``("dot", u, v)``, ``("bracket", u, v)``, ``("subalgebra_defect",
+  u)``, ``("ideal_defect", u)``, ``("annihilator", b)`` and
+  ``("lie_idealiser", u)``, the Engel and eigenvalue-part spaces
   (``engel``) under ``("engel_assoc" | "engel_lie" | "s_space", a)``, ``a``
   a projective point.  They read the tensors and their arguments only: no
   budget, no enumeration, no way to raise on one, so no budget in the key;

@@ -546,11 +546,6 @@ def quotient(alg: PoissonAlgebra, ideal: Subspace) -> tuple:
     return data.algebra, data.projection
 
 
-def project_subspace(data: QuotientData, u: Subspace) -> Subspace:
-    rows = [data.projection.mat_vec(r) for r in u.rows()]
-    return Subspace.span(data.algebra.field, data.algebra.dim, rows)
-
-
 def preimage_subspace(data: QuotientData, w: Subspace) -> Subspace:
     rows = list(data.ideal.rows()) + [data.lift.mat_vec(r) for r in w.rows()]
     return Subspace.span(data.ideal.field, data.ideal.ambient_dim, rows)
@@ -582,12 +577,6 @@ def _induced(alg: PoissonAlgebra, key: tuple, vectors: Sequence, coords: Callabl
         tuple(tuple(coords(alg._mul(rows, x, y)) for y in vectors) for x in vectors)
         for rows in _products(alg))))
     return PoissonAlgebra(alg.field, len(vectors), dot, bracket, name=name)
-
-
-def embed_subspace(embed: Matrix, w: Subspace) -> Subspace:
-    """Push a subspace of the restricted algebra back into ambient coordinates."""
-    rows = [embed.mat_vec(r) for r in w.rows()]
-    return Subspace.span(embed.field, embed.nrows, rows)
 
 
 def direct_sum(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:
@@ -632,12 +621,17 @@ def _left_bracket_matrix(alg: PoissonAlgebra, b) -> Matrix:
 
 
 def annihilator(alg: PoissonAlgebra, b: Subspace) -> Subspace:
-    """Elements with vanishing dot and bracket against all of b.
+    """Elements with vanishing dot and bracket against all of b; cached per
+    tensor, the kernel itself is _annihilator.
 
     Commutativity and antisymmetry collapse the four defining conditions to
     the two linear systems x . b_j = 0 and [x, b_j] = 0.  The annihilator of
     an ideal is an ideal (Leibniz and Jacobi).
     """
+    return memo_space(alg, ("annihilator", b), lambda: _annihilator(alg, b))
+
+
+def _annihilator(alg: PoissonAlgebra, b: Subspace) -> Subspace:
     maps = [m for row in b.rows()
             for m in (_left_dot_matrix(alg, row), _left_bracket_matrix(alg, row))]
     return _preimage_condition(alg, alg.zero_space(), maps)
@@ -672,7 +666,12 @@ def idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
 
 
 def lie_idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
-    """{x : [x, u] in U for all u in U}."""
+    """{x : [x, u] in U for all u in U}; cached per tensor, the kernel itself
+    is _lie_idealiser."""
+    return memo_space(alg, ("lie_idealiser", u), lambda: _lie_idealiser(alg, u))
+
+
+def _lie_idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
     maps = [_left_bracket_matrix(alg, row) for row in u.rows()]
     return _preimage_condition(alg, u, maps)
 

@@ -67,10 +67,10 @@ class FieldSpec:
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
-        """Parse ``"Q"`` or a prime written in decimal."""
+        """Parse ``"Q"`` or a prime written in ASCII decimal digits."""
         if text == "Q":
             return FieldSpec.rationals()
-        if text.isdigit():
+        if _is_decimal(text):
             return FieldSpec.prime(int(text))
         raise FieldError(f"unrecognised field {text!r}")
 
@@ -177,6 +177,12 @@ def _parse_int(text: str) -> int:
         sign, text = -1, text[1:]
     elif text.startswith("+"):
         text = text[1:]
-    if not text.isdigit():
+    if not _is_decimal(text):
         raise FieldError(f"not an integer literal: {text!r}")
     return sign * int(text)
+
+
+def _is_decimal(text: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts characters such as
+    '²' that ``int`` rejects."""
+    return text.isascii() and text.isdigit()

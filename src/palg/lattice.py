@@ -839,16 +839,7 @@ def structure_report(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET
             phi_free=phi.is_zero(), splitting=split,
             classification=label, idempotent=cls.idempotent,
             markers=())
-    markers = []
-    found = {}
-    for key, verify in (("radical", verify_radical), ("nilradical", verify_nilradical)):
-        space = _meta_subspace(alg, key)
-        if space is None:
-            markers.append(f"requires-finite-field: {key}")
-        elif verify(alg, space):
-            found[key] = space
-        else:
-            markers.append(f"metadata-{key}-rejected")
+    found, markers = _metadata_radicals(alg)
     for missing in ("socle", "zero_socle", "frattini", "splitting", "classification"):
         markers.append(f"requires-finite-field: {missing}")
     return StructureReport(
@@ -861,14 +852,43 @@ def structure_report(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET
         markers=tuple(markers))
 
 
+def _metadata_radicals(alg: PoissonAlgebra) -> tuple:
+    """The radicals an algebra's metadata supplies, the one place they are
+    read and verified: ``found`` maps "radical" and "nilradical" to each
+    candidate that ``verify_radical`` / ``verify_nilradical`` accept, and
+    ``markers`` says why a key is missing from it.  Malformed metadata
+    raises FieldError."""
+    found, markers = {}, []
+    for key, verify in (("radical", verify_radical), ("nilradical", verify_nilradical)):
+        space = _meta_subspace(alg, key)
+        if space is None:
+            markers.append(f"requires-finite-field: {key}")
+        elif verify(alg, space):
+            found[key] = space
+        else:
+            markers.append(f"metadata-{key}-rejected")
+    return found, markers
+
+
 def _meta_subspace(alg: PoissonAlgebra, key: str) -> Subspace | None:
-    """The span of the basis rows stored under metadata ``key``, or None."""
+    """The span of the basis rows stored under metadata ``key``, or None.
+    Metadata is outside input: anything but a list of rows of length
+    ``alg.dim`` raises FieldError, as a malformed scalar does."""
     rows = alg.meta_value(key)
     if rows is None:
         return None
     f = alg.field
-    return Subspace.from_vectors(f, alg.dim, [
-        [f.parse_scalar(x) if isinstance(x, str) else f.coerce(x) for x in row] for row in rows])
+    try:
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and len(row) == alg.dim for row in rows):
+            raise FieldError(f"needs a list of rows of length {alg.dim}")
+        if any(isinstance(x, bool) for row in rows for x in row):
+            raise FieldError("a boolean is not a scalar")
+        return Subspace.from_vectors(f, alg.dim, [
+            [f.parse_scalar(x) if isinstance(x, str) else f.coerce(x) for x in row]
+            for row in rows])
+    except FieldError as exc:
+        raise FieldError(f"metadata {key!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

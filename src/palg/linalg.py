@@ -499,6 +499,12 @@ def image(m: Matrix) -> Subspace:
     return Subspace.span(m.field, m.nrows, m.transpose().entries)
 
 
+def subspace_image(m: Matrix, u: Subspace) -> Subspace:
+    """The image m(u) as a subspace of F^nrows: a subspace pushed through a
+    quotient projection or a subalgebra embedding."""
+    return Subspace.span(m.field, m.nrows, [m.mat_vec(r) for r in u.rows()])
+
+
 # ---------------------------------------------------------------------------
 # polynomials (coefficient lists, highest degree first)
 # ---------------------------------------------------------------------------

@@ -30,9 +30,7 @@ from .algebra import (
     lie_idealiser,
     subalgebra_algebra,
     subalgebra_defect,
-    embed_subspace,
     quotient_maps,
-    project_subspace,
     subspace_product_dot,
     subspace_product_bracket,
     subspace_square,
@@ -56,15 +54,14 @@ from .lattice import (
     radical,
     socle,
     splits_over,
-    verify_nilradical,
-    verify_radical,
     zero_socle,
     CLASS_FAILS,
     _is_idempotent_line_split,
     _meta_subspace,
+    _metadata_radicals,
     _minimal_members,
 )
-from .linalg import Subspace, subspace_intersect, subspace_sum
+from .linalg import Subspace, subspace_image, subspace_intersect, subspace_sum
 from .series import (
     SeriesConsistencyError,
     derived_series,
@@ -79,6 +76,12 @@ from .series import (
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
+
+# The quantifier caps, which keep runtime bounded and deterministic: at most
+# CONFIG_LIMIT configurations per check per algebra, and at most PAIR_LIMIT
+# same-field pairs, in diagonal order, for the per-pair check.
+CONFIG_LIMIT = 256
+PAIR_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -183,12 +186,10 @@ def _radical_nilradical(alg: PoissonAlgebra, budget: LatticeBudget):
     metadata over the rationals; None when neither route applies."""
     if alg.field.is_finite:
         return radical(alg, budget), nilradical(alg, budget)
-    rad, nil = _meta_subspace(alg, "radical"), _meta_subspace(alg, "nilradical")
-    if rad is None or nil is None:
+    found, _ = _metadata_radicals(alg)
+    if len(found) < 2:
         return None
-    if not verify_radical(alg, rad) or not verify_nilradical(alg, nil):
-        return None
-    return rad, nil
+    return found["radical"], found["nilradical"]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,7 @@ def _radical_nilradical(alg: PoissonAlgebra, budget: LatticeBudget):
 # ---------------------------------------------------------------------------
 
 
-def _check_axioms(alg: PoissonAlgebra, budget: LatticeBudget, limit: int) -> tuple:
+def _check_axioms(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     violation = find_axiom_violation(alg)
     if violation is None:
         return _outcome([], 1)
@@ -204,12 +205,11 @@ def _check_axioms(alg: PoissonAlgebra, budget: LatticeBudget, limit: int) -> tup
                       "residual": _fmt_vec(alg.field, violation.residual)}], 1)
 
 
-def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget,
-                               limit: int) -> tuple:
+def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     subs = _subalgebra_configs(alg, budget)
     failures, exercised = [], 0
     powers = {}  # b -> [b, b.b, (b.b).b, ...], extended on first use
-    for b, c in itertools.islice(_diagonal_pairs(subs), limit):
+    for b, c in itertools.islice(_diagonal_pairs(subs), CONFIG_LIMIT):
         bc = subspace_product_bracket(alg, b, c)
         known = powers.setdefault(b, [b])
         for n in range(1, alg.dim + 2):
@@ -227,11 +227,10 @@ def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, exercised)
 
 
-def _check_ideal_dot_product(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> tuple:
+def _check_ideal_dot_product(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     ideals = _ideal_configs(alg, budget)
     failures, exercised = [], 0
-    for b, c in itertools.islice(_diagonal_pairs(ideals), limit):
+    for b, c in itertools.islice(_diagonal_pairs(ideals), CONFIG_LIMIT):
         product = subspace_product_dot(alg, b, c)
         exercised += 1
         defect = ideal_defect(alg, product)
@@ -243,31 +242,26 @@ def _check_ideal_dot_product(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, exercised)
 
 
-def _check_minimal_in_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
-                                limit: int) -> tuple:
+def _check_minimal_in_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     if not alg.field.is_finite:
         return _outcome([], 0, "vacuous: minimal ideals need a finite field")
     mins = minimal_ideals(alg, budget)
     nil_ideals = [s for s in lattice_profile(alg, budget).ideals()
                   if lower_central_series(alg, s).terminates]
     failures, exercised = [], 0
-    annihilators = {}  # n -> annihilator(alg, n), computed on first use
     for b in mins:
         for n in nil_ideals:
             if not n.contains(b):
                 continue
             exercised += 1
-            if n not in annihilators:
-                annihilators[n] = annihilator(alg, n)
-            ann = annihilators[n]
+            ann = annihilator(alg, n)
             if not ann.contains(b):
                 failures.append({"minimal": _fmt_space(b), "nilpotent": _fmt_space(n),
                                  "annihilator": _fmt_space(ann)})
     return _outcome(failures, exercised)
 
 
-def _check_nilpotent_iff_both(alg: PoissonAlgebra, budget: LatticeBudget,
-                              limit: int) -> tuple:
+def _check_nilpotent_iff_both(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     nil = is_nilpotent(alg)
     both = is_assoc_nilpotent(alg) and is_lie_nilpotent(alg)
     if nil != both:
@@ -275,8 +269,7 @@ def _check_nilpotent_iff_both(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome([], 1)
 
 
-def _check_radical_square(alg: PoissonAlgebra, budget: LatticeBudget,
-                          limit: int) -> tuple:
+def _check_radical_square(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     pair = _radical_nilradical(alg, budget)
     if pair is None:
         return _not_applicable("radical and nilradical unavailable over Q without metadata")
@@ -288,8 +281,7 @@ def _check_radical_square(alg: PoissonAlgebra, budget: LatticeBudget,
                       "radical_dot_square": _fmt_space(square)}], 1)
 
 
-def _check_radical_square_char0(alg: PoissonAlgebra, budget: LatticeBudget,
-                                limit: int) -> tuple:
+def _check_radical_square_char0(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     if alg.field.characteristic != 0:
         return _not_applicable("needs characteristic zero")
     pair = _radical_nilradical(alg, budget)
@@ -302,8 +294,7 @@ def _check_radical_square_char0(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome([{"radical": _fmt_space(rad), "square": _fmt_space(square)}], 1)
 
 
-def _check_supersolvable_square(alg: PoissonAlgebra, budget: LatticeBudget,
-                                limit: int) -> tuple:
+def _check_supersolvable_square(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     super_ok, _ = is_supersolvable(alg)
     detail = ("hypothesis restricted to solvable algebras: a flag of ideals alone "
               "admits idempotent lines, whose square is not nilpotent")
@@ -315,8 +306,7 @@ def _check_supersolvable_square(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome([{"square": _fmt_space(square)}], 1, detail)
 
 
-def _check_annihilator_in_nilradical(alg: PoissonAlgebra, budget: LatticeBudget,
-                                     limit: int) -> tuple:
+def _check_annihilator_in_nilradical(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     pair = _radical_nilradical(alg, budget)
     if pair is None:
         return _not_applicable("radical and nilradical unavailable over Q without metadata")
@@ -328,8 +318,7 @@ def _check_annihilator_in_nilradical(alg: PoissonAlgebra, budget: LatticeBudget,
                       "annihilator_in_radical": _fmt_space(ann_in_rad)}], 1)
 
 
-def _check_engel_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> tuple:
+def _check_engel_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     failures, exercised = [], 0
     for a in _element_configs(alg, budget):
         exercised += 1
@@ -345,15 +334,13 @@ def _check_engel_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, exercised)
 
 
-def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget,
-                           limit: int) -> tuple:
+def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     failures, exercised = [], 0
     if alg.field.is_finite:
         profile = lattice_profile(alg, budget)
         lie_subs = [s for s, f in zip(profile.subspaces, profile.lie_flags) if f]
     else:
         lie_subs = None
-    idealisers = {}  # u -> lie_idealiser(alg, u), computed on first use
     for a in _element_configs(alg, budget):
         e_space = engel_lie_space(alg, a)
         if lie_subs is not None:
@@ -363,9 +350,7 @@ def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget,
                           if subalgebra_defect(alg, u) is None or u.is_full()]
         for u in candidates:
             exercised += 1
-            if u not in idealisers:
-                idealisers[u] = lie_idealiser(alg, u)
-            idealiser_space = idealisers[u]
+            idealiser_space = lie_idealiser(alg, u)
             if idealiser_space != u:
                 failures.append({"element": _fmt_vec(alg.field, a),
                                  "subalgebra": _fmt_space(u),
@@ -376,8 +361,7 @@ def _check_self_idealising(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, exercised)
 
 
-def _check_eigen_part_closed(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> tuple:
+def _check_eigen_part_closed(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     failures, exercised = [], 0
     for a in _element_configs(alg, budget):
         exercised += 1
@@ -397,17 +381,16 @@ def _require_finite(alg: PoissonAlgebra) -> None:
         raise FieldError("lattice discovery needs a finite field")
 
 
-def _check_frattini_of_subalgebra(alg: PoissonAlgebra, budget: LatticeBudget,
-                                  limit: int) -> tuple:
+def _check_frattini_of_subalgebra(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     f_ambient = frattini(alg, budget)[0]
     ideals = _ideal_configs(alg, budget)
     failures, exercised = [], 0
     for c in _subalgebra_configs(alg, budget):
-        if exercised >= limit:
+        if exercised >= CONFIG_LIMIT:
             break
         c_alg, embed = subalgebra_algebra(alg, c)
-        f_c = embed_subspace(embed, frattini(c_alg, budget)[0])
+        f_c = subspace_image(embed, frattini(c_alg, budget)[0])
         for b in ideals:
             if not f_c.contains(b):
                 continue
@@ -419,16 +402,15 @@ def _check_frattini_of_subalgebra(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, exercised)
 
 
-def _check_frattini_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> tuple:
+def _check_frattini_quotient(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     f_space, phi = frattini(alg, budget)
     failures, exercised = [], 0
-    for b in _ideal_configs(alg, budget)[:limit]:
+    for b in _ideal_configs(alg, budget)[:CONFIG_LIMIT]:
         data = quotient_maps(alg, b)
         f_q, phi_q = frattini(data.algebra, budget)
-        f_img = project_subspace(data, f_space)
-        phi_img = project_subspace(data, phi)
+        f_img = subspace_image(data.projection, f_space)
+        phi_img = subspace_image(data.projection, phi)
         exercised += 1
         inside = f_q.contains(f_img) and phi_q.contains(phi_img)
         if not inside or (f_space.contains(b) and (f_img != f_q or phi_img != phi_q)):
@@ -444,12 +426,11 @@ def _check_frattini_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, exercised, detail)
 
 
-def _check_frattini_trivial_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
-                                     limit: int) -> tuple:
+def _check_frattini_trivial_quotient(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     f_space, phi = frattini(alg, budget)
     failures, exercised = [], 0
-    for r in _ideal_configs(alg, budget)[:limit]:
+    for r in _ideal_configs(alg, budget)[:CONFIG_LIMIT]:
         data = quotient_maps(alg, r)
         f_q, phi_q = frattini(data.algebra, budget)
         if f_q.is_zero():
@@ -464,7 +445,7 @@ def _check_frattini_trivial_quotient(alg: PoissonAlgebra, budget: LatticeBudget,
 
 
 def _check_direct_sum_frattini(a: PoissonAlgebra, b: PoissonAlgebra,
-                               budget: LatticeBudget, limit: int) -> tuple:
+                               budget: LatticeBudget) -> tuple:
     _require_finite(a)
     total = direct_sum(a, b)
     phi_sum = frattini(total, budget)[1]
@@ -481,24 +462,23 @@ def _check_direct_sum_frattini(a: PoissonAlgebra, b: PoissonAlgebra,
     return _outcome([{"phi_of_sum": _fmt_space(phi_sum), "expected": _fmt_space(expected)}], 1)
 
 
-def _check_minimal_supplement(alg: PoissonAlgebra, budget: LatticeBudget,
-                              limit: int) -> tuple:
+def _check_minimal_supplement(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     subalgebras = _subalgebra_configs(alg, budget)
     full = alg.full_space()
     failures, exercised = [], 0
     for b in _ideal_configs(alg, budget):
-        if exercised >= limit:
+        if exercised >= CONFIG_LIMIT:
             break
         # dim(b + u) <= dim b + dim u, so the sum test only runs where it can pass
         supplements = [u for u in subalgebras
                        if b.dim + u.dim >= alg.dim and subspace_sum(b, u) == full]
         for u in _minimal_members(supplements):
-            if exercised >= limit:
+            if exercised >= CONFIG_LIMIT:
                 break
             exercised += 1
             u_alg, embed = subalgebra_algebra(alg, u)
-            phi_u = embed_subspace(embed, frattini(u_alg, budget)[1])
+            phi_u = subspace_image(embed, frattini(u_alg, budget)[1])
             meet = subspace_intersect(b, u)
             if not phi_u.contains(meet):
                 failures.append({"ideal": _fmt_space(b), "supplement": _fmt_space(u),
@@ -507,12 +487,11 @@ def _check_minimal_supplement(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, exercised)
 
 
-def _check_zero_ideal_splits(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> tuple:
+def _check_zero_ideal_splits(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     failures, exercised = [], 0
-    for b in _ideal_configs(alg, budget)[:limit]:
+    for b in _ideal_configs(alg, budget)[:CONFIG_LIMIT]:
         if not subspace_square(alg, b).is_zero():
             continue
         if not subspace_intersect(b, phi).is_zero():
@@ -523,19 +502,18 @@ def _check_zero_ideal_splits(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, exercised)
 
 
-def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget,
-                           limit: int) -> tuple:
+def _check_subideal_factor(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     failures, exercised = [], 0
     for b in lattice_profile(alg, budget).subalgebras():
-        if exercised >= limit or failures:
+        if exercised >= CONFIG_LIMIT or failures:
             break
         if not is_subideal(alg, b):
             continue
         b_alg, embed = subalgebra_algebra(alg, b)
         for c, c_inside in _frattini_ideals_of(b_alg, embed, phi, budget):
-            if exercised >= limit:
+            if exercised >= CONFIG_LIMIT:
                 break
             data = quotient_maps(b_alg, c_inside)
             if is_nilpotent(data.algebra):
@@ -565,12 +543,11 @@ def _frattini_ideals_of(b_alg: PoissonAlgebra, embed, phi: Subspace,
     with the j-th coordinate itself at that pivot; rows compare as their
     coordinates do.
     """
-    pairs = [(embed_subspace(embed, c), c) for c in lattice_profile(b_alg, budget).ideals()]
+    pairs = [(subspace_image(embed, c), c) for c in lattice_profile(b_alg, budget).ideals()]
     return [(c, inside) for c, inside in pairs if phi.contains(c)]
 
 
-def _check_phi_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
-                         limit: int) -> tuple:
+def _check_phi_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     if lower_central_series(alg, phi).terminates:
@@ -578,8 +555,7 @@ def _check_phi_nilpotent(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome([{"phi": _fmt_space(phi)}], 1)
 
 
-def _check_phi_free_split(alg: PoissonAlgebra, budget: LatticeBudget,
-                          limit: int) -> tuple:
+def _check_phi_free_split(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     zsoc = zero_socle(alg, budget)
@@ -590,8 +566,7 @@ def _check_phi_free_split(alg: PoissonAlgebra, budget: LatticeBudget,
                       "split_found": complement is not None}], 1)
 
 
-def _check_phi_free_socle(alg: PoissonAlgebra, budget: LatticeBudget,
-                          limit: int) -> tuple:
+def _check_phi_free_socle(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     if not phi.is_zero():
@@ -605,10 +580,9 @@ def _check_phi_free_socle(alg: PoissonAlgebra, budget: LatticeBudget,
                       "annihilator_of_socle": _fmt_space(ann)}], 1)
 
 
-def _check_phi_free_shape(alg: PoissonAlgebra, budget: LatticeBudget,
-                          limit: int) -> tuple:
+def _check_phi_free_shape(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     if not alg.field.is_finite:
-        return _check_phi_free_shape_q(alg)
+        return _check_phi_free_shape_q(alg, budget)
     phi = frattini(alg, budget)[1]
     rad = radical(alg, budget)
     nil = nilradical(alg, budget)
@@ -623,19 +597,18 @@ def _check_phi_free_shape(alg: PoissonAlgebra, budget: LatticeBudget,
                       "radical_dot_square": _fmt_space(rad_dot_sq)}], 1)
 
 
-def _check_phi_free_shape_q(alg: PoissonAlgebra) -> tuple:
+def _check_phi_free_shape_q(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     """Characteristic-zero clause on explicitly supplied configurations: with
     a verified radical, complement and nilradical and a phi-free claim, the
     full square of (complement meet radical) must vanish.  The weaker
     dot-square variants are reported in the detail, not asserted."""
     if alg.meta_value("phi_free") is not True:
         return _not_applicable("needs phi_free metadata plus a verified complement over Q")
-    rad = _meta_subspace(alg, "radical")
     comp = _meta_subspace(alg, "complement")
-    nil = _meta_subspace(alg, "nilradical")
-    if rad is None or comp is None or nil is None or not verify_radical(alg, rad) \
-            or not verify_nilradical(alg, nil):
+    pair = _radical_nilradical(alg, budget)
+    if comp is None or pair is None:
         return _not_applicable("metadata configuration missing or unverifiable")
+    rad, nil = pair
     if subalgebra_defect(alg, comp) is not None or \
             not subspace_intersect(comp, nil).is_zero() or \
             subspace_sum(comp, nil).dim != alg.dim:
@@ -651,8 +624,7 @@ def _check_phi_free_shape_q(alg: PoissonAlgebra) -> tuple:
     return _outcome([{"meet": _fmt_space(meet), "square": _fmt_space(full_square)}], 1, detail)
 
 
-def _check_solvable_phi_free(alg: PoissonAlgebra, budget: LatticeBudget,
-                             limit: int) -> tuple:
+def _check_solvable_phi_free(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     if not is_solvable(alg):
         return _outcome([], 0, "vacuous: not solvable")
@@ -671,8 +643,7 @@ def _check_solvable_phi_free(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, 1)
 
 
-def _check_nilpotent_iff_phi_square(alg: PoissonAlgebra, budget: LatticeBudget,
-                                    limit: int) -> tuple:
+def _check_nilpotent_iff_phi_square(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     phi = frattini(alg, budget)[1]
     square = subspace_square(alg, alg.full_space())
@@ -689,16 +660,14 @@ def _check_nilpotent_iff_phi_square(alg: PoissonAlgebra, budget: LatticeBudget,
     return _outcome(failures, 1)
 
 
-def _check_all_maximal_ideals_lie(alg: PoissonAlgebra, budget: LatticeBudget,
-                                  limit: int) -> tuple:
+def _check_all_maximal_ideals_lie(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     if not all(is_ideal(alg, m) for m in maximal_subalgebras(alg, budget)):
         return _outcome([], 0, "vacuous: some maximal subalgebra is not an ideal")
     return _outcome([] if is_lie_nilpotent(alg) else [{}], 1)
 
 
-def _check_max_ideal_classification(alg: PoissonAlgebra, budget: LatticeBudget,
-                                    limit: int) -> tuple:
+def _check_max_ideal_classification(alg: PoissonAlgebra, budget: LatticeBudget) -> tuple:
     _require_finite(alg)
     classification = classify_max_ideal_property(alg, budget)
     if classification.kind != CLASS_FAILS:
@@ -805,12 +774,11 @@ _BY_ID = {check.id: check for check in REGISTRY}
 # ---------------------------------------------------------------------------
 
 
-def _run_guarded(check: TheoremCheck, args: tuple, budget: LatticeBudget,
-                 limit: int) -> TheoremResult:
+def _run_guarded(check: TheoremCheck, args: tuple, budget: LatticeBudget) -> TheoremResult:
     """Run the check and stamp its verdict with the check id and the algebra
     names; the errors a check can meet become verdicts too."""
     try:
-        verdict = check.runner(*args, budget, limit)
+        verdict = check.runner(*args, budget)
     except BudgetExceededError as exc:
         verdict = _not_applicable(f"budget {exc.budget} exceeded: {exc.detail}")
     except FieldError as exc:
@@ -824,10 +792,9 @@ def _run_guarded(check: TheoremCheck, args: tuple, budget: LatticeBudget,
     return TheoremResult(check.id, " (+) ".join(a.name for a in args), *verdict)
 
 
-def check_one(theorem_id: str, algebras, budget: LatticeBudget = DEFAULT_BUDGET,
-              config_limit: int = 256) -> TheoremResult:
+def check_one(theorem_id: str, algebras,
+              budget: LatticeBudget = DEFAULT_BUDGET) -> TheoremResult:
     """Run one named check on an algebra (or a pair for per-pair checks)."""
-    _check_limit("config_limit", config_limit)
     if theorem_id not in _BY_ID:
         raise KeyError(f"unknown check {theorem_id!r}")
     check = _BY_ID[theorem_id]
@@ -836,23 +803,20 @@ def check_one(theorem_id: str, algebras, budget: LatticeBudget = DEFAULT_BUDGET,
     expected = 2 if check.scope == "per-pair" else 1
     if len(algebras) != expected:
         raise ValueError(f"{theorem_id} needs {expected} algebra(s)")
-    return _run_guarded(check, tuple(algebras), budget, config_limit)
+    return _run_guarded(check, tuple(algebras), budget)
 
 
 def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = None,
-              budget: LatticeBudget = DEFAULT_BUDGET, jobs: int = 1,
-              config_limit: int = 256, pair_limit: int = 64) -> list:
+              budget: LatticeBudget = DEFAULT_BUDGET, jobs: int = 1) -> list:
     """Execute every applicable check over the corpus, deterministically.
 
     Per-pair checks run over a diagonal-order sample of same-field pairs
-    capped at pair_limit; all other quantifier caps come from config_limit.
+    capped at PAIR_LIMIT; the other quantifiers stop at CONFIG_LIMIT.
     Parallel execution only fans out independent pure calls, and results are
     ordered by (registry position, task position) regardless of jobs.  A
     theorem_filter naming no registered check raises ValueError, so a typo
     cannot pass for a clean run.
     """
-    _check_limit("config_limit", config_limit)
-    _check_limit("pair_limit", pair_limit)
     check_suite_request(theorem_filter, jobs)
     corpus = _uniquely_named(corpus)
     tasks = []
@@ -865,12 +829,12 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
         else:
             same_field_pairs = [(a, b) for a, b in _diagonal_pairs(corpus)
                                 if a.field == b.field]
-            for a, b in same_field_pairs[:pair_limit]:
+            for a, b in same_field_pairs[:PAIR_LIMIT]:
                 tasks.append((check, (a, b)))
 
     def run(task):
         check, args = task
-        return _run_guarded(check, args, budget, config_limit)
+        return _run_guarded(check, args, budget)
 
     if jobs > 1:
         # imported here: concurrent.futures (and the logging it loads) would
@@ -885,19 +849,14 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
 
 
 def check_suite_request(theorem_filter: str | None, jobs: int) -> None:
-    """Raise ValueError for a worker count below 1 or a theorem_filter
-    naming no registered check.  ``run_suite`` checks both first; ``palg
-    check`` checks them before it reads the corpus, so a typo fails fast."""
-    _check_limit("jobs", jobs, least=1)
+    """Raise ValueError for a worker count that is not an int >= 1 or a
+    theorem_filter naming no registered check.  ``run_suite`` checks both
+    first; ``palg check`` checks them before it reads the corpus, so a typo
+    fails fast."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     if theorem_filter is not None and theorem_filter not in _BY_ID:
         raise ValueError(f"unknown check {theorem_filter!r}; palg check --list names them")
-
-
-def _check_limit(name: str, value, least: int = 0) -> None:
-    """Quantifier caps are counts: a negative one would silently drop the
-    last configurations of a slice.  A worker count starts at ``least=1``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def _diagonal_pairs(items: Sequence):

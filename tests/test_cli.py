@@ -152,6 +152,39 @@ def test_check_rejects_invalid_corpus_without_flag(capsys, tmp_path):
     assert code == 1 and "leibniz" in err
 
 
+# Metadata is outside input: a row of the wrong length, and a digit that
+# str.isdigit accepts but int does not, used to end both commands with a
+# traceback (ValueError: ragged matrix; invalid literal for int()); a JSON
+# boolean used to pass as the scalar 0 or 1.
+MALFORMED_RADICALS = {"ragged": [["1"]], "superscript": [["\u00b2", "0"]],
+                      "boolean": [[True, False]]}
+
+
+def _malformed_q_algebra(label):
+    return two_dim_nonabelian(FieldSpec.rationals()).with_name(label).with_meta(
+        {"radical": MALFORMED_RADICALS[label], "nilradical": [["1", "0"]]})
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_RADICALS))
+def test_analyze_malformed_metadata_is_a_usage_error(capsys, tmp_path, label):
+    path = tmp_path / f"{label}.palg"
+    path.write_text(serialize_document(_malformed_q_algebra(label)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: metadata 'radical': ")
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_RADICALS))
+def test_check_reports_malformed_metadata_as_not_applicable(capsys, tmp_path, label):
+    manifest = _write_corpus(tmp_path, [_malformed_q_algebra(label)])
+    code, out, _ = run_cli(capsys, "check", str(manifest), "--format", "json")
+    assert code == 0
+    rows = {r["theorem"]: r for r in json.loads(out)["result"]["results"]}
+    for theorem in ("Thm-2.6", "Lemma-2.9", "Cor-2.7"):
+        assert rows[theorem]["status"] == "not-applicable"
+        assert rows[theorem]["detail"].startswith("metadata 'radical': ")
+
+
 def test_check_unknown_theorem_is_a_usage_error(capsys, tmp_path):
     # it used to print "summary: 0 pass ..." and exit 0
     manifest = _write_corpus(tmp_path, [zero_algebra(GF2, 1)])

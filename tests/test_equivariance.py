@@ -19,7 +19,9 @@ from palg.algebra import (
     centre,
     closure_ideal,
     closure_subalgebra,
+    direct_sum,
     idealiser,
+    is_subalgebra,
     lie_idealiser,
     validate,
 )
@@ -36,9 +38,10 @@ from palg.lattice import (
     nilradical,
     radical,
     socle,
+    splits_over,
     zero_socle,
 )
-from palg.linalg import Matrix, Subspace, kernel, rref
+from palg.linalg import Matrix, Subspace, kernel, rref, subspace_intersect
 from palg.series import SERIES_KINDS, series_by_kind
 
 
@@ -120,6 +123,21 @@ def _subspace_results(alg, seeds, elements) -> dict:
     return out
 
 
+# The ideals asked whether they split: splits_over returns a complement, not
+# the complement, so only its existence has to move with the basis.
+SPLIT_OVER = ("centre", "radical", "nilradical", "socle", "zero_socle", ("frattini", "phi"))
+
+
+def _complement_found(alg, b) -> bool:
+    """Whether splits_over finds a complement to b, checked to be a
+    subalgebra complement when it does."""
+    c = splits_over(alg, b)
+    if c is not None:
+        assert is_subalgebra(alg, c) and c.dim + b.dim == alg.dim
+        assert subspace_intersect(c, b).is_zero()
+    return c is not None
+
+
 @pytest.mark.parametrize("source", SOURCES)
 def test_basis_free_results_move_with_the_basis(source):
     algebras = SOURCES[source]()
@@ -140,3 +158,49 @@ def test_basis_free_results_move_with_the_basis(source):
         for spaces in (minimal_ideals, maximal_subalgebras, maximal_assoc_subalgebras,
                        maximal_lie_subalgebras):
             assert set(spaces(moved)) == {move(s) for s in spaces(alg)}, (alg.name, spaces)
+        for label in SPLIT_OVER:
+            assert _complement_found(moved, after[label]) == \
+                _complement_found(alg, before[label]), (alg.name, label)
+
+
+def _block_sum(u: Subspace, v: Subspace) -> Subspace:
+    """u (+) v inside A (+) B, for u in A and v in B."""
+    f, m, n = u.field, u.ambient_dim, v.ambient_dim
+    rows = [tuple(r) + (f.zero(),) * n for r in u.rows()]
+    rows += [(f.zero(),) * m + tuple(r) for r in v.rows()]
+    return Subspace.span(f, m + n, rows)
+
+
+def test_radicals_and_socle_add_over_direct_sums():
+    """f(A (+) B) = f(A) (+) f(B) for the radical, nilradical and socle.
+
+    Write L = A (+) B.  The cross products vanish, so an ideal of A is an
+    ideal of L, and the projection p_A: L -> A is a surjective homomorphism.
+
+    Radical and nilradical.  R(A) (+) R(B) is a solvable ideal of L: as an
+    algebra it is the direct product of R(A) and R(B), whose derived series
+    are the sums of theirs.  So it lies in R(L).  Conversely p_A(R(L)) is an
+    ideal of A and a homomorphic image of a solvable algebra, hence
+    solvable, so it lies in R(A); likewise for B.  Then
+    R(L) <= p_A(R(L)) (+) p_B(R(L)) <= R(A) (+) R(B).  The nilradical is the
+    same argument with nilpotent (lower central series) for solvable.
+
+    Socle.  An ideal of L inside A is an ideal of A, so a minimal ideal of A
+    is a minimal ideal of L, and soc(A) (+) soc(B) <= soc(L).  Conversely let
+    M be a minimal ideal of L.  If M meet A != 0, it is an ideal of L inside
+    M, so M <= A and M is a minimal ideal of A; likewise for B.  Otherwise
+    M meet A = M meet B = 0: then A.M and [A, M] lie in A meet M = 0, and
+    likewise for B, so L annihilates M.  Every line of M is then
+    an ideal, so M = F m is a line, and m = a + b with a in A and b in B.
+    Since L.m = 0, A.a = [A, a] = 0 and the lines F a and F b (where
+    nonzero) are minimal ideals of A and of B.  So m lies in
+    soc(A) (+) soc(B), and soc(L) <= soc(A) (+) soc(B).
+    """
+    algebras = SOURCES["curated-finite"]()
+    pairs = [(a, b) for i, a in enumerate(algebras) for b in algebras[i:]
+             if a.field == b.field and a.dim + b.dim <= 5]
+    assert len(pairs) == 62
+    for a, b in pairs:
+        total = direct_sum(a, b)
+        for f in (radical, nilradical, socle):
+            assert f(total) == _block_sum(f(a), f(b)), (a.name, b.name, f.__name__)

@@ -53,6 +53,20 @@ def test_field_parsing_and_formatting():
         FieldSpec.prime(101)
 
 
+@pytest.mark.parametrize("text", ["²", "-²", "1/²", "٣", "1_0"])
+def test_only_ascii_digits_parse_as_scalars(text):
+    # str.isdigit accepts '²', which int() then rejected with a plain
+    # ValueError, and the Arabic-Indic '٣', which int() read as 3
+    with pytest.raises(FieldError, match="not an integer literal"):
+        Q.parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", ["²", "٣", "1_1"])
+def test_only_ascii_digits_parse_as_a_modulus(text):
+    with pytest.raises(FieldError, match="unrecognised field"):
+        FieldSpec.parse(text)
+
+
 def test_prime_field_arithmetic_is_reduced():
     assert GF3.add(2, 2) == 1
     assert GF3.inv(2) == 2
