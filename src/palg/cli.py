@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__
 from .algebra import AxiomViolation, PoissonAlgebra
@@ -34,7 +35,7 @@ from .lattice import (
 )
 from .linalg import Subspace
 from .series import SERIES_KINDS, SeriesReport, series_by_kind
-from .theorems import REGISTRY, check_suite_request, run_suite, summarise
+from .theorems import REGISTRY, TheoremResult, check_suite_request, run_suite, summarise
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -122,8 +123,13 @@ def _budget_from(args) -> LatticeBudget:
 
 
 def _sha256(path: str) -> str:
-    import hashlib  # loads OpenSSL; only a report envelope needs it
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    # CPython's builtin sha256, which hashlib itself falls back to: importing
+    # hashlib maps in OpenSSL, about 4 MB of RSS, for one digest per input
+    try:
+        from _sha256 import sha256
+    except ImportError:  # CPython 3.12 renamed it _sha2
+        from hashlib import sha256
+    return sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _envelope(command: str, inputs: list, result, started: float) -> dict:
@@ -137,15 +143,32 @@ def _envelope(command: str, inputs: list, result, started: float) -> dict:
     }
 
 
-def _emit(args, envelope: dict, text_lines: list) -> None:
-    if args.format == "json":
-        payload = json.dumps(envelope, indent=2) + "\n"
+def _emit(args, envelope: dict, text_lines: Iterable[str]) -> None:
+    """Write the report to --out or stdout as it is encoded, in the bytes of
+    ``json.dumps(envelope, indent=2) + "\n"`` or of the joined text lines.
+    Check rows (TheoremResult) are converted one at a time as they are
+    written, and the text lines are only drawn for --format text.  A
+    failure while writing removes the partial --out file."""
+    if not args.out:
+        _write_report(args.format, envelope, text_lines, sys.stdout)
+        return
+    out = Path(args.out)
+    fh = out.open("w", encoding="utf-8")
+    try:
+        with fh:
+            _write_report(args.format, envelope, text_lines, fh)
+    except BaseException:
+        if out.is_file() and not out.is_symlink():  # not a device or link: /dev/null, /dev/stdout
+            out.unlink()
+        raise
+
+
+def _write_report(fmt: str, envelope: dict, text_lines: Iterable[str], fh) -> None:
+    if fmt == "json":
+        json.dump(envelope, fh, indent=2, default=TheoremResult.to_json)
+        fh.write("\n")
     else:
-        payload = "\n".join(text_lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+        fh.writelines(line + "\n" for line in text_lines)
 
 
 def _space_json(s: Subspace | None):
@@ -196,19 +219,21 @@ def cmd_validate(args) -> int:
                             "residual": [str(x) for x in exc.residual]})
             if worst == EXIT_OK:
                 worst = EXIT_MATH
-    lines = []
-    for r in results:
-        if r["status"] == "valid":
-            lines.append(f"{r['path']}: VALID")
-        elif r["status"] == "invalid":
-            lines.append(f"{r['path']}: INVALID {r['axiom']} at {tuple(r['witness'])} "
-                         f"residual {r['residual']}")
-        else:
-            lines.append(f"{r['path']}: ERROR {r['message']}")
     # only regular files are hashed; a directory stays an io-error row
     inputs = [p for p in args.paths if Path(p).is_file()]
-    _emit(args, _envelope("validate", inputs, results, started), lines)
+    _emit(args, _envelope("validate", inputs, results, started), _validate_lines(results))
     return worst
+
+
+def _validate_lines(results: list) -> Iterator[str]:
+    for r in results:
+        if r["status"] == "valid":
+            yield f"{r['path']}: VALID"
+        elif r["status"] == "invalid":
+            yield (f"{r['path']}: INVALID {r['axiom']} at {tuple(r['witness'])} "
+                   f"residual {r['residual']}")
+        else:
+            yield f"{r['path']}: ERROR {r['message']}"
 
 
 def _load_algebra(path: str, allow_invalid: bool) -> PoissonAlgebra:
@@ -233,26 +258,30 @@ def cmd_analyze(args) -> int:
         return EXIT_MATH
     report = structure_report(alg, budget)
     result = _report_json(report)
+    _emit(args, _envelope("analyze", [args.path], result, started),
+          _analyze_lines(alg, report, args.path))
+    return EXIT_OK
+
+
+def _analyze_lines(alg: PoissonAlgebra, report: StructureReport, path: str) -> Iterator[str]:
     labels = alg.labels()
-    lines = [f"algebra {alg.name or args.path} over {alg.field} (dim {alg.dim})"]
+    yield f"algebra {alg.name or path} over {alg.field} (dim {alg.dim})"
     for key in ("radical", "nilradical", "socle", "zero_socle",
                 "frattini_subalgebra", "frattini_ideal"):
-        lines.append(f"  {key:20s} {_space_text(getattr(report, key), labels)}")
+        yield f"  {key:20s} {_space_text(getattr(report, key), labels)}"
     if report.frattini_assoc is not None:
-        lines.append(f"  {'frattini_assoc':20s} F={_space_text(report.frattini_assoc[0], labels)}"
-                     f" phi={_space_text(report.frattini_assoc[1], labels)}")
-        lines.append(f"  {'frattini_lie':20s} F={_space_text(report.frattini_lie[0], labels)}"
-                     f" phi={_space_text(report.frattini_lie[1], labels)}")
-    lines.append(f"  {'phi_free':20s} {report.phi_free}")
+        yield (f"  {'frattini_assoc':20s} F={_space_text(report.frattini_assoc[0], labels)}"
+               f" phi={_space_text(report.frattini_assoc[1], labels)}")
+        yield (f"  {'frattini_lie':20s} F={_space_text(report.frattini_lie[0], labels)}"
+               f" phi={_space_text(report.frattini_lie[1], labels)}")
+    yield f"  {'phi_free':20s} {report.phi_free}"
     if report.splitting is None and report.classification is not None:
-        lines.append(f"  {'splitting':20s} none (no complement to the zero socle closes)")
+        yield f"  {'splitting':20s} none (no complement to the zero socle closes)"
     else:
-        lines.append(f"  {'splitting':20s} {_space_text(report.splitting, labels)}")
-    lines.append(f"  {'classification':20s} {report.classification}")
+        yield f"  {'splitting':20s} {_space_text(report.splitting, labels)}"
+    yield f"  {'classification':20s} {report.classification}"
     for marker in report.markers:
-        lines.append(f"  note: {marker}")
-    _emit(args, _envelope("analyze", [args.path], result, started), lines)
-    return EXIT_OK
+        yield f"  note: {marker}"
 
 
 def _report_json(report: StructureReport) -> dict:
@@ -286,14 +315,18 @@ def cmd_series(args) -> int:
         return EXIT_MATH
     report = series_by_kind(alg, args.kind)
     result = _series_json(report)
+    _emit(args, _envelope("series", [args.path], result, started),
+          _series_lines(alg, report, args.path))
+    return EXIT_OK
+
+
+def _series_lines(alg: PoissonAlgebra, report: SeriesReport, path: str) -> Iterator[str]:
     labels = alg.labels()
     verdict = (f"terminates at zero, step {report.step}" if report.terminates
                else f"stabilises nonzero at step {report.step}")
-    lines = [f"{args.kind} series of {alg.name or args.path}: {verdict}"]
+    yield f"{report.kind} series of {alg.name or path}: {verdict}"
     for idx, term in enumerate(report.terms):
-        lines.append(f"  term {idx}: {_space_text(term, labels)}")
-    _emit(args, _envelope("series", [args.path], result, started), lines)
-    return EXIT_OK
+        yield f"  term {idx}: {_space_text(term, labels)}"
 
 
 def _series_json(report: SeriesReport) -> dict:
@@ -325,17 +358,20 @@ def cmd_check(args) -> int:
                                      allow_invalid=args.allow_invalid))
     results = run_suite(corpus, theorem_filter=args.theorem, budget=budget, jobs=args.jobs)
     counts = summarise(results)
-    payload = {"results": [r.to_json() for r in results], "summary": counts}
-    lines = []
+    # the rows go into the report as they are; _emit encodes one at a time
+    payload = {"results": results, "summary": counts}
+    _emit(args, _envelope("check", inputs, payload, started), _check_lines(results, counts))
+    return EXIT_OK if counts["fail"] == 0 else EXIT_MATH
+
+
+def _check_lines(results: list, counts: dict) -> Iterator[str]:
     for r in results:
         flag = "" if r.exercised else " (vacuous)"
-        lines.append(f"{r.status.upper():15s} {r.theorem:12s} {r.algebra}{flag}")
+        yield f"{r.status.upper():15s} {r.theorem:12s} {r.algebra}{flag}"
         if r.status == "fail" and r.witness:
-            lines.append(f"    witness: {json.dumps(r.witness)}")
-    lines.append(f"summary: {counts['pass']} pass ({counts['vacuous']} vacuous), "
-                 f"{counts['fail']} fail, {counts['not-applicable']} not applicable")
-    _emit(args, _envelope("check", inputs, payload, started), lines)
-    return EXIT_OK if counts["fail"] == 0 else EXIT_MATH
+            yield f"    witness: {json.dumps(r.witness)}"
+    yield (f"summary: {counts['pass']} pass ({counts['vacuous']} vacuous), "
+           f"{counts['fail']} fail, {counts['not-applicable']} not applicable")
 
 
 def cmd_enumerate(args) -> int:

@@ -57,13 +57,18 @@ class FieldSpec:
 
     # -- constructors ------------------------------------------------------
 
+    # These return one shared object per field, so that the field tests of
+    # subspaces and cache keys succeed on identity; FieldSpec(...) built
+    # directly still compares equal to it.
+
     @staticmethod
     def rationals() -> "FieldSpec":
-        return FieldSpec(RATIONALS)
+        return _RATIONALS
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
-        return FieldSpec(PRIME, p)
+        spec = _PRIMES.get(p) if type(p) is int else None
+        return spec if spec is not None else FieldSpec(PRIME, p)  # validates p as before
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
@@ -168,6 +173,10 @@ class FieldSpec:
         if self.kind != PRIME:
             raise FieldError("cannot enumerate the rationals")
         return iter(range(self.modulus))  # type: ignore[arg-type]
+
+
+_RATIONALS = FieldSpec(RATIONALS)
+_PRIMES = {p: FieldSpec(PRIME, p) for p in range(MAX_MODULUS + 1) if is_prime(p)}
 
 
 def _parse_int(text: str) -> int:

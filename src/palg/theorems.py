@@ -84,7 +84,7 @@ CONFIG_LIMIT = 256
 PAIR_LIMIT = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheoremResult:
     theorem: str
     algebra: str
@@ -827,9 +827,9 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
             for alg in corpus:
                 tasks.append((check, (alg,)))
         else:
-            same_field_pairs = [(a, b) for a, b in _diagonal_pairs(corpus)
-                                if a.field == b.field]
-            for a, b in same_field_pairs[:PAIR_LIMIT]:
+            same_field_pairs = ((a, b) for a, b in _diagonal_pairs(corpus)
+                                if a.field == b.field)
+            for a, b in itertools.islice(same_field_pairs, PAIR_LIMIT):
                 tasks.append((check, (a, b)))
 
     def run(task):
@@ -860,12 +860,13 @@ def check_suite_request(theorem_filter: str | None, jobs: int) -> None:
 
 
 def _diagonal_pairs(items: Sequence):
-    """Deterministic diagonal enumeration of the pairs (items[i], items[j]), i <= j."""
-    for total in range(2 * len(items) - 1):
-        for i in range(len(items)):
-            j = total - i
-            if i <= j < len(items):
-                yield items[i], items[j]
+    """Deterministic diagonal enumeration of the pairs (items[i], items[j]),
+    i <= j, by increasing i + j and then i; lazy, so a caller that stops
+    early pays only for the pairs it takes."""
+    n = len(items)
+    for total in range(2 * n - 1):
+        for i in range(max(0, total - n + 1), total // 2 + 1):
+            yield items[i], items[total - i]
 
 
 def _uniquely_named(corpus: Sequence[PoissonAlgebra]) -> list:

@@ -3,6 +3,7 @@ what that submodule imports, and every exported name still resolves to the
 object its defining module holds.  Each case runs in a fresh interpreter,
 because the modules one test loads stay loaded for the next."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,9 +44,30 @@ def test_importing_the_corpus_loads_neither_the_lattice_nor_the_checks():
 
 
 def test_importing_the_cli_does_not_load_openssl():
-    # hashlib is imported when a report envelope is built, not before
+    # nor does writing a report, where the interpreter has _sha256 (below)
     code = "import json, sys, palg.cli; print(json.dumps('hashlib' in sys.modules))"
     assert _run(code) is False
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
+                    reason="no _sha256 module (CPython 3.12 renamed it); hashlib is used")
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_a_whole_command_runs_without_openssl(tmp_path, command):
+    # the input hashes come from the builtin sha256 module, not from hashlib
+    code = f"""
+import json, sys
+from palg.corpus import heisenberg_zero_dot, serialize_document, serialize_manifest
+from palg.fields import FieldSpec
+from palg.cli import main
+doc = {str(tmp_path / "heis.palg")!r}
+open(doc, "w").write(serialize_document(heisenberg_zero_dot(FieldSpec.prime(2))))
+open({str(tmp_path / "manifest.json")!r}, "w").write(serialize_manifest(["heis.palg"]))
+target = {str(tmp_path / "manifest.json")!r} if {command!r} == "check" else doc
+code = main([{command!r}, target, "--format", "json", "--out", {str(tmp_path / "report")!r}])
+print(json.dumps({{"code": code, "openssl": "_hashlib" in sys.modules}}))
+"""
+    assert _run(code) == {"code": 0, "openssl": False}
+    assert json.loads((tmp_path / "report").read_text())["inputs"][0]["sha256"]
 
 
 def test_every_export_is_the_object_of_its_module():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from palg.fields import FieldError, FieldSpec
+from palg.fields import PRIME, RATIONALS, FieldError, FieldSpec
 from palg.lattice import enumerate_subspaces
 from palg.linalg import (
     Matrix,
@@ -65,6 +65,18 @@ def test_only_ascii_digits_parse_as_scalars(text):
 def test_only_ascii_digits_parse_as_a_modulus(text):
     with pytest.raises(FieldError, match="unrecognised field"):
         FieldSpec.parse(text)
+
+
+def test_one_fieldspec_object_per_field():
+    for p in (2, 3, 5, 97):
+        assert FieldSpec.prime(p) is FieldSpec.prime(p) is FieldSpec.parse(str(p))
+        assert FieldSpec(PRIME, p) == FieldSpec.prime(p)
+        assert FieldSpec(PRIME, p) is not FieldSpec.prime(p)
+    assert FieldSpec.rationals() is FieldSpec.parse("Q") == FieldSpec(RATIONALS)
+    # a value equal to a prime but not an int is checked, not looked up
+    for p in (2.0, Fraction(3), True):
+        with pytest.raises(FieldError, match="not prime"):
+            FieldSpec.prime(p)
 
 
 def test_prime_field_arithmetic_is_reduced():
@@ -248,9 +260,10 @@ def test_mismatched_ambient_or_field_rejected():
 
 
 def test_equal_fields_that_are_distinct_objects_are_compatible():
-    # the identity test is only a shortcut before the equality test
+    # the identity test is only a shortcut before the equality test; the
+    # named constructors share one object per field, direct construction not
     u = Subspace.full(FieldSpec.prime(3), 2)
-    v = Subspace.from_vectors(FieldSpec.prime(3), 2, [(1, 1)])
+    v = Subspace.from_vectors(FieldSpec(PRIME, 3), 2, [(1, 1)])
     assert u.field is not v.field
     assert u.contains(v) and not v.contains(u)
     assert subspace_intersect(u, v) == v and subspace_sum(u, v) == u

@@ -118,6 +118,45 @@ def test_zero_limits_are_accepted(monkeypatch):
     assert res.status == PASS and res.exercised == 0
 
 
+def _diagonal_pairs_by_double_loop(items):
+    """Test oracle: the diagonal order as a scan of every i on every diagonal."""
+    for total in range(2 * len(items) - 1):
+        for i in range(len(items)):
+            j = total - i
+            if i <= j < len(items):
+                yield items[i], items[j]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_diagonal_pairs_keep_the_double_loop_order(n):
+    items = list(range(n))
+    assert list(theorems._diagonal_pairs(items)) == list(_diagonal_pairs_by_double_loop(items))
+
+
+def test_the_suite_draws_only_the_pairs_it_keeps(monkeypatch):
+    # 40 algebras alternating GF(2) and GF(3): the same-field pairs are the
+    # ones of equal parity, and the 64th is found long before the 820th pair
+    corpus = [alg for two_three in zip(enumerate_poisson_structures(2, 2)[:20],
+                                       enumerate_poisson_structures(2, 3)[:20])
+              for alg in two_three]
+    same_field = [k for k, (a, b) in enumerate(_diagonal_pairs_by_double_loop(corpus))
+                  if a.field == b.field]
+    drawn = []
+    diagonal_pairs = theorems._diagonal_pairs
+
+    def counting(items):
+        for pair in diagonal_pairs(items):
+            drawn.append(pair)
+            yield pair
+
+    monkeypatch.setattr(theorems, "_diagonal_pairs", counting)
+    monkeypatch.setattr(theorems, "_run_guarded", lambda check, args, budget: args)
+    tasks = run_suite(corpus, theorem_filter="Thm-3.5")
+    assert len(tasks) == theorems.PAIR_LIMIT
+    assert len(drawn) == same_field[theorems.PAIR_LIMIT - 1] + 1 < len(corpus) * 41 // 2
+    assert tasks == [pair for pair in drawn if pair[0].field == pair[1].field]
+
+
 def test_suite_over_zero_corpus_all_pass():
     corpus = [zero_algebra(GF2, n) for n in range(1, 4)]
     results = run_suite(corpus)
