@@ -48,8 +48,7 @@ _EXPORTS = {
     ),
     "theorems": ("REGISTRY", "REGISTRY_IDS", "TheoremResult", "check_one", "run_suite"),
     "corpus": (
-        "build", "curated_corpus", "enumerate_poisson_structures", "parse_document",
-        "serialize_document",
+        "curated_corpus", "enumerate_poisson_structures", "parse_document", "serialize_document",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

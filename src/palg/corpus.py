@@ -1,10 +1,11 @@
 """The .palg file format, deterministic corpus constructions, and exhaustive
 enumeration of small Poisson structures.
 
-Documents are UTF-8 JSON with schema_version "1".  Coefficients are decimal
-integer or num/den strings, never JSON numbers, so no parser can silently
-coerce them to floats.  Dot entries are stored with i <= j and bracket
-entries with i < j; loading symmetrises and antisymmetrises accordingly.
+Documents are UTF-8 JSON with schema_version "1".  Coefficients are strings
+in ``FieldSpec.parse_scalar``'s grammar, never JSON numbers, so no parser can
+silently coerce them to floats.  Dot entries are stored with i <= j and
+bracket entries with i < j (``_positions``); loading symmetrises and
+antisymmetrises accordingly.  A document's dimension is at most ``MAX_DIM``.
 Random structure constants are useless here (they essentially never satisfy
 associativity, Jacobi and the compatibility identity simultaneously), so the
 corpus consists of closed constructions plus exhaustive small scans, which
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from collections import Counter
 from functools import lru_cache
 from typing import Sequence
@@ -33,7 +33,9 @@ from .fields import FieldError, FieldSpec
 from .linalg import _matrix, kernel
 
 SCHEMA_VERSION = "1"
-COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# The largest dimension a document may state, checked before anything is
+# allocated: parsing costs at least dim^3, and dimension 8 is in use.
+MAX_DIM = 16
 
 
 class CorpusFormatError(ValueError):
@@ -55,6 +57,8 @@ def parse_document(text: str, allow_invalid: bool = False) -> PoissonAlgebra:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # an integer past int's digit limit, deep nesting
+        raise CorpusFormatError(f"unreadable document: {exc}") from None
     if not isinstance(doc, dict):
         raise CorpusFormatError("document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -63,6 +67,8 @@ def parse_document(text: str, allow_invalid: bool = False) -> PoissonAlgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise CorpusFormatError(f"dim must be a nonnegative integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise CorpusFormatError(f"dim {dim} exceeds the cap {MAX_DIM}")
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise CorpusFormatError("name must be a string")
@@ -115,11 +121,12 @@ def _parse_entries(field: FieldSpec, dim: int, entries, label: str, strict: bool
             raise CorpusFormatError(f"{where}: dot entries need i <= j")
         if not isinstance(c, str):
             raise CorpusFormatError(f"{where}: coefficient must be a string, got {type(c).__name__}")
-        if not COEFF_RE.match(c):
-            raise CorpusFormatError(f"{where}: bad coefficient {c!r} (floats are forbidden)")
         if (i, j, k) in out:
             raise CorpusFormatError(f"{where}: duplicate entry for ({i},{j},{k})")
-        out[(i, j, k)] = field.parse_scalar(c)
+        try:
+            out[(i, j, k)] = field.parse_scalar(c)
+        except FieldError as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from None
     return out
 
 
@@ -128,31 +135,35 @@ def _parse_entries(field: FieldSpec, dim: int, entries, label: str, strict: bool
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _positions(n: int) -> tuple:
+    """The canonical (dot, bracket) positions, in lexicographic order: the
+    one statement of the rule that documents, constructions and the
+    enumeration follow (dot entries with i <= j, bracket entries with i < j)."""
+    r = range(n)
+    return (tuple((i, j, k) for i in r for j in range(i, n) for k in r),
+            tuple((i, j, k) for i in r for j in range(i + 1, n) for k in r))
+
+
+def _nonzero(tensor, positions) -> list:
+    """(position, value) of each nonzero entry of the tensor at positions."""
+    return [((i, j, k), c) for i, j, k in positions if (c := tensor[i][j][k]) != 0]
+
+
 def serialize_document(alg: PoissonAlgebra) -> str:
     """Canonical text: sorted nonzero canonical entries, string coefficients."""
     f = alg.field
-    dot_entries = []
-    for i in range(alg.dim):
-        for j in range(i, alg.dim):
-            for k in range(alg.dim):
-                c = alg.dot_tensor[i][j][k]
-                if c != 0:
-                    dot_entries.append({"i": i, "j": j, "k": k, "c": f.format_scalar(c)})
-    bracket_entries = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(alg.dim):
-                c = alg.bracket_tensor[i][j][k]
-                if c != 0:
-                    bracket_entries.append({"i": i, "j": j, "k": k, "c": f.format_scalar(c)})
+    dots, brackets = _positions(alg.dim)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "name": alg.name,
         "field": "Q" if not f.is_finite else {"p": f.order},
         "dim": alg.dim,
         "basis": list(alg.labels()),
-        "dot": dot_entries,
-        "bracket": bracket_entries,
+        "dot": [{"i": i, "j": j, "k": k, "c": f.format_scalar(c)}
+                for (i, j, k), c in _nonzero(alg.dot_tensor, dots)],
+        "bracket": [{"i": i, "j": j, "k": k, "c": f.format_scalar(c)}
+                    for (i, j, k), c in _nonzero(alg.bracket_tensor, brackets)],
         "metadata": {k: json.loads(v) for k, v in alg.meta},
     }
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
@@ -200,13 +211,6 @@ def lie_zero_dot(field: FieldSpec, n: int, brackets: dict, name: str = "",
                  basis_labels: tuple = ()) -> PoissonAlgebra:
     """A Lie algebra made Poisson by the zero dot (compatibility is vacuous)."""
     t = tensors_from_maps(field, n, {}, brackets)
-    return validate(t, name=name, basis_labels=basis_labels)
-
-
-def assoc_zero_bracket(field: FieldSpec, n: int, dots: dict, name: str = "",
-                       basis_labels: tuple = ()) -> PoissonAlgebra:
-    """A commutative associative algebra made Poisson by the zero bracket."""
-    t = tensors_from_maps(field, n, dots, {})
     return validate(t, name=name, basis_labels=basis_labels)
 
 
@@ -272,21 +276,9 @@ def semidirect_sum(assoc_part: PoissonAlgebra, lie_part: PoissonAlgebra,
     m, l = assoc_part.dim, lie_part.dim
     if len(action) != l:
         raise ValueError("one action matrix per Lie basis vector is required")
-    n = m + l
-    dot_map = {}
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(m):
-                c = assoc_part.dot_tensor[i][j][k]
-                if c != 0:
-                    dot_map[(i, j, k)] = c
-    bracket_map = {}
-    for i in range(l):
-        for j in range(i + 1, l):
-            for k in range(l):
-                c = lie_part.bracket_tensor[i][j][k]
-                if c != 0:
-                    bracket_map[(m + i, m + j, m + k)] = c
+    dot_map = dict(_nonzero(assoc_part.dot_tensor, _positions(m)[0]))
+    bracket_map = {(m + i, m + j, m + k): c
+                   for (i, j, k), c in _nonzero(lie_part.bracket_tensor, _positions(l)[1])}
     for li, mat in enumerate(action):
         rows = [[f.coerce(x) for x in row] for row in mat]
         if len(rows) != m or any(len(r) != m for r in rows):
@@ -297,62 +289,8 @@ def semidirect_sum(assoc_part: PoissonAlgebra, lie_part: PoissonAlgebra,
                 if c != 0:
                     # [a, l] entry with a before l in the basis order
                     bracket_map[(a_idx, m + li, k)] = f.neg(c)
-    t = tensors_from_maps(f, n, dot_map, bracket_map)
+    t = tensors_from_maps(f, m + l, dot_map, bracket_map)
     return validate(t, name=name or f"semidirect-{assoc_part.name}-{lie_part.name}")
-
-
-# ---------------------------------------------------------------------------
-# declarative corpus builder
-# ---------------------------------------------------------------------------
-
-
-def build(spec: Sequence[dict]) -> list:
-    """Materialise a list of construction descriptors deterministically.
-
-    Each item carries a "kind" plus parameters; a "field" is "Q" or a prime.
-    Direct sums refer to earlier items by index.
-    """
-    out: list = []
-    for pos, item in enumerate(spec):
-        kind = item.get("kind")
-        field = FieldSpec.parse(str(item["field"])) if "field" in item else None
-        if kind == "zero":
-            alg = zero_algebra(field, item["n"])
-        elif kind == "idempotent_line":
-            alg = idempotent_line(field)
-        elif kind == "heisenberg_zero_dot":
-            alg = heisenberg_zero_dot(field)
-        elif kind == "two_dim_nonabelian":
-            alg = two_dim_nonabelian(field)
-        elif kind == "fe_plus_n":
-            alg = fe_plus_nilpotent_line(field)
-        elif kind == "rotation3":
-            alg = rotation3(field)
-        elif kind == "xyz_example":
-            alg = xyz_algebra(field, allow_invalid=bool(item.get("allow_invalid")))
-        elif kind == "lie_zero_dot":
-            alg = lie_zero_dot(field, item["n"],
-                               {tuple(map(int, k.split(","))): v
-                                for k, v in item["brackets"].items()})
-        elif kind == "assoc_zero_bracket":
-            alg = assoc_zero_bracket(field, item["n"],
-                                     {tuple(map(int, k.split(","))): v
-                                      for k, v in item["dots"].items()})
-        elif kind == "direct_sum":
-            refs = item["refs"]
-            alg = out[refs[0]]
-            for r in refs[1:]:
-                alg = direct_sum(alg, out[r])
-        elif kind == "semidirect":
-            alg = semidirect_sum(out[item["assoc"]], out[item["lie"]], item["action"])
-        else:
-            raise ValueError(f"unknown construction kind {kind!r} at position {pos}")
-        if "name" in item:
-            alg = alg.with_name(item["name"])
-        if "metadata" in item:
-            alg = alg.with_meta(item["metadata"])
-        out.append(alg)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +349,6 @@ def enumerate_poisson_structures(n: int, q: int, cap: int = ENUM_CANDIDATE_CAP) 
 # the canonical positions: c[i][j][k] is the dot value at (min(i, j),
 # max(i, j), k), and d[i][j][k] the bracket value at (i, j, k) for i < j, its
 # negative at (j, i, k) for i > j, and 0 for i = j.
-
-
-@lru_cache(maxsize=None)
-def _positions(n: int) -> tuple:
-    """The canonical (dot, bracket) positions, in lexicographic order."""
-    r = range(n)
-    return (tuple((i, j, k) for i in r for j in range(i, n) for k in r),
-            tuple((i, j, k) for i in r for j in range(i + 1, n) for k in r))
 
 
 def _dot_position(i: int, j: int, k: int) -> tuple:

@@ -48,10 +48,13 @@ class FieldSpec:
                 raise FieldError("rationals take no modulus")
         elif self.kind == PRIME:
             p = self.modulus
-            if not isinstance(p, int) or not is_prime(p):
+            if not isinstance(p, int):
                 raise FieldError(f"modulus {p!r} is not prime")
+            # the cap first: trial division of a huge modulus would not finish
             if p > MAX_MODULUS:
                 raise FieldError(f"modulus {p} exceeds the cap {MAX_MODULUS}")
+            if not is_prime(p):
+                raise FieldError(f"modulus {p!r} is not prime")
         else:
             raise FieldError(f"unknown field kind {self.kind!r}")
 
@@ -69,15 +72,6 @@ class FieldSpec:
     def prime(p: int) -> "FieldSpec":
         spec = _PRIMES.get(p) if type(p) is int else None
         return spec if spec is not None else FieldSpec(PRIME, p)  # validates p as before
-
-    @staticmethod
-    def parse(text: str) -> "FieldSpec":
-        """Parse ``"Q"`` or a prime written in ASCII decimal digits."""
-        if text == "Q":
-            return FieldSpec.rationals()
-        if _is_decimal(text):
-            return FieldSpec.prime(int(text))
-        raise FieldError(f"unrecognised field {text!r}")
 
     # -- basic queries -----------------------------------------------------
 
@@ -152,17 +146,22 @@ class FieldSpec:
     # -- parsing and formatting --------------------------------------------
 
     def parse_scalar(self, text: str) -> Scalar:
-        """Parse a decimal integer or ``num/den`` string; floats are rejected."""
-        text = text.strip()
-        if "/" in text:
-            num_s, _, den_s = text.partition("/")
-            num, den = _parse_int(num_s), _parse_int(den_s)
-            if den == 0:
-                raise FieldError(f"zero denominator in {text!r}")
-            if self.kind == RATIONALS:
-                return Fraction(num, den)
-            return self.coerce(Fraction(num, den))
-        return self.coerce(_parse_int(text))
+        """Parse the one coefficient grammar: ``[+-]digits[/digits]`` in
+        ASCII, with no surrounding space.  Floats and every other spelling
+        are rejected."""
+        num_s, slash, den_s = text.partition("/")
+        if (not _is_decimal(num_s[1:] if num_s.startswith(("+", "-")) else num_s)
+                or slash and not _is_decimal(den_s)):
+            raise FieldError(f"not an integer literal or num/den: {text!r}")
+        try:
+            num, den = int(num_s), int(den_s) if slash else 1
+        except ValueError as exc:  # more digits than int() converts
+            raise FieldError(f"coefficient too long: {exc}") from None
+        if den == 0:
+            raise FieldError(f"zero denominator in {text!r}")
+        if self.kind == RATIONALS:
+            return Fraction(num, den)
+        return self.coerce(Fraction(num, den) if slash else num)
 
     def format_scalar(self, a: Scalar) -> str:
         return str(a)
@@ -179,19 +178,7 @@ _RATIONALS = FieldSpec(RATIONALS)
 _PRIMES = {p: FieldSpec(PRIME, p) for p in range(MAX_MODULUS + 1) if is_prime(p)}
 
 
-def _parse_int(text: str) -> int:
-    text = text.strip()
-    sign = 1
-    if text.startswith("-"):
-        sign, text = -1, text[1:]
-    elif text.startswith("+"):
-        text = text[1:]
-    if not _is_decimal(text):
-        raise FieldError(f"not an integer literal: {text!r}")
-    return sign * int(text)
-
-
 def _is_decimal(text: str) -> bool:
     """ASCII digits only: ``str.isdigit`` also accepts characters such as
-    '²' that ``int`` rejects."""
+    '²', which ``int`` rejects, and '٣', which ``int`` reads as 3."""
     return text.isascii() and text.isdigit()

@@ -503,8 +503,7 @@ def test_the_kernel_of_each_quotient_map_is_its_ideal(alg):
 
 def test_subalgebra_restriction_of_span_xz():
     # x.x = z inside a bigger algebra restricts to the dual-number pattern
-    from palg.corpus import assoc_zero_bracket
-    alg = assoc_zero_bracket(Q, 3, {(0, 0, 2): 1})
+    alg = validate(tensors_from_maps(Q, 3, {(0, 0, 2): 1}, {}))
     sub, embed = subalgebra_algebra(alg, span(alg, (1, 0, 0), (0, 0, 1)))
     assert sub.dim == 2
     e0 = sub.basis_element(0)

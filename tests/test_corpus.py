@@ -20,7 +20,6 @@ from palg.corpus import (
     _leibniz_brackets,
     _leibniz_rows,
     _positions,
-    build,
     curated_corpus,
     enumerate_poisson_structures,
     fe_plus_nilpotent_line,
@@ -28,7 +27,6 @@ from palg.corpus import (
     heisenberg_zero_dot,
     idempotent_line,
     lie_zero_dot,
-    assoc_zero_bracket,
     parse_document,
     parse_manifest,
     semidirect_sum,
@@ -219,7 +217,7 @@ def test_any_names_labels_and_metadata_round_trip(name, labels, meta, coeffs, q_
     field = Q if q_field else GF5
     a, b, c = coeffs if q_field else (field.coerce(x.numerator) for x in coeffs)
     alg = direct_sum(direct_sum(lie_zero_dot(field, 2, {(0, 1, 0): a, (0, 1, 1): b}),
-                                assoc_zero_bracket(field, 1, {(0, 0, 0): c})),
+                                validate(tensors_from_maps(field, 1, {(0, 0, 0): c}, {}))),
                      zero_algebra(field, 1))
     alg = dataclasses.replace(alg.with_name(name).with_meta(meta), basis_labels=tuple(labels))
     _assert_round_trips(alg)
@@ -268,22 +266,17 @@ def test_semidirect_rejects_non_derivations():
         semidirect_sum(base, line, [[[1]]])
 
 
-def test_build_is_deterministic():
-    spec = [
-        {"kind": "zero", "field": "3", "n": 2, "name": "z2"},
-        {"kind": "heisenberg_zero_dot", "field": "3"},
-        {"kind": "direct_sum", "refs": [0, 1], "name": "sum"},
-    ]
-    first = build(spec)
-    second = build(spec)
-    assert [a.name for a in first] == ["z2", "heisenberg-GF(3)", "sum"]
-    assert first[2].dot_tensor == second[2].dot_tensor
-    assert first[2].dim == 5
-
-
-def test_build_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        build([{"kind": "mystery", "field": "2"}])
+@pytest.mark.parametrize("field", [GF3, Q])
+def test_semidirect_copies_a_lie_part_of_dimension_two(field):
+    # a line a acted on by solv2 = span(x, y), [x, y] = x, through
+    # x -> 0 and y -> 1: the Lie part's bracket moves to positions 1, 2
+    alg = semidirect_sum(zero_algebra(field, 1), two_dim_nonabelian(field), [[[0]], [[1]]])
+    a, x, y = (alg.basis_element(i) for i in range(3))
+    assert alg.dim == 3
+    assert alg.mul_bracket(x, y) == x
+    assert alg.mul_bracket(a, y) == alg.element((-1, 0, 0))
+    assert alg.mul_bracket(a, x) == alg.element((0, 0, 0))
+    _assert_round_trips(alg)
 
 
 # ---------------------------------------------------------------------------
