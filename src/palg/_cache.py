@@ -48,8 +48,8 @@ same object follow it without hashing anything.  The reference is weak, so
 the ``lru_cache`` alone still decides how long an entry lives: once it is
 evicted or ``cache_clear()`` runs, the reference dies and the next lookup
 goes through the ``lru_cache`` again and counts as a miss there.  Copies made
-with ``dataclasses.replace`` (renamed quotients, summands and the like) start
-without a stash and find the shared entry by its key.
+by ``with_name``, ``with_meta`` and the like (renamed quotients, summands)
+start without a stash and find the shared entry by its key.
 """
 
 from __future__ import annotations

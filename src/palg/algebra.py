@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._cache import _entry, canonical_tensors, memo, memo_space
-from .fields import FieldSpec
+from .fields import FieldSpec, _Frozen
 from .linalg import (
     Matrix,
     Subspace,
@@ -61,25 +60,34 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"budget {budget} exceeded: {detail}")
 
 
-@dataclass(frozen=True)
-class DialgebraTensors:
+class DialgebraTensors(_Frozen):
     """Raw structure constants prior to validation."""
 
-    field: FieldSpec
-    dim: int
-    dot: tuple
-    bracket: tuple
+    __slots__ = _fields = ("field", "dim", "dot", "bracket")
 
-    def __post_init__(self) -> None:
-        for tensor in (self.dot, self.bracket):
-            if len(tensor) != self.dim:
+    def __init__(self, field: FieldSpec, dim: int, dot: tuple, bracket: tuple) -> None:
+        for tensor in (dot, bracket):
+            if len(tensor) != dim:
                 raise ValueError("tensor has wrong first dimension")
             for plane in tensor:
-                if len(plane) != self.dim:
+                if len(plane) != dim:
                     raise ValueError("tensor has wrong second dimension")
                 for line in plane:
-                    if len(line) != self.dim:
+                    if len(line) != dim:
                         raise ValueError("tensor has wrong third dimension")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dot", dot)
+        object.__setattr__(self, "bracket", bracket)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.field, self.dim, self.dot, self.bracket)
+                    == (other.field, other.dim, other.dot, other.bracket))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.dim, self.dot, self.bracket))
 
 
 def tensors_from_maps(field: FieldSpec, dim: int, dot_map: dict, bracket_map: dict) -> DialgebraTensors:
@@ -106,22 +114,34 @@ def tensors_from_maps(field: FieldSpec, dim: int, dot_map: dict, bracket_map: di
     return DialgebraTensors(field, dim, freeze(dot), freeze(bracket))
 
 
-@dataclass(frozen=True)
-class PoissonAlgebra:
+class PoissonAlgebra(_Frozen):
     """A finite-dimensional dialgebra in a fixed basis.
 
     Instances produced by :func:`validate` satisfy all five axioms.  The
     class itself performs no axiom checks so that deliberately broken
-    tensors can be constructed for negative controls.
+    tensors can be constructed for negative controls.  It keeps a
+    ``__dict__``, where ``_cache`` stashes its reference to the cache entry.
     """
 
-    field: FieldSpec
-    dim: int
-    dot_tensor: tuple
-    bracket_tensor: tuple
-    name: str = ""
-    basis_labels: tuple = ()
-    meta: tuple = ()
+    _fields = ("field", "dim", "dot_tensor", "bracket_tensor", "name", "basis_labels", "meta")
+
+    def __init__(self, field: FieldSpec, dim: int, dot_tensor: tuple, bracket_tensor: tuple,
+                 name: str = "", basis_labels: tuple = (), meta: tuple = ()) -> None:
+        vars(self).update(field=field, dim=dim, dot_tensor=dot_tensor,
+                          bracket_tensor=bracket_tensor, name=name, basis_labels=basis_labels,
+                          meta=meta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.field, self.dim, self.dot_tensor, self.bracket_tensor, self.name,
+                     self.basis_labels, self.meta)
+                    == (other.field, other.dim, other.dot_tensor, other.bracket_tensor,
+                        other.name, other.basis_labels, other.meta))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.dim, self.dot_tensor, self.bracket_tensor, self.name,
+                     self.basis_labels, self.meta))
 
     # -- element helpers -----------------------------------------------------
 
@@ -154,10 +174,12 @@ class PoissonAlgebra:
         merged = dict(self.meta)
         for k, v in mapping.items():
             merged[k] = json.dumps(v, sort_keys=True)
-        return replace(self, meta=tuple(sorted(merged.items())))
+        return PoissonAlgebra(self.field, self.dim, self.dot_tensor, self.bracket_tensor,
+                              self.name, self.basis_labels, tuple(sorted(merged.items())))
 
     def with_name(self, name: str) -> "PoissonAlgebra":
-        return replace(self, name=name)
+        return PoissonAlgebra(self.field, self.dim, self.dot_tensor, self.bracket_tensor, name,
+                              self.basis_labels, self.meta)
 
     # -- multiplication --------------------------------------------------------
 
@@ -507,8 +529,7 @@ def _close(alg: PoissonAlgebra, seed: Subspace, against: Subspace | None = None)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(NamedTuple):
     algebra: PoissonAlgebra
     projection: Matrix  # m x n, x -> coordinates of x + I
     lift: Matrix        # n x m, section of the projection

@@ -26,7 +26,7 @@ from .corpus import (
     serialize_document,
     serialize_manifest,
 )
-from .fields import FieldError
+from .fields import FieldError, _is_decimal
 from .lattice import (
     BudgetExceededError,
     LatticeBudget,
@@ -91,15 +91,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--theorem", default=None, help="run only this check id")
     p.add_argument("--list", action="store_true", help="list check ids and exit")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_arg, default=1)
     p.add_argument("--allow-invalid", action="store_true")
     _common_flags(p)
     _budget_flags(p)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("enumerate", help="exhaustively enumerate valid structures")
-    p.add_argument("dim", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("dim", type=_int_arg)
+    p.add_argument("q", type=_int_arg)
     p.add_argument("outdir")
     _common_flags(p)
     p.set_defaults(handler=cmd_enumerate)
@@ -112,14 +112,32 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-dim", type=int, default=LatticeBudget().max_dim)
-    p.add_argument("--budget-q", type=int, default=LatticeBudget().max_q)
-    p.add_argument("--budget-subspaces", type=int, default=LatticeBudget().max_subspaces)
+    p.add_argument("--budget-dim", type=_int_arg, default=LatticeBudget().max_dim)
+    p.add_argument("--budget-q", type=_int_arg, default=LatticeBudget().max_q)
+    p.add_argument("--budget-subspaces", type=_int_arg, default=LatticeBudget().max_subspaces)
+
+
+def _int_arg(text: str) -> int:
+    """An integer argument: an optional sign and ASCII digits, the grammar
+    of document coefficients.  ``int`` alone also reads underscores and the
+    digits of other scripts: "1_1" as 11, "٣" as 3."""
+    if not _is_decimal(text[1:] if text.startswith(("+", "-")) else text):
+        raise argparse.ArgumentTypeError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 def _budget_from(args) -> LatticeBudget:
     return LatticeBudget(max_dim=args.budget_dim, max_q=args.budget_q,
                          max_subspaces=args.budget_subspaces)
+
+
+def _read_text(path) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a format
+    error, as malformed JSON is."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _sha256(path: str) -> str:
@@ -202,14 +220,11 @@ def cmd_validate(args) -> int:
     worst = EXIT_OK
     for path in args.paths:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            parse_document(_read_text(path))
+            results.append({"path": path, "status": "valid"})
         except OSError as exc:
             results.append({"path": path, "status": "io-error", "message": str(exc)})
             worst = EXIT_USAGE
-            continue
-        try:
-            parse_document(text)
-            results.append({"path": path, "status": "valid"})
         except CorpusFormatError as exc:
             results.append({"path": path, "status": "format-error", "message": str(exc)})
             worst = EXIT_USAGE
@@ -237,7 +252,7 @@ def _validate_lines(results: list) -> Iterator[str]:
 
 
 def _load_algebra(path: str, allow_invalid: bool) -> PoissonAlgebra:
-    return parse_document(Path(path).read_text(encoding="utf-8"), allow_invalid=allow_invalid)
+    return parse_document(_read_text(path), allow_invalid=allow_invalid)
 
 
 def _usage_error(exc: Exception) -> int:
@@ -348,14 +363,13 @@ def cmd_check(args) -> int:
     except ValueError as exc:  # a negative --budget-* value, --jobs below 1, an unknown --theorem
         return _usage_error(exc)
     manifest_path = Path(args.manifest)
-    members = parse_manifest(manifest_path.read_text(encoding="utf-8"))
+    members = parse_manifest(_read_text(manifest_path))
     corpus = []
     inputs = [args.manifest]
     for member in members:
         member_path = manifest_path.parent / member
         inputs.append(str(member_path))
-        corpus.append(parse_document(member_path.read_text(encoding="utf-8"),
-                                     allow_invalid=args.allow_invalid))
+        corpus.append(parse_document(_read_text(member_path), allow_invalid=args.allow_invalid))
     results = run_suite(corpus, theorem_filter=args.theorem, budget=budget, jobs=args.jobs)
     counts = summarise(results)
     # the rows go into the report as they are; _emit encodes one at a time

@@ -20,7 +20,7 @@ the others, which is im f(Q_a).  Over Q the characteristic polynomial stays
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._cache import memo_space
 from .algebra import PoissonAlgebra, subalgebra_defect
@@ -50,15 +50,13 @@ class EngelClosureError(RuntimeError):
         super().__init__(f"{label} is not closed under both multiplications")
 
 
-@dataclass(frozen=True)
-class EngelPair:
+class EngelPair(NamedTuple):
     element: tuple
     engel_assoc: Subspace
     engel_lie: Subspace
 
 
-@dataclass(frozen=True)
-class SplitPair:
+class SplitPair(NamedTuple):
     element: tuple
     s_part: Subspace
     k_part: Subspace

@@ -8,7 +8,6 @@ arithmetic so that nothing downstream ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -35,19 +34,48 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class _Frozen:
+    """The base of palg's immutable value classes.
+
+    A subclass names its fields in ``_fields``, in constructor order, sets
+    them in ``__init__`` past its own ``__setattr__``, and defines ``__eq__``
+    and ``__hash__`` on them, as tuples of the fields and only against its
+    own class.  ``repr`` shows those fields, copies and pickles are rebuilt
+    through the constructor, and assigning or deleting any attribute raises
+    ``AttributeError``.  Plain result records are ``typing.NamedTuple``
+    classes instead.  Neither needs the standard library's class generator,
+    whose import loads ``inspect`` and ``ast`` and whose every class costs
+    about a millisecond of start-up.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FieldSpec(_Frozen):
     """The coefficient field: either Q or GF(p) for a prime 2 <= p <= 97."""
 
-    kind: str
-    modulus: int | None = None
+    __slots__ = _fields = ("kind", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.kind == RATIONALS:
-            if self.modulus is not None:
+    def __init__(self, kind: str, modulus: int | None = None) -> None:
+        if kind == RATIONALS:
+            if modulus is not None:
                 raise FieldError("rationals take no modulus")
-        elif self.kind == PRIME:
-            p = self.modulus
+        elif kind == PRIME:
+            p = modulus
             if not isinstance(p, int):
                 raise FieldError(f"modulus {p!r} is not prime")
             # the cap first: trial division of a huge modulus would not finish
@@ -56,7 +84,17 @@ class FieldSpec:
             if not is_prime(p):
                 raise FieldError(f"modulus {p!r} is not prime")
         else:
-            raise FieldError(f"unknown field kind {self.kind!r}")
+            raise FieldError(f"unknown field kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.modulus) == (other.kind, other.modulus)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.modulus))
 
     # -- constructors ------------------------------------------------------
 

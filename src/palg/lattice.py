@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from ._cache import cache_clear, cache_info, memo, memo_shared
 from .algebra import (
@@ -56,7 +56,7 @@ from .algebra import (
     _preimage_condition,
     _products,
 )
-from .fields import FieldError, FieldSpec
+from .fields import FieldError, FieldSpec, _Frozen
 from .linalg import (
     Subspace,
     _matrix,
@@ -85,19 +85,25 @@ class StructureInconsistencyError(RuntimeError):
         super().__init__(f"structural verification failed: {label}")
 
 
-@dataclass(frozen=True)
-class LatticeBudget:
-    max_dim: int = 5
-    max_q: int = 3
-    max_subspaces: int = 10 ** 6
-    max_elements: int = 10 ** 5
+class LatticeBudget(_Frozen):
+    __slots__ = _fields = ("max_dim", "max_q", "max_subspaces", "max_elements")
 
-    def __post_init__(self) -> None:
-        # a negative limit would turn every request into a budget overrun
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
+    def __init__(self, max_dim: int = 5, max_q: int = 3, max_subspaces: int = 10 ** 6,
+                 max_elements: int = 10 ** 5) -> None:
+        for name, value in zip(self._fields, (max_dim, max_q, max_subspaces, max_elements)):
+            # a negative limit would turn every request into a budget overrun
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.max_dim, self.max_q, self.max_subspaces, self.max_elements)
+                    == (other.max_dim, other.max_q, other.max_subspaces, other.max_elements))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.max_dim, self.max_q, self.max_subspaces, self.max_elements))
 
 
 DEFAULT_BUDGET = LatticeBudget()
@@ -240,8 +246,7 @@ def enumerate_elements(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDG
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeProfile:
+class LatticeProfile(NamedTuple):
     """All subspaces of the algebra with closure flags, computed once.
 
     ``masks`` and ``dims`` run parallel to ``subspaces``: the point mask and
@@ -720,8 +725,7 @@ CLASS_IDEMPOTENT_SPLIT = "Fe-plus-N"
 CLASS_FAILS = "fails"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str
     idempotent: tuple | None = None
     non_ideal_maximal: Subspace | None = None
@@ -763,8 +767,7 @@ def _is_idempotent_line_split(alg: PoissonAlgebra, e, nil: Subspace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChiefFactor:
+class ChiefFactor(NamedTuple):
     lower: Subspace
     upper: Subspace
     factor: PoissonAlgebra
@@ -791,8 +794,7 @@ def chief_factors(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     algebra_name: str
     radical: Subspace | None
     nilradical: Subspace | None

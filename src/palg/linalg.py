@@ -16,16 +16,14 @@ for zero as they go.  The generic ``FieldSpec`` bodies are the tests' oracle.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, _Frozen
 
 Vector = tuple
 
@@ -62,21 +60,30 @@ def vec_is_zero(u: Vector) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
+class Matrix(_Frozen):
     """A dense rows x cols grid of exact scalars over one field."""
 
-    field: FieldSpec
-    nrows: int
-    ncols: int
-    entries: tuple
+    __slots__ = _fields = ("field", "nrows", "ncols", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.nrows:
+    def __init__(self, field: FieldSpec, nrows: int, ncols: int, entries: tuple) -> None:
+        if len(entries) != nrows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.ncols:
+        for row in entries:
+            if len(row) != ncols:
                 raise ValueError("ragged matrix")
+        _set_field(self, field)
+        _set_nrows(self, nrows)
+        _set_ncols(self, ncols)
+        _set_entries(self, entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.field, self.nrows, self.ncols, self.entries)
+                    == (other.field, other.nrows, other.ncols, other.entries))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.nrows, self.ncols, self.entries))
 
     # -- constructors ------------------------------------------------------
 
@@ -175,7 +182,8 @@ class Matrix:
         return all(vec_is_zero(row) for row in self.entries)
 
 
-# The slot setters, which the frozen dataclass's own __setattr__ refuses.
+# The slot setters, for the constructors: Matrix.__setattr__ refuses every
+# assignment.
 _set_field, _set_nrows, _set_ncols, _set_entries = (
     Matrix.__dict__[name].__set__ for name in ("field", "nrows", "ncols", "entries"))
 
@@ -256,8 +264,7 @@ def rref(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Subspace:
+class Subspace(_Frozen):
     """A subspace of F^n held as a canonical RREF basis (no zero rows).
 
     ``pivots``, the pivot column of each basis row, is derived from the
@@ -276,11 +283,15 @@ class Subspace:
     basis in RREF with known pivots.
     """
 
-    ambient_dim: int
-    basis: Matrix
-    pivots: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    mask: int | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
-    _hash: int | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("ambient_dim", "basis", "pivots", "mask", "_hash")
+    _fields = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: Matrix) -> None:
+        _set_ambient_dim(self, ambient_dim)
+        _set_basis(self, basis)
+        _set_mask(self, None)
+        _set_hash(self, None)
+        self.__post_init__()  # looked up per call, so a wrapper set on the class sees it
 
     def __post_init__(self) -> None:
         if self.basis.ncols != self.ambient_dim:
@@ -299,13 +310,13 @@ class Subspace:
                 if r != i and self.basis.entries[r][piv] != 0:
                     raise ValueError("nonzero entry above or below a pivot")
             pivots.append(piv)
-        object.__setattr__(self, "pivots", tuple(pivots))
+        _set_pivots(self, tuple(pivots))
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.ambient_dim, self.basis))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __eq__(self, other) -> bool:

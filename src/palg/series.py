@@ -14,8 +14,7 @@ quotient and subalgebra copies the checks build are decided once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._cache import memo
 from .algebra import (
@@ -53,8 +52,7 @@ class SeriesConsistencyError(RuntimeError):
         super().__init__(f"lower central series inconsistent at step {step}")
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     kind: str
     terms: tuple
     terminates: bool

@@ -16,8 +16,7 @@ with exercised = 0 so coverage summaries can surface untested hypotheses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
     PoissonAlgebra,
@@ -36,7 +35,7 @@ from .algebra import (
     subspace_square,
 )
 from .engel import EngelClosureError, engel_assoc_space, engel_lie_space, s_space
-from .fields import FieldError, FieldSpec
+from .fields import FieldError, FieldSpec, _Frozen
 from .lattice import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -84,14 +83,32 @@ CONFIG_LIMIT = 256
 PAIR_LIMIT = 64
 
 
-@dataclass(frozen=True, slots=True)
-class TheoremResult:
-    theorem: str
-    algebra: str
-    status: str
-    exercised: int = 0
-    witness: dict | None = None
-    detail: str = ""
+class TheoremResult(_Frozen):
+    """One row of the report; not a tuple, so that ``json.dump`` hands it to
+    ``to_json`` instead of writing it as a list."""
+
+    __slots__ = _fields = ("theorem", "algebra", "status", "exercised", "witness", "detail")
+
+    def __init__(self, theorem: str, algebra: str, status: str, exercised: int = 0,
+                 witness: dict | None = None, detail: str = "") -> None:
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "exercised", exercised)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.theorem, self.algebra, self.status, self.exercised, self.witness,
+                     self.detail)
+                    == (other.theorem, other.algebra, other.status, other.exercised,
+                        other.witness, other.detail))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.theorem, self.algebra, self.status, self.exercised, self.witness,
+                     self.detail))
 
     def to_json(self) -> dict:
         out = {"theorem": self.theorem, "algebra": self.algebra, "status": self.status,
@@ -103,8 +120,7 @@ class TheoremResult:
         return out
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     id: str
     statement: str
     scope: str  # "per-algebra" | "per-pair"

@@ -3,7 +3,6 @@ through the one per-tensor cache, against their uncached bodies."""
 
 import gc
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -67,8 +66,8 @@ def _elements(alg):
 
 def _renamed(alg):
     labels = tuple(f"v{i}" for i in range(alg.dim))
-    return replace(alg, basis_labels=labels).with_name(alg.name + "-copy").with_meta(
-        {"note": "renamed"})
+    return PoissonAlgebra(alg.field, alg.dim, alg.dot_tensor, alg.bracket_tensor,
+                          alg.name + "-copy", labels, alg.meta).with_meta({"note": "renamed"})
 
 
 @pytest.mark.parametrize("alg", FINITE + RATIONAL, ids=lambda a: a.name)

@@ -275,6 +275,61 @@ def test_enumerate_negative_dim_is_a_usage_error(capsys, tmp_path):
     assert not outdir.exists()
 
 
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+def test_validate_gives_a_row_for_a_file_that_is_not_utf8(capsys, tmp_path, heis_file):
+    # the UnicodeDecodeError ended the command with a traceback and no rows
+    bad = tmp_path / "latin.palg"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "validate", str(bad), str(heis_file), "--format", "json")
+    rows = json.loads(out)["result"]
+    assert code == 2 and err == ""
+    assert [r["status"] for r in rows] == ["format-error", "valid"]
+    assert rows[0]["message"].startswith(f"{bad}: not UTF-8: ")
+
+
+@pytest.mark.parametrize("command, target", [("analyze", "latin.palg"), ("series", "latin.palg"),
+                                             ("check", "latin.palg"), ("check", "manifest.json")])
+def test_an_input_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, command, target):
+    # a manifest naming the file, for the member case
+    bad = tmp_path / "latin.palg"
+    bad.write_bytes(NOT_UTF8)
+    (tmp_path / "manifest.json").write_text(serialize_manifest([bad.name]), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: not UTF-8: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim, q", [("1", "٣"), ("1", "1_1"), ("١", "2"), (" 1", "2"),
+                                    ("1", "３")])
+def test_enumerate_takes_ascii_integers_only(capsys, tmp_path, dim, q):
+    # int() read "٣" as 3 and "1_1" as 11, and wrote that many algebras
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "enumerate", dim, q, str(outdir))
+    assert code == 2 and out == "" and "not an ASCII integer" in err
+    assert not outdir.exists()
+
+
+def test_integer_arguments_keep_signs_and_leading_zeros(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "enumerate", "01", "+2", str(tmp_path / "out"))
+    assert code == 0 and "wrote 2 algebras" in out
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("analyze", "--budget-dim", "٠"), ("analyze", "--budget-q", "3_0"),
+    ("analyze", "--budget-subspaces", "１０"), ("check", "--jobs", "٢"),
+    ("check", "--budget-dim", "-٣")])
+def test_integer_flags_take_ascii_integers_only(capsys, tmp_path, heis_file, command, flag, value):
+    target = heis_file if command == "analyze" else _write_corpus(
+        tmp_path, [heisenberg_zero_dot(GF2)])
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, command, str(target), flag, value, "--out", str(report))
+    assert code == 2 and out == ""
+    assert f"argument {flag}: not an ASCII integer: '{value}'" in err
+    assert not report.exists()
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["series"]) == 2

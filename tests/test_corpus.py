@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import json
 
@@ -219,7 +218,8 @@ def test_any_names_labels_and_metadata_round_trip(name, labels, meta, coeffs, q_
     alg = direct_sum(direct_sum(lie_zero_dot(field, 2, {(0, 1, 0): a, (0, 1, 1): b}),
                                 validate(tensors_from_maps(field, 1, {(0, 0, 0): c}, {}))),
                      zero_algebra(field, 1))
-    alg = dataclasses.replace(alg.with_name(name).with_meta(meta), basis_labels=tuple(labels))
+    alg = PoissonAlgebra(alg.field, alg.dim, alg.dot_tensor, alg.bracket_tensor, name,
+                         tuple(labels), alg.meta).with_meta(meta)
     _assert_round_trips(alg)
 
 

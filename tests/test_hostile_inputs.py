@@ -28,6 +28,7 @@ from palg.corpus import (
     idempotent_line,
     parse_document,
     serialize_document,
+    serialize_manifest,
     two_dim_nonabelian,
     zero_algebra,
 )
@@ -146,6 +147,7 @@ _MUTATIONS = st.lists(st.one_of(
               st.sampled_from(("i", "j", "k", "c"))),
     st.tuples(st.just("copy-entry"), st.sampled_from(("dot", "bracket"))),
     st.tuples(st.just("meta"), st.sampled_from(_META_KEYS), _HOSTILE),
+    st.tuples(st.just("not-utf-8")),
 ), min_size=1, max_size=3)
 # a key repeated at the end of the text, where json.loads keeps it: a JSON
 # value, or an integer literal past the digits int() converts
@@ -164,7 +166,9 @@ def _entry(doc, label):
     return entries[0] if isinstance(entries[0], dict) else None
 
 
-def _mutate(base, mutations, duplicate) -> str:
+def _mutate(base, mutations, duplicate) -> bytes:
+    """The bytes of the mutated document; "not-utf-8" puts bytes before it
+    that no UTF-8 text holds."""
     doc = json.loads(json.dumps(base))
     for kind, *args in mutations:
         if kind == "set":
@@ -187,13 +191,14 @@ def _mutate(base, mutations, duplicate) -> str:
     if duplicate is not None:
         key, value = duplicate
         text = text.rstrip()[:-1] + f', "{key}": {value}}}\n'
-    return text
+    prefix = b"\xff\xfe" if ("not-utf-8",) in mutations else b""
+    return prefix + text.encode("utf-8")
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=2))
 @given(base=st.sampled_from(_BASES), mutations=_MUTATIONS, duplicate=_DUPLICATE)
 def test_a_mutated_document_parses_or_is_refused(base, mutations, duplicate):
-    text = _mutate(base, mutations, duplicate)
+    text = _mutate(base, mutations, duplicate).decode("utf-8", "replace")
     try:
         alg = parse_document(text)
     except (CorpusFormatError, AxiomViolation):
@@ -218,7 +223,7 @@ def good_path(tmp_path_factory):
 def test_validate_gives_one_row_per_mutated_document(good_path, base, mutations, duplicate):
     mutant = good_path.parent / "mutant.palg"
     report = good_path.parent / "report.json"
-    mutant.write_text(_mutate(base, mutations, duplicate), encoding="utf-8")
+    mutant.write_bytes(_mutate(base, mutations, duplicate))
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         code = main(["validate", str(mutant), str(good_path), "--format", "json",
@@ -228,3 +233,20 @@ def test_validate_gives_one_row_per_mutated_document(good_path, base, mutations,
     assert rows[1]["status"] == "valid"
     assert code == _STATUS_EXIT[rows[0]["status"]] <= 2
     assert stderr.getvalue() == ""
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=2))
+@given(base=st.sampled_from(_BASES), mutations=_MUTATIONS, duplicate=_DUPLICATE)
+def test_analyze_and_check_answer_every_mutated_document(good_path, base, mutations, duplicate):
+    # check runs every registered check; --budget-dim 4 keeps a mutant of
+    # dimension 5 over GF(3) (2.3 s of checks) within the deadline
+    folder = good_path.parent
+    (folder / "mutant.palg").write_bytes(_mutate(base, mutations, duplicate))
+    (folder / "manifest.json").write_text(serialize_manifest(["mutant.palg"]), encoding="utf-8")
+    for argv in (["analyze", str(folder / "mutant.palg")],
+                 ["check", str(folder / "manifest.json"), "--budget-dim", "4"]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(folder / "report.json")])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()

@@ -1,12 +1,11 @@
 import itertools
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from palg.algebra import direct_sum, is_ideal, is_subalgebra, subspace_square
+from palg.algebra import PoissonAlgebra, direct_sum, is_ideal, is_subalgebra, subspace_square
 from palg.corpus import (
     curated_corpus,
     enumerate_poisson_structures,
@@ -484,7 +483,8 @@ def _renamed(alg):
     """The same tensors under another name, other basis labels and a metadata
     radical (read only over the rationals, never by discovery)."""
     labels = tuple(f"v{i}" for i in range(alg.dim))
-    return replace(alg, basis_labels=labels).with_name(alg.name + "-copy").with_meta(
+    return PoissonAlgebra(alg.field, alg.dim, alg.dot_tensor, alg.bracket_tensor,
+                          alg.name + "-copy", labels, alg.meta).with_meta(
         {"radical": [], "note": "renamed"})
 
 

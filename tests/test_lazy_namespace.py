@@ -70,6 +70,33 @@ print(json.dumps({{"code": code, "openssl": "_hashlib" in sys.modules}}))
     assert json.loads((tmp_path / "report").read_text())["inputs"][0]["sha256"]
 
 
+# the standard library's class generator and what it imports: together
+# about 15 ms of every command's start-up, for nothing a command runs
+CLASS_GENERATOR = ["ast", "dataclasses", "inspect"]
+
+
+@pytest.mark.parametrize("statement", ["import palg.corpus", "import palg.cli"])
+def test_importing_palg_loads_no_class_generator(statement):
+    code = (f"import json, sys\n{statement}\n"
+            f"print(json.dumps([m for m in {CLASS_GENERATOR!r} if m in sys.modules]))")
+    assert _run(code) == []
+
+
+def test_a_whole_analyze_run_loads_no_class_generator(tmp_path):
+    code = f"""
+import json, sys
+from palg.corpus import heisenberg_zero_dot, serialize_document
+from palg.fields import FieldSpec
+from palg.cli import main
+doc = {str(tmp_path / "heis.palg")!r}
+open(doc, "w").write(serialize_document(heisenberg_zero_dot(FieldSpec.prime(2))))
+code = main(["analyze", doc, "--format", "json", "--out", {str(tmp_path / "report")!r}])
+print(json.dumps({{"code": code,
+                  "loaded": [m for m in {CLASS_GENERATOR!r} if m in sys.modules]}}))
+"""
+    assert _run(code) == {"code": 0, "loaded": []}
+
+
 def test_every_export_is_the_object_of_its_module():
     code = """
 import importlib, json, palg
