@@ -33,13 +33,14 @@ One entry per tensor, not one per (tensor, budget), keeps the series
 verdicts from competing with the lattice profiles for the ``maxsize`` slots.
 Nothing is stored when a computation raises, so a budget overrun or a
 ``SeriesConsistencyError`` from a negative control raises again next time.
-Subspace results are hash-consed per entry (``memo_space``): a result equal
-to one the entry already holds under ``("space", s)`` is replaced by that
-object, so the many equal products of one algebra are one object in memory.
-The one store beside the entries, keyed on (field, n) (``memo_shared``),
-holds the subspace enumeration every tensor of that shape reads
-(``lattice._enumeration``).  ``lattice.lattice_profile.cache_info()``
-reports on the entries; ``cache_clear()`` empties them and that store.
+Subspace results need no sharing here: ``linalg`` keeps one object per
+subspace, so equal results are one object already, and a subspace in a key
+hashes and compares by identity.  The one store beside the entries, keyed
+on (field, n) (``memo_shared``), holds the subspace enumeration every
+tensor of that shape reads (``lattice._enumeration``).
+``lattice.lattice_profile.cache_info()`` reports on the entries;
+``cache_clear()`` empties them and that store, and lets ``linalg`` free the
+enumerated subspaces nothing else holds.
 
 Finding an entry hashes both tensors, which over Q means a Python-level
 ``Fraction.__hash__`` per entry.  So the first lookup stashes a weak
@@ -56,6 +57,8 @@ from __future__ import annotations
 
 import weakref
 from functools import lru_cache
+
+from .linalg import _forget_enumerations
 
 _MISSING = object()
 _STASH = "_cache_entry"  # the algebra attribute holding the weak reference
@@ -97,16 +100,6 @@ def memo(alg, key, compute):
     return result
 
 
-def memo_space(alg, key, compute):
-    """``memo`` for a subspace result; a new result is stored once more under
-    ``("space", result)``, and an equal subspace already stored there is
-    returned in its place."""
-    def shared():
-        space = compute()
-        return memo(alg, ("space", space), lambda: space)
-    return memo(alg, key, shared)
-
-
 def canonical_tensors(field, dot_tensor: tuple, bracket_tensor: tuple) -> tuple:
     """The (dot, bracket) pair kept in the entry of these tensors: the pair
     itself on first use, the equal pair kept earlier after that."""
@@ -125,9 +118,11 @@ def memo_shared(key, compute):
 
 
 def cache_clear() -> None:
-    """Empty the per-tensor entries and the (field, n) store."""
+    """Empty the per-tensor entries and the (field, n) store, and make the
+    subspace tables weak again (``linalg._forget_enumerations``)."""
     _structure.cache_clear()
     _SHARED.clear()
+    _forget_enumerations()
 
 
 cache_info = _structure.cache_info

@@ -17,7 +17,7 @@ import json
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from ._cache import _entry, canonical_tensors, memo, memo_space
+from ._cache import _entry, canonical_tensors, memo
 from .fields import FieldSpec, _Frozen
 from .linalg import (
     Matrix,
@@ -403,7 +403,7 @@ def _axiom_witnesses(n: int) -> tuple:
 def subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all pairwise dot products of basis vectors of u and v; cached
     per tensor, the product itself is _subspace_product_dot."""
-    return memo_space(alg, ("dot", u, v), lambda: _subspace_product_dot(alg, u, v))
+    return memo(alg, ("dot", u, v), lambda: _subspace_product_dot(alg, u, v))
 
 
 def _subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -415,7 +415,7 @@ def _subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subs
 def subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all pairwise brackets of basis vectors of u and v; cached per
     tensor, the product itself is _subspace_product_bracket."""
-    return memo_space(alg, ("bracket", u, v), lambda: _subspace_product_bracket(alg, u, v))
+    return memo(alg, ("bracket", u, v), lambda: _subspace_product_bracket(alg, u, v))
 
 
 def _subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -649,7 +649,7 @@ def annihilator(alg: PoissonAlgebra, b: Subspace) -> Subspace:
     the two linear systems x . b_j = 0 and [x, b_j] = 0.  The annihilator of
     an ideal is an ideal (Leibniz and Jacobi).
     """
-    return memo_space(alg, ("annihilator", b), lambda: _annihilator(alg, b))
+    return memo(alg, ("annihilator", b), lambda: _annihilator(alg, b))
 
 
 def _annihilator(alg: PoissonAlgebra, b: Subspace) -> Subspace:
@@ -689,7 +689,7 @@ def idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
 def lie_idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
     """{x : [x, u] in U for all u in U}; cached per tensor, the kernel itself
     is _lie_idealiser."""
-    return memo_space(alg, ("lie_idealiser", u), lambda: _lie_idealiser(alg, u))
+    return memo(alg, ("lie_idealiser", u), lambda: _lie_idealiser(alg, u))
 
 
 def _lie_idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._cache import memo_space
+from ._cache import memo
 from .algebra import PoissonAlgebra, subalgebra_defect
 from .linalg import (
     Matrix,
@@ -71,7 +71,7 @@ def _per_point(alg: PoissonAlgebra, key: str, a, compute) -> Subspace:
     a = tuple(map(f.coerce, a))
     lead = next((c for c in a if c), 1)
     point = a if lead == 1 else vec_scale(f, f.inv(lead), a)
-    return memo_space(alg, (key, point), lambda: compute(point))
+    return memo(alg, (key, point), lambda: compute(point))
 
 
 def engel_assoc_space(alg: PoissonAlgebra, a) -> Subspace:

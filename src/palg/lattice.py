@@ -18,11 +18,14 @@ carries the bitmask of its projective points, and the profile keeps the
 masks and dimensions beside the subspaces.  Containment in the maximal
 scans is then ``m & big == m`` on ints, and the closure flags are bit
 tests whose product bits are carried along the enumeration order.  The
-minimal-ideal scan keeps ``Subspace.contains``: its candidates are ideal
-closures built by ``Subspace.span``, which carry no mask.  The subspaces,
-masks and dimensions depend on (field, n) alone: ``_enumeration`` keeps
-them once per (field, n) in ``_cache``, and each profile checks its own
-budget before it reads them.
+enumeration fills the subspace table of F^n (see ``linalg.Subspace``), so
+every subspace of F^n, however it is built later (a closure, a kernel, a
+product), is the enumerated object, mask included: ``Subspace.contains``
+in the minimal-ideal scan and in the checks is an int test too, and
+``subspace_intersect`` a lookup.  The subspaces, masks and dimensions
+depend on (field, n) alone: ``_enumeration`` keeps them once per (field,
+n) in ``_cache``, and each profile checks its own budget before it reads
+them.
 
 Discovery results are cached in the one per-tensor cache of ``_cache``: the
 entry is keyed on (field, dot tensor, bracket tensor), the fields of the
@@ -59,7 +62,11 @@ from .algebra import (
 from .fields import FieldError, FieldSpec, _Frozen
 from .linalg import (
     Subspace,
+    _canonical,
+    _enumeration_table,
+    _index_meets,
     _matrix,
+    _set_mask,
     _subspace,
     subspace_intersect,
     subspace_sum,
@@ -154,9 +161,14 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
     Each subspace carries its point ``mask`` (see ``Subspace``), built from
     one yielded earlier: dropping the first basis row r leaves the basis of a
     subspace S' of one dimension less, and the points r adds are r + v for v
-    in S', already normalised because v vanishes up to r's pivot.  The basis
-    is built in RREF with known pivots, so each subspace goes through the
-    trusted constructor ``linalg._subspace``, not the checked one.
+    in S', already normalised because v vanishes up to r's pivot.
+
+    The loop fills the table of F^n (``linalg._enumeration_table``): a
+    subspace already in it, built earlier by some other constructor, is
+    yielded itself and gets its mask here; any other is built in the table
+    with the trusted ``linalg._subspace``, since its basis is in RREF with
+    known pivots.  One ``dict.get`` per subspace, where interning each
+    through the constructors would cost a weak-table insertion.
     """
     _check_enumeration_budget(field, n, budget)
     q = field.order
@@ -190,8 +202,12 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
             out.append(tuple(row))
         return out
 
+    spaces = _enumeration_table(field, n)
+    get, setdefault = spaces.get, spaces.setdefault
     point_bit = {pack(line.rows()[0]): 1 << i for i, line in enumerate(enumerate_lines(field, n))}
-    yield _subspace(n, _matrix(field, 0, n, ()), (), 0)
+    s = _canonical(n, _matrix(field, 0, n, ()), ())
+    _set_mask(s, 0)
+    yield s
     # basis -> (mask, packed elements) for the subspaces of the previous
     # dimension; only those with no pivot in column 0 are kept, because only
     # they are what remains of a later basis without its first row
@@ -215,7 +231,12 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
                     basis = (first,) + rest
                     if multiples:
                         spans[basis] = (mask, [reduce(m + v) for m in multiples for v in elements])
-                    yield _subspace(n, _matrix(field, k, n, basis), pivots, mask)
+                    s = get(basis)
+                    if s is None:
+                        # setdefault: another thread may have entered it since
+                        s = setdefault(basis, _subspace(n, _matrix(field, k, n, basis), pivots))
+                    _set_mask(s, mask)
+                    yield s
 
 
 def enumerate_lines(field: FieldSpec, n: int):
@@ -228,7 +249,7 @@ def enumerate_lines(field: FieldSpec, n: int):
         tail = n - lead - 1
         for rest in itertools.product(elems, repeat=tail):
             row = (zero,) * lead + (one,) + rest
-            yield _subspace(n, _matrix(field, 1, n, (row,)), (lead,))
+            yield _canonical(n, _matrix(field, 1, n, (row,)), (lead,))
 
 
 def enumerate_elements(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET):
@@ -285,7 +306,9 @@ def _enumeration(field: FieldSpec, n: int, budget: LatticeBudget) -> tuple:
     per (field, n); the caller checks its own budget first."""
     def compute():
         subspaces = tuple(enumerate_subspaces(field, n, budget))
-        return subspaces, tuple(s.mask for s in subspaces), tuple(s.basis.nrows for s in subspaces)
+        masks = tuple(s.mask for s in subspaces)
+        _index_meets(field, n, masks, subspaces)
+        return subspaces, masks, tuple(s.basis.nrows for s in subspaces)
     return memo_shared(("subspaces", field, n), compute)
 
 
@@ -424,13 +447,19 @@ def _maximal_positions(masks, dims, positions) -> list:
 def _maximal(alg: PoissonAlgebra, budget: LatticeBudget, flags: str) -> list:
     """Maximal members among the proper subspaces whose profile flag
     (``subalgebra_flags``, ``assoc_flags`` or ``lie_flags``) is set, found
-    on the profile's masks."""
+    on the profile's masks.  The scan is cached under the flag tuple itself,
+    so flags that coincide (all three, on an algebra with zero products)
+    share one scan."""
     def compute():
         profile = lattice_profile(alg, budget)
-        dims = profile.dims
-        members = [i for i, f in enumerate(getattr(profile, flags)) if f and dims[i] != alg.dim]
-        return tuple(profile.subspaces[i]
-                     for i in _maximal_positions(profile.masks, dims, members))
+        flagged = getattr(profile, flags)
+
+        def scan():
+            dims = profile.dims
+            members = [i for i, f in enumerate(flagged) if f and dims[i] != alg.dim]
+            return tuple(profile.subspaces[i]
+                         for i in _maximal_positions(profile.masks, dims, members))
+        return memo(alg, ("maximal", flagged, budget), scan)
     return list(memo(alg, (flags, budget), compute))
 
 
@@ -859,17 +888,27 @@ def _metadata_radicals(alg: PoissonAlgebra) -> tuple:
     read and verified: ``found`` maps "radical" and "nilradical" to each
     candidate that ``verify_radical`` / ``verify_nilradical`` accept, and
     ``markers`` says why a key is missing from it.  Malformed metadata
-    raises FieldError."""
-    found, markers = {}, []
-    for key, verify in (("radical", verify_radical), ("nilradical", verify_nilradical)):
-        space = _meta_subspace(alg, key)
-        if space is None:
-            markers.append(f"requires-finite-field: {key}")
-        elif verify(alg, space):
-            found[key] = space
-        else:
-            markers.append(f"metadata-{key}-rejected")
-    return found, markers
+    raises FieldError.
+
+    Verified once per tensor and metadata: the result is cached under the
+    raw metadata strings it reads, and each call gets its own ``found`` and
+    ``markers``, which callers may extend."""
+    def compute():
+        found, markers = {}, []
+        for key, verify in (("radical", verify_radical), ("nilradical", verify_nilradical)):
+            space = _meta_subspace(alg, key)
+            if space is None:
+                markers.append(f"requires-finite-field: {key}")
+            elif verify(alg, space):
+                found[key] = space
+            else:
+                markers.append(f"metadata-{key}-rejected")
+        return found, tuple(markers)
+    # the raw strings meta_value would decode, first match as it takes
+    raw = tuple(next((v for k, v in alg.meta if k == key), None)
+                for key in ("radical", "nilradical"))
+    found, markers = memo(alg, ("metadata_radicals", raw), compute)
+    return dict(found), list(markers)
 
 
 def _meta_subspace(alg: PoissonAlgebra, key: str) -> Subspace | None:

@@ -1,9 +1,12 @@
 """Exact dense linear algebra: matrices, canonical subspaces, operators.
 
 Everything here is pure and immutable.  Vectors are plain tuples of scalars;
-a :class:`Subspace` is identified with its reduced-row-echelon basis, so two
-subspaces are equal iff their basis matrices are identical.  That canonical
-form is what makes series stabilisation and lattice deduplication exact.
+a :class:`Subspace` is identified with its reduced-row-echelon basis, and
+there is one ``Subspace`` object per basis: every constructor returns the
+object a table per (field, n) holds for that basis.  So two subspaces are
+equal iff they are the same object, and equality and hashing are identity.
+That canonical form is what makes series stabilisation and lattice
+deduplication exact.
 
 The ``Matrix`` arithmetic, ``rref`` and ``Subspace.reduce_vector`` work on
 the raw scalars instead of calling the ``FieldSpec`` methods per term: over
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -267,31 +272,37 @@ def rref(m: Matrix) -> Matrix:
 class Subspace(_Frozen):
     """A subspace of F^n held as a canonical RREF basis (no zero rows).
 
+    There is one object per subspace value: every constructor, the checked
+    ``Subspace(n, basis)`` included, returns the object its (field, n) table
+    holds for the basis (see :func:`_canonical`).  So equality and hashing
+    are the inherited identity tests, at C speed, and a subspace held as a
+    cache key costs no hashing of its basis.
+
     ``pivots``, the pivot column of each basis row, is derived from the
     basis when the subspace is built.  ``mask`` is the bitmask of the
     projective points the subspace contains, a point's bit being its
-    position in ``lattice.enumerate_lines`` order.  Only
-    ``lattice.enumerate_subspaces`` sets it, through :func:`_subspace`; it
-    is None on every other subspace.  Neither takes part in equality,
-    hashing or repr.  The hash is computed on first use and kept, because
-    subspaces are cache keys.
+    position in ``lattice.enumerate_lines`` order.
+    ``lattice.enumerate_subspaces`` sets it on every subspace of F^n as its
+    loop reaches it, so once F^n has been enumerated every subspace of F^n
+    carries it, whichever way it was built; before that, and over Q, it is
+    None.  Neither takes part in repr.
 
-    The constructor re-checks that the basis is in RREF, for bases from
-    outside.  Code that has just built the RREF itself goes through the
-    trusted :func:`_subspace` instead: :meth:`span`, which trusts what
-    ``rref`` has produced, and the lattice enumeration, which builds each
-    basis in RREF with known pivots.
+    ``Subspace(n, basis)`` re-checks that the basis is in RREF, for bases
+    from outside.  Code that has just built the RREF itself goes through
+    the trusted :func:`_canonical` instead: :meth:`span`, which trusts what
+    ``rref`` has produced, and ``lattice.enumerate_lines``.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "mask", "_hash")
+    __slots__ = ("ambient_dim", "basis", "pivots", "mask", "__weakref__")
     _fields = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: Matrix) -> None:
-        _set_ambient_dim(self, ambient_dim)
-        _set_basis(self, basis)
-        _set_mask(self, None)
-        _set_hash(self, None)
-        self.__post_init__()  # looked up per call, so a wrapper set on the class sees it
+    def __new__(cls, ambient_dim: int, basis: Matrix) -> "Subspace":
+        s = object.__new__(cls)
+        _set_ambient_dim(s, ambient_dim)
+        _set_basis(s, basis)
+        _set_mask(s, None)
+        s.__post_init__()  # looked up per call, so a wrapper set on the class sees it
+        return _canonical(ambient_dim, basis, s.pivots)
 
     def __post_init__(self) -> None:
         if self.basis.ncols != self.ambient_dim:
@@ -312,23 +323,6 @@ class Subspace(_Frozen):
             pivots.append(piv)
         _set_pivots(self, tuple(pivots))
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ambient_dim, self.basis))
-            _set_hash(self, h)
-        return h
-
-    def __eq__(self, other) -> bool:
-        # not the generated one, which compares Matrix, then FieldSpec objects
-        if self is other:
-            return True
-        if other.__class__ is not Subspace:
-            return NotImplemented
-        b, c = self.basis, other.basis
-        return (self.ambient_dim == other.ambient_dim and b.entries == c.entries
-                and (b.field is c.field or b.field == c.field))
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -345,8 +339,7 @@ class Subspace(_Frozen):
         the pivots are read off its rows.  For internal use only.
         """
         rows = tuple(vectors)
-        basis = rref(_matrix(field, len(rows), ambient_dim, rows))
-        return _subspace(ambient_dim, basis, tuple(map(_first_nonzero, basis.entries)))
+        return _canonical(ambient_dim, rref(_matrix(field, len(rows), ambient_dim, rows)))
 
     @staticmethod
     @lru_cache(maxsize=1024)
@@ -408,21 +401,94 @@ class Subspace(_Frozen):
         return tuple(v[p] for p in self.pivots)
 
 
-_set_ambient_dim, _set_basis, _set_pivots, _set_mask, _set_hash = (
-    Subspace.__dict__[name].__set__ for name in ("ambient_dim", "basis", "pivots", "mask", "_hash"))
+_set_ambient_dim, _set_basis, _set_pivots, _set_mask = (
+    Subspace.__dict__[name].__set__ for name in ("ambient_dim", "basis", "pivots", "mask"))
 
 
-def _subspace(ambient_dim: int, basis: Matrix, pivots: tuple, mask: int | None = None) -> Subspace:
-    """``Subspace(...)`` without the RREF re-check, for a basis its caller
-    has just built in RREF with these pivots (and, from the lattice
-    enumeration, this point mask)."""
+def _subspace(ambient_dim: int, basis: Matrix, pivots: tuple) -> Subspace:
+    """A new ``Subspace`` object without the RREF re-check and outside the
+    tables: only :func:`_canonical` and the loop of
+    ``lattice.enumerate_subspaces`` call it, and each enters what it builds
+    in the table at once."""
     s = object.__new__(Subspace)
     _set_ambient_dim(s, ambient_dim)
     _set_basis(s, basis)
     _set_pivots(s, pivots)
-    _set_mask(s, mask)
-    _set_hash(s, None)
+    _set_mask(s, None)
     return s
+
+
+# ---------------------------------------------------------------------------
+# the subspace tables: one object per subspace
+# ---------------------------------------------------------------------------
+
+# The subspaces of F^n by basis rows, one table per (modulus, n), the
+# modulus standing for the field (None for Q): a WeakValueDictionary, until
+# ``lattice.enumerate_subspaces`` runs for F^n and makes it a plain dict
+# that keeps every subspace of F^n alive.  ``_MEETS`` maps each mask of a
+# completed enumeration to its subspace, so a meet of two masked subspaces
+# is a lookup.  Tables are replaced under the lock, never emptied, so an
+# object stays the one object of its value as long as it lives.  Entries
+# are added under the lock too: over Q a lookup runs ``Fraction``'s Python
+# ``__hash__`` and ``__eq__``, so two threads could otherwise both miss and
+# enter two objects.
+_TABLES: dict = {}
+_MEETS: dict = {}
+_LOCK = threading.Lock()
+_NONE: dict = {}  # the table of a (field, n) nothing has been built in
+
+
+def _enter(s: Subspace) -> Subspace:
+    """s, entered in its table; or the equal subspace another thread
+    entered first."""
+    key = (s.basis.field.modulus, s.ambient_dim)
+    with _LOCK:
+        spaces = _TABLES.get(key)
+        if spaces is None:
+            spaces = _TABLES[key] = weakref.WeakValueDictionary()
+        return spaces.setdefault(s.basis.entries, s)
+
+
+def _canonical(ambient_dim: int, basis: Matrix, pivots: tuple | None = None) -> Subspace:
+    """The one subspace with this basis, which its caller has just built in
+    RREF (with these pivots, when given); built, without the RREF re-check,
+    only when no subspace with the basis exists."""
+    found = _TABLES.get((basis.field.modulus, ambient_dim), _NONE).get(basis.entries)
+    if found is not None:
+        return found
+    if pivots is None:
+        pivots = tuple(map(_first_nonzero, basis.entries))
+    return _enter(_subspace(ambient_dim, basis, pivots))
+
+
+def _enumeration_table(field: FieldSpec, n: int) -> dict:
+    """The table of F^n as a plain dict, for ``lattice.enumerate_subspaces``
+    to fill: made on first use from the weak table, whose live subspaces it
+    takes over, so that each keeps being the one object of its value."""
+    key = (field.modulus, n)
+    with _LOCK:
+        spaces = _TABLES.get(key, _NONE)
+        if spaces.__class__ is not dict or spaces is _NONE:
+            spaces = _TABLES[key] = dict(spaces.items())
+    return spaces
+
+
+def _index_meets(field: FieldSpec, n: int, masks: tuple, subspaces: tuple) -> None:
+    """Record the completed enumeration of F^n by mask, for
+    ``subspace_intersect``."""
+    _MEETS[(field.modulus, n)] = dict(zip(masks, subspaces))
+
+
+def _forget_enumerations() -> None:
+    """Make every plain-dict table weak again and drop the mask indexes, so
+    the enumerated subspaces nothing else holds can be freed; the live ones
+    stay in their tables, masks and all, because a mask depends only on
+    (field, n) and the subspace."""
+    with _LOCK:
+        for key, spaces in _TABLES.items():
+            if spaces.__class__ is dict:
+                _TABLES[key] = weakref.WeakValueDictionary(spaces)
+        _MEETS.clear()
 
 
 def _first_nonzero(row: Sequence) -> int | None:
@@ -443,13 +509,26 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """u meet v; the smaller one itself when one holds the other, else by
+    """u meet v; the smaller one itself when one holds the other.  Else,
+    when both carry masks, the enumerated subspace whose mask is the meet of
+    theirs, a point lying in both exactly when it lies in their meet; else by
     Zassenhaus: reduce [U|U; V|0] and read the intersection off the right block."""
     _check_compatible(u, v)
-    if _holds(u, v):
-        return v
-    if _holds(v, u):
-        return u
+    um, vm = u.mask, v.mask
+    if um is None or vm is None:
+        if _holds(u, v):
+            return v
+        if _holds(v, u):
+            return u
+    else:
+        m = um & vm
+        if m == vm:
+            return v
+        if m == um:
+            return u
+        meets = _MEETS.get((u.basis.field.modulus, u.ambient_dim))
+        if meets is not None:
+            return meets[m]
     f, n = u.field, u.ambient_dim
     z = f.zero()
     rows = [tuple(r) + tuple(r) for r in u.rows()]
@@ -489,6 +568,13 @@ def _check_compatible(u: Subspace, v: Subspace) -> None:
 
 def kernel(m: Matrix) -> Subspace:
     """The null space {v : m v = 0} as a subspace of F^ncols."""
+    return _canonical(m.ncols, _kernel_basis(m))
+
+
+def _kernel_basis(m: Matrix) -> Matrix:
+    """The RREF basis of the null space of m, outside the subspace tables:
+    ``palg enumerate`` reads the rows of a kernel per dot and keeps none of
+    them, so entering each in a table would be work for nothing."""
     f = m.field
     reduced = rref(m)
     pivots = [_first_nonzero(row) for row in reduced.entries]
@@ -502,7 +588,7 @@ def kernel(m: Matrix) -> Subspace:
         for row, piv in zip(reduced.entries, pivots):
             v[piv] = f.neg(row[free])
         vectors.append(tuple(v))
-    return Subspace.span(f, m.ncols, vectors)
+    return rref(_matrix(f, len(vectors), m.ncols, tuple(vectors)))
 
 
 def image(m: Matrix) -> Subspace:

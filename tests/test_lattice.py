@@ -16,6 +16,7 @@ from palg.corpus import (
     two_dim_nonabelian,
     zero_algebra,
 )
+from palg import lattice
 from palg.fields import FieldError, FieldSpec
 from palg.lattice import (
     BudgetExceededError,
@@ -50,7 +51,8 @@ from palg.lattice import (
     _maximal_positions,
     _metadata_radicals,
 )
-from palg.linalg import Matrix, Subspace
+from palg.linalg import Matrix, Subspace, _subspace
+from palg.theorems import run_suite
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
@@ -93,10 +95,10 @@ def test_point_masks_are_the_lines_each_subspace_contains(field, n):
     for s in enumerate_subspaces(field, n):
         assert s.mask == sum(1 << i for i, v in enumerate(lines) if s.contains_vector(v)), s
         assert s.mask.bit_count() == (q ** s.dim - 1) // (q - 1)
-        # the mask takes no part in equality, hashing or repr
+        # one object per subspace: a copy rebuilt from the rows is s
+        # itself, mask included, and the mask stays out of repr
         copy = Subspace.from_vectors(field, n, s.rows())
-        assert copy.mask is None
-        assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+        assert copy is s and copy.mask == s.mask and "mask" not in repr(s)
 
 
 def test_enumeration_budget_refusal():
@@ -465,6 +467,55 @@ def test_structure_report_rejects_wrong_metadata():
     assert "metadata-radical-rejected" in report.markers
 
 
+def test_metadata_radicals_are_verified_once_per_tensor_and_metadata(monkeypatch):
+    # every check over Q asks for them; each (algebra, series) pair is
+    # verified once, and each call gets markers of its own to extend
+    algebras = [a for a in curated_corpus() if not a.field.is_finite]
+    verified = []
+    verify = lattice._verify_largest
+    monkeypatch.setattr(lattice, "_verify_largest",
+                        lambda alg, candidate, series: verified.append(alg.name)
+                        or verify(alg, candidate, series))
+    plain = [structure_report(a) for a in algebras]
+    run_suite(algebras)
+    expected = [a.name for a in algebras if a.meta_value("radical") is not None] + [
+        a.name for a in algebras if a.meta_value("nilradical") is not None]
+    assert len(verified) == len(expected) == 22
+    assert sorted(verified) == sorted(expected)
+    assert [structure_report(a) for a in algebras] == plain
+    _, markers = _metadata_radicals(algebras[0])
+    markers.append("extended by a caller")
+    assert "extended by a caller" not in _metadata_radicals(algebras[0])[1]
+    # other metadata on the same tensors is verified afresh
+    other = algebras[0].with_meta({"radical": [], "nilradical": []})
+    assert other.meta != algebras[0].meta
+    _metadata_radicals(other)
+    assert len(verified) == 24
+
+
+def test_equal_flag_tuples_share_one_maximal_scan(monkeypatch):
+    alg = next(a for a in curated_corpus() if a.name == "zero-d4-gf3")
+    expected = _quadratic_maximal(_unmasked(
+        [s for s in lattice_profile(alg).subspaces if s.dim != alg.dim]))
+    lattice_profile.cache_clear()
+    scans = []
+    scan = lattice._maximal_positions
+    monkeypatch.setattr(lattice, "_maximal_positions",
+                        lambda *args: scans.append(1) or scan(*args))
+    structure_report(alg)
+    assert len(scans) == 1
+    answers = [maximal_subalgebras(alg), maximal_assoc_subalgebras(alg),
+               maximal_lie_subalgebras(alg)]
+    assert answers[0] == answers[1] == answers[2]
+    assert _rows(answers[0]) == _rows(expected)
+    # flags that differ get scans of their own
+    heis = heisenberg_zero_dot(GF3)
+    structure_report(heis)
+    profile = lattice_profile(heis)
+    distinct = {profile.subalgebra_flags, profile.assoc_flags, profile.lie_flags}
+    assert len(scans) == 1 + len(distinct) > 2
+
+
 # ---------------------------------------------------------------------------
 # the discovery cache
 # ---------------------------------------------------------------------------
@@ -567,15 +618,20 @@ def _quadratic_maximal(candidates):
 
 
 def _unmasked(candidates):
-    # checked rebuilds: equal subspaces without a mask, so containment
-    # between them goes through the pivots and reduce_vector
-    return [Subspace.from_vectors(s.field, s.ambient_dim, s.rows()) for s in candidates]
+    # raw copies outside the subspace tables, without a mask, so containment
+    # between them goes through the pivots and reduce_vector; being other
+    # objects, they compare with the candidates by their rows
+    return [_subspace(s.ambient_dim, s.basis, s.pivots) for s in candidates]
+
+
+def _rows(spaces) -> list:
+    return [s.rows() for s in spaces]
 
 
 def _assert_scan_agrees(candidates):
     found = _maximal_positions([s.mask for s in candidates], [s.dim for s in candidates],
                                range(len(candidates)))
-    assert [candidates[i] for i in found] == _quadratic_maximal(_unmasked(candidates))
+    assert _rows(candidates[i] for i in found) == _rows(_quadratic_maximal(_unmasked(candidates)))
 
 
 @pytest.mark.parametrize("alg", SMALL_FINITE, ids=lambda a: a.name)
@@ -594,7 +650,7 @@ def test_maximal_members_match_quadratic_scan_on_every_flag_set(alg):
                            (maximal_lie_subalgebras, "lie_flags")):
         proper = [s for s, f in zip(profile.subspaces, getattr(profile, flags))
                   if f and s.dim != alg.dim]
-        assert maximal(alg) == _quadratic_maximal(_unmasked(proper))
+        assert _rows(maximal(alg)) == _rows(_quadratic_maximal(_unmasked(proper)))
 
 
 SUBSPACES_GF2_4 = list(enumerate_subspaces(GF2, 4))

@@ -14,6 +14,7 @@ from palg.linalg import (
     kernel,
     poly_eval_matrix,
     roots_in_field,
+    _subspace,
     rref,
     subspace_intersect,
     subspace_sum,
@@ -187,20 +188,21 @@ def test_dimension_formula(m1, m2):
 def test_pivots_are_leading_columns_and_stay_out_of_equality(m):
     s = Subspace(m.ncols, rref(m))
     assert s.pivots == tuple(next(j for j, x in enumerate(row) if x != 0) for row in s.rows())
-    # the same space from another spanning set: reversed rows plus their sum
+    # the same space from another spanning set: reversed rows plus their
+    # sum; one object per subspace, so it is s itself
     rows = list(reversed(m.entries))
     rows.append(tuple(m.field.add(a, b) for a, b in zip(rows[0], rows[-1])))
     t = Subspace.from_vectors(m.field, m.ncols, rows)
-    assert t is not s and t == s and hash(t) == hash(s) and t.pivots == s.pivots
+    assert t is s and t == s and hash(t) == hash(s) and t.pivots == s.pivots
     assert "pivots" not in repr(s)
 
 
 @pytest.mark.parametrize("field,n", [(GF2, 4), (GF3, 3)])
 def test_contains_matches_reduce_only_reference(field, n):
-    # enumerated subspaces carry point masks; their copies rebuilt from the
-    # same rows do not, so a mixed pair takes the reduce_vector path
+    # enumerated subspaces carry point masks; raw copies built outside the
+    # tables do not, so a mixed pair takes the reduce_vector path
     spaces = list(enumerate_subspaces(field, n))
-    copies = [Subspace.from_vectors(field, n, s.rows()) for s in spaces]
+    copies = [_subspace(n, s.basis, s.pivots) for s in spaces]
     assert all(s.mask is not None for s in spaces)
     assert all(c.mask is None for c in copies)
     for big, big_copy in zip(spaces, copies):
@@ -219,14 +221,13 @@ def test_matrix_and_subspace_have_slots_and_no_dict(field, n):
         assert not hasattr(s, "__dict__") and not hasattr(s.basis, "__dict__")
         with pytest.raises((AttributeError, TypeError)):
             s.extra = 1  # no instance dict to put it in
-    # the enumerated masks survive, and with the pivots stay out of
-    # equality, hashing and repr
+    # the enumerated masks survive, and with the pivots stay out of repr;
+    # a copy rebuilt from the rows is the enumerated object itself
     assert [s.mask.bit_count() for s in spaces] == [
         (field.order ** s.dim - 1) // (field.order - 1) for s in spaces]
     for s in spaces:
         copy = Subspace.from_vectors(field, n, s.rows())
-        assert copy.mask is None and copy.pivots == s.pivots
-        assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+        assert copy is s and copy.mask == s.mask and copy.pivots == s.pivots
         assert "mask" not in repr(s) and "pivots" not in repr(s)
 
 
@@ -262,13 +263,20 @@ def test_mismatched_ambient_or_field_rejected():
 
 
 def test_equal_fields_that_are_distinct_objects_are_compatible():
-    # the identity test is only a shortcut before the equality test; the
-    # named constructors share one object per field, direct construction not
+    # a subspace built over an equal field that is another object is still
+    # the one subspace of its value
     u = Subspace.full(FieldSpec.prime(3), 2)
     v = Subspace.from_vectors(FieldSpec(PRIME, 3), 2, [(1, 1)])
-    assert u.field is not v.field
+    assert v is Subspace.from_vectors(FieldSpec.prime(3), 2, [(1, 1)])
     assert u.contains(v) and not v.contains(u)
-    assert subspace_intersect(u, v) == v and subspace_sum(u, v) == u
+    assert subspace_intersect(u, v) is v and subspace_sum(u, v) is u
+    # the identity test of fields is only a shortcut before the equality
+    # test; the named constructors share one object per field, direct
+    # construction not, and a raw copy outside the tables keeps its own
+    w = _subspace(2, Matrix(FieldSpec(PRIME, 3), 1, 2, ((1, 1),)), (0,))
+    assert u.field is not w.field
+    assert u.contains(w) and not w.contains(u)
+    assert subspace_intersect(u, w) is w and subspace_sum(u, w) is u
 
 
 def test_public_matrix_constructor_keeps_its_shape_check():
