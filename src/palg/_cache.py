@@ -93,7 +93,10 @@ def _entry(alg) -> _Entry:
 def memo(alg, key, compute):
     """The cached result ``key`` for the algebra's tensors, computing it on
     first use; nothing is stored when ``compute`` raises."""
-    entry = _entry(alg)
+    ref = vars(alg).get(_STASH)  # _entry's first step, inline: it is the common one
+    entry = None if ref is None else ref()
+    if entry is None:
+        entry = _entry(alg)
     result = entry.get(key, _MISSING)
     if result is _MISSING:
         result = entry[key] = compute()

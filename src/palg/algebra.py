@@ -402,8 +402,15 @@ def _axiom_witnesses(n: int) -> tuple:
 
 def subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all pairwise dot products of basis vectors of u and v; cached
-    per tensor, the product itself is _subspace_product_dot."""
-    return memo(alg, ("dot", u, v), lambda: _subspace_product_dot(alg, u, v))
+    per tensor, the product itself is _subspace_product_dot.  ``memo``
+    written out, without a closure per call: the checks ask for products
+    tens of thousands of times, mostly hits."""
+    entry = _entry(alg)
+    key = ("dot", u, v)
+    result = entry.get(key)
+    if result is None:
+        result = entry[key] = _subspace_product_dot(alg, u, v)
+    return result
 
 
 def _subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -414,8 +421,14 @@ def _subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subs
 
 def subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all pairwise brackets of basis vectors of u and v; cached per
-    tensor, the product itself is _subspace_product_bracket."""
-    return memo(alg, ("bracket", u, v), lambda: _subspace_product_bracket(alg, u, v))
+    tensor, the product itself is _subspace_product_bracket (looked up as in
+    ``subspace_product_dot``)."""
+    entry = _entry(alg)
+    key = ("bracket", u, v)
+    result = entry.get(key)
+    if result is None:
+        result = entry[key] = _subspace_product_bracket(alg, u, v)
+    return result
 
 
 def _subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:

@@ -63,15 +63,15 @@ from .fields import FieldError, FieldSpec, _Frozen
 from .linalg import (
     Subspace,
     _canonical,
+    _SPANS,
     _enumeration_table,
-    _index_meets,
     _matrix,
+    _record_enumeration,
     _set_mask,
     _subspace,
     subspace_intersect,
     subspace_sum,
     vec_is_zero,
-    vec_scale,
     vec_sub,
 )
 from .series import (
@@ -307,7 +307,7 @@ def _enumeration(field: FieldSpec, n: int, budget: LatticeBudget) -> tuple:
     def compute():
         subspaces = tuple(enumerate_subspaces(field, n, budget))
         masks = tuple(s.mask for s in subspaces)
-        _index_meets(field, n, masks, subspaces)
+        _record_enumeration(field, n, subspaces, masks)
         return subspaces, masks, tuple(s.basis.nrows for s in subspaces)
     return memo_shared(("subspaces", field, n), compute)
 
@@ -332,27 +332,25 @@ def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
     ``is_lie_subalgebra`` and ``is_ideal`` are the oracles, and an ideal flag
     is set only on a subalgebra.
 
-    A product lies in S iff its point bit lies in S's mask; the zero product
-    has no point, so its bit is 0 and it always lies in S.  Every RREF row
-    and every basis vector is a normalised point, so each product is looked
-    up by the positions of its two points, ``a * width + b``, and computed
-    once.  S is closed iff the bits of its basis-row products all lie in its
-    mask.  S' = S without its first row r is yielded earlier, and the OR of
-    the bits of its row products is carried from it, so S adds only the
-    products of r with itself and with the rows of S': O(k) lookups for a
-    k-dim subspace.  Only subspaces with no pivot in column 0 are ever some
-    S', so only they keep a complete OR; the rest stop at the first product
-    outside.  The pairs stay ordered, so the flags stay exact on tensors
-    that are not commutative or alternating.  The ideal test reads, per
-    row, the OR of the bits of its products with every basis vector.
+    A product lies in S iff its point bit lies in S's mask, read from the
+    point table of F^n (``linalg._Spans``); the zero product has no point,
+    so its bit is 0 and it always lies in S.  Every RREF row and every basis
+    vector is a normalised point, at position ``bit.bit_length() - 1``, so
+    each product is looked up by the positions of its two points,
+    ``a * width + b``, and computed once.  S is closed iff the bits of its
+    basis-row products all lie in its mask.  S' = S without its first row r
+    is yielded earlier, and the OR of the bits of its row products is
+    carried from it, so S adds only the products of r with itself and with
+    the rows of S': O(k) lookups for a k-dim subspace.  Only subspaces
+    with no pivot in column 0 are ever some S', so only they keep a
+    complete OR; the rest stop at the first product outside.  The pairs
+    stay ordered, so the flags stay exact on tensors that are not
+    commutative or alternating.  The ideal test reads, per row, the OR of
+    the bits of its products with every basis vector.
     """
-    f = alg.field
-    lines = [line.rows()[0] for line in enumerate_lines(f, alg.dim)]
+    spans = _SPANS[(alg.field.modulus, alg.dim)]
+    bit, lines = spans.points, spans.lines
     width = len(lines)
-    point = {v: i for i, v in enumerate(lines)}
-    bit = {vec_scale(f, c, v): 1 << i for i, v in enumerate(lines)
-           for c in list(f.elements())[1:]}
-    bit[alg.zero_element()] = 0
     everywhere = (1 << width) - 1  # complements are taken in it: a negative int is slower
 
     def products(rows) -> _Table:
@@ -362,7 +360,7 @@ def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
         return _Table(fill)
 
     dot, bracket = map(products, _products(alg))
-    basis = [point[e] for e in map(alg.basis_element, range(alg.dim))]
+    basis = [bit[e].bit_length() - 1 for e in map(alg.basis_element, range(alg.dim))]
 
     def ideal_bits(a: int) -> int:
         aw = a * width
@@ -399,7 +397,7 @@ def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
             assoc = lie = ideal = True
         else:
             rest, dot_or, bracket_or = carried[rows[1:]]
-            a = point[rows[0]]
+            a = bit[rows[0]].bit_length() - 1
             if s.pivots[0]:
                 dot_or |= new_products(dot, a, rest)
                 bracket_or |= new_products(bracket, a, rest)

@@ -15,6 +15,18 @@ operators directly.  ``matmul`` and ``mat_vec`` sum a whole dot product, the
 entrywise operations form each entry, before its one ``% p``; the
 eliminations reduce each entry as they update it, because they test entries
 for zero as they go.  The generic ``FieldSpec`` bodies are the tests' oracle.
+
+Once ``lattice`` has enumerated F^n, two tables per (field, n) answer most
+questions about its vectors without elimination (see :class:`_Spans`).  A
+point table maps every vector of F^n to the bit of its projective point, so
+:meth:`Subspace.contains_vector` on a subspace with a point mask is one int
+test.  A span table maps a set of points, as a mask, to the subspace they
+span, so :meth:`Subspace.span` ORs its vectors' bits and looks the mask up;
+a span depends only on the points its vectors lie on.  The span table is a
+cache in front of ``rref``, which stays the one elimination routine: a miss
+runs it once and stores the answer.  Vectors the point table does not hold,
+those over Q, of a (field, n) never enumerated or of the wrong length, take
+the elimination path as before.
 """
 
 from __future__ import annotations
@@ -337,9 +349,32 @@ class Subspace(_Frozen):
         ``from_vectors`` without the coercion of every entry and without the
         constructor's re-check of the basis: ``rref`` has just built it, and
         the pivots are read off its rows.  For internal use only.
+
+        Over an enumerated F^n the span is looked up in the span table under
+        the OR of its vectors' point bits, and ``rref`` runs only on the
+        first span of each such mask.  Two threads that miss at once both
+        store the one object of that span, because the strong table already
+        holds every subspace of F^n; so the table needs no lock.
         """
         rows = tuple(vectors)
-        return _canonical(ambient_dim, rref(_matrix(field, len(rows), ambient_dim, rows)))
+        spans = _SPANS.get((field.modulus, ambient_dim))
+        mask = None
+        if spans is not None:
+            points = spans.points
+            try:
+                mask = 0
+                for v in rows:
+                    mask |= points[v]
+            except (KeyError, TypeError):  # not a vector of F^n: eliminate
+                mask = None
+            else:
+                found = spans.get(mask)
+                if found is not None:
+                    return found
+        s = _canonical(ambient_dim, rref(_matrix(field, len(rows), ambient_dim, rows)))
+        if mask is not None:
+            spans[mask] = s
+        return s
 
     @staticmethod
     @lru_cache(maxsize=1024)
@@ -388,9 +423,26 @@ class Subspace(_Frozen):
         return tuple(v)
 
     def contains_vector(self, v: Vector) -> bool:
+        """Whether v lies here: the point bit of v inside the mask, when this
+        subspace has one and the point table of its F^n holds v; else
+        ``reduce_vector``."""
+        mask = self.mask
+        if mask is not None:
+            spans = _SPANS.get((self.basis.field.modulus, self.ambient_dim))
+            if spans is not None:
+                bit = spans.points.get(v) if v.__class__ is tuple else None
+                if bit is not None:
+                    return bit & mask == bit
         return vec_is_zero(self.reduce_vector(v))
 
     def contains(self, other: "Subspace") -> bool:
+        # The mask test of _holds, inline when it is sure to apply: masks
+        # from tables of another field or dimension may collide, so those
+        # pairs go through the compatibility check.
+        um, vm = self.mask, other.mask
+        if (um is not None and vm is not None and self.ambient_dim == other.ambient_dim
+                and self.basis.field is other.basis.field):
+            return vm & um == vm
         _check_compatible(self, other)
         return _holds(self, other)
 
@@ -425,17 +477,28 @@ def _subspace(ambient_dim: int, basis: Matrix, pivots: tuple) -> Subspace:
 # The subspaces of F^n by basis rows, one table per (modulus, n), the
 # modulus standing for the field (None for Q): a WeakValueDictionary, until
 # ``lattice.enumerate_subspaces`` runs for F^n and makes it a plain dict
-# that keeps every subspace of F^n alive.  ``_MEETS`` maps each mask of a
-# completed enumeration to its subspace, so a meet of two masked subspaces
-# is a lookup.  Tables are replaced under the lock, never emptied, so an
-# object stays the one object of its value as long as it lives.  Entries
-# are added under the lock too: over Q a lookup runs ``Fraction``'s Python
-# ``__hash__`` and ``__eq__``, so two threads could otherwise both miss and
-# enter two objects.
+# that keeps every subspace of F^n alive.  ``_SPANS`` holds the point and
+# span tables of each completed enumeration (a ``_Spans``).  Tables are
+# replaced under the lock, never emptied, so an object stays the one object
+# of its value as long as it lives.  Entries are added under the lock too:
+# over Q a lookup runs ``Fraction``'s Python ``__hash__`` and ``__eq__``, so
+# two threads could otherwise both miss and enter two objects.
 _TABLES: dict = {}
-_MEETS: dict = {}
+_SPANS: dict = {}
 _LOCK = threading.Lock()
 _NONE: dict = {}  # the table of a (field, n) nothing has been built in
+
+
+class _Spans(dict):
+    """The span table of an enumerated F^n: a point mask -> the subspace
+    those points span, filled with every subspace under its own mask when
+    the enumeration completes (so a meet of two masked subspaces, whose mask
+    is the AND of theirs, is a lookup) and with other masks as
+    ``Subspace.span`` meets them.  Beside it, ``points`` maps every vector of
+    F^n to the bit of its projective point, the zero vector to 0, and
+    ``lines`` holds the normalised vector of each point in bit order."""
+
+    __slots__ = ("points", "lines")
 
 
 def _enter(s: Subspace) -> Subspace:
@@ -473,22 +536,31 @@ def _enumeration_table(field: FieldSpec, n: int) -> dict:
     return spaces
 
 
-def _index_meets(field: FieldSpec, n: int, masks: tuple, subspaces: tuple) -> None:
-    """Record the completed enumeration of F^n by mask, for
-    ``subspace_intersect``."""
-    _MEETS[(field.modulus, n)] = dict(zip(masks, subspaces))
+def _record_enumeration(field: FieldSpec, n: int, subspaces: tuple, masks: tuple) -> None:
+    """Record the completed enumeration of F^n, in ``enumerate_subspaces``
+    order with its masks, as the span and point tables of F^n.  The lines
+    come right after the zero subspace, in the order of their bits."""
+    p = field.modulus
+    spans = _Spans(zip(masks, subspaces))
+    spans.lines = tuple(s.basis.entries[0] for s in subspaces[1:1 + (p ** n - 1) // (p - 1)])
+    points = spans.points = {(0,) * n: 0}
+    for i, v in enumerate(spans.lines):
+        for c in range(1, p):
+            points[tuple([c * x % p for x in v])] = 1 << i
+    _SPANS[(p, n)] = spans
 
 
 def _forget_enumerations() -> None:
-    """Make every plain-dict table weak again and drop the mask indexes, so
-    the enumerated subspaces nothing else holds can be freed; the live ones
-    stay in their tables, masks and all, because a mask depends only on
-    (field, n) and the subspace."""
+    """Make every plain-dict table weak again and drop every enumeration's
+    span and point tables, so the enumerated subspaces nothing else holds
+    can be freed; the live ones stay in their tables, masks and all, because
+    a mask depends only on (field, n) and the subspace.  Until F^n is
+    enumerated again, its spans and memberships take the elimination path."""
     with _LOCK:
         for key, spaces in _TABLES.items():
             if spaces.__class__ is dict:
                 _TABLES[key] = weakref.WeakValueDictionary(spaces)
-        _MEETS.clear()
+        _SPANS.clear()
 
 
 def _first_nonzero(row: Sequence) -> int | None:
@@ -511,8 +583,9 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     """u meet v; the smaller one itself when one holds the other.  Else,
     when both carry masks, the enumerated subspace whose mask is the meet of
-    theirs, a point lying in both exactly when it lies in their meet; else by
-    Zassenhaus: reduce [U|U; V|0] and read the intersection off the right block."""
+    theirs (from the span table), a point lying in both exactly when it lies
+    in their meet; else by Zassenhaus: reduce [U|U; V|0] and read the
+    intersection off the right block."""
     _check_compatible(u, v)
     um, vm = u.mask, v.mask
     if um is None or vm is None:
@@ -526,9 +599,9 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
             return v
         if m == um:
             return u
-        meets = _MEETS.get((u.basis.field.modulus, u.ambient_dim))
-        if meets is not None:
-            return meets[m]
+        spans = _SPANS.get((u.basis.field.modulus, u.ambient_dim))
+        if spans is not None:
+            return spans[m]
     f, n = u.field, u.ambient_dim
     z = f.zero()
     rows = [tuple(r) + tuple(r) for r in u.rows()]
@@ -567,14 +640,23 @@ def _check_compatible(u: Subspace, v: Subspace) -> None:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """The null space {v : m v = 0} as a subspace of F^ncols."""
-    return _canonical(m.ncols, _kernel_basis(m))
+    """The null space {v : m v = 0} as a subspace of F^ncols: the span of
+    :func:`_null_vectors`, so over an enumerated F^ncols only m itself is
+    eliminated."""
+    return Subspace.span(m.field, m.ncols, _null_vectors(m))
 
 
 def _kernel_basis(m: Matrix) -> Matrix:
     """The RREF basis of the null space of m, outside the subspace tables:
     ``palg enumerate`` reads the rows of a kernel per dot and keeps none of
     them, so entering each in a table would be work for nothing."""
+    vectors = _null_vectors(m)
+    return rref(_matrix(m.field, len(vectors), m.ncols, tuple(vectors)))
+
+
+def _null_vectors(m: Matrix) -> list:
+    """A basis of the null space of m, not in RREF: for each free column of
+    m's RREF, the null vector with 1 there and 0 at the other free columns."""
     f = m.field
     reduced = rref(m)
     pivots = [_first_nonzero(row) for row in reduced.entries]
@@ -588,7 +670,7 @@ def _kernel_basis(m: Matrix) -> Matrix:
         for row, piv in zip(reduced.entries, pivots):
             v[piv] = f.neg(row[free])
         vectors.append(tuple(v))
-    return rref(_matrix(f, len(vectors), m.ncols, tuple(vectors)))
+    return vectors
 
 
 def image(m: Matrix) -> Subspace:

@@ -226,13 +226,20 @@ def _check_assoc_power_bracket(alg: PoissonAlgebra, budget: LatticeBudget) -> tu
     failures, exercised = [], 0
     powers = {}  # b -> [b, b.b, (b.b).b, ...], extended on first use
     for b, c in itertools.islice(_diagonal_pairs(subs), CONFIG_LIMIT):
-        bc = subspace_product_bracket(alg, b, c)
         known = powers.setdefault(b, [b])
         for n in range(1, alg.dim + 2):
             if len(known) < n:
                 known.append(subspace_product_dot(alg, known[-1], b))
+            if known[n - 1].is_zero():
+                # lhs = [0, c] = 0 lies in every rhs, here and for every
+                # larger n: count those iterations without computing them
+                exercised += alg.dim + 2 - n
+                break
             lhs = subspace_product_bracket(alg, known[n - 1], c)
-            rhs = bc if n == 1 else subspace_product_dot(alg, known[n - 2], bc)
+            if n == 1:
+                bc = rhs = lhs  # [b, c], which n = 1 compares with itself
+            else:
+                rhs = subspace_product_dot(alg, known[n - 2], bc)
             exercised += 1
             if not rhs.contains(lhs):
                 failures.append({"b": _fmt_space(b), "c": _fmt_space(c), "n": n,

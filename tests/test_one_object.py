@@ -61,7 +61,7 @@ def _assert_all_pairs(spaces, meets_by_lookup: bool):
         assert meet.mask == u.mask & v.mask
         assert meet is Subspace.span(u.field, u.ambient_dim, meet.rows())
         if meets_by_lookup:
-            assert meet is linalg._MEETS[(u.field.modulus, u.ambient_dim)][u.mask & v.mask]
+            assert meet is linalg._SPANS[(u.field.modulus, u.ambient_dim)][u.mask & v.mask]
 
 
 @pytest.mark.parametrize("field,n", [(GF2, 4), (GF3, 3)])
@@ -79,7 +79,7 @@ def test_mask_paths_match_the_reduce_and_zassenhaus_references(field, n):
     # until the next enumeration, and each object stays the one of its value
     held = subspaces
     lattice_profile.cache_clear()
-    assert (field.modulus, n) not in linalg._MEETS
+    assert (field.modulus, n) not in linalg._SPANS
     assert all(Subspace.from_vectors(field, n, s.rows()) is s for s in held)
     _assert_all_pairs(held, meets_by_lookup=False)
     again, _, _ = lattice._enumeration(field, n, DEFAULT_BUDGET)

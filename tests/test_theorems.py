@@ -413,6 +413,47 @@ def test_dot_powers_are_computed_once_per_subalgebra(monkeypatch, alg):
     assert max(Counter(seen).values()) == 1
 
 
+def _lemma_2_1_every_iteration(alg) -> tuple:
+    """Test oracle: Lemma-2.1's loop without the stop at a zero power, every
+    n up to dim + 1 computed; (exercised, iterations at a zero power, first
+    failing (b, c, n) or None)."""
+    dot, bracket = algebra._subspace_product_dot, algebra._subspace_product_bracket
+    subs = theorems._subalgebra_configs(alg, DEFAULT_BUDGET)
+    exercised = trivial = 0
+    for b, c in list(theorems._diagonal_pairs(subs))[:theorems.CONFIG_LIMIT]:
+        bc = bracket(alg, b, c)
+        powers = [b]
+        for n in range(1, alg.dim + 2):
+            if len(powers) < n:
+                powers.append(dot(alg, powers[-1], b))
+            lhs = bracket(alg, powers[n - 1], c)
+            rhs = bc if n == 1 else dot(alg, powers[n - 2], bc)
+            exercised += 1
+            trivial += powers[n - 1].is_zero()
+            if not rhs.contains(lhs):
+                return exercised, trivial, (b, c, n)
+    return exercised, trivial, None
+
+
+# Once b^(n-1) is 0, lhs = [0, c] = 0 lies in every rhs: those iterations
+# are counted in `exercised` but form no product and ask the cache nothing.
+@pytest.mark.parametrize("alg", [zero_algebra(GF3, 2), heisenberg_zero_dot(GF3),
+                                 idempotent_line(GF3), two_dim_nonabelian(GF2),
+                                 heisenberg_zero_dot(Q)],
+                         ids=lambda a: a.name)
+def test_lemma_2_1_counts_the_iterations_after_a_zero_power_without_products(
+        monkeypatch, alg):
+    exercised, trivial, failure = _lemma_2_1_every_iteration(alg)
+    assert trivial > 0
+    _cache.cache_clear()
+    zero_args = [_record_calls(monkeypatch, theorems, name,
+                               lambda alg, u, v: u if u.is_zero() else None)
+                 for name in ("subspace_product_dot", "subspace_product_bracket")]
+    result = check_one("Lemma-2.1", alg)
+    assert (result.status, result.exercised) == (PASS, exercised) and failure is None
+    assert zero_args == [[], []]
+
+
 # ---------------------------------------------------------------------------
 # Thm-4.2 over the ideals of each subideal, and one flag search per tensor
 # ---------------------------------------------------------------------------
