@@ -35,12 +35,11 @@ Nothing is stored when a computation raises, so a budget overrun or a
 ``SeriesConsistencyError`` from a negative control raises again next time.
 Subspace results need no sharing here: ``linalg`` keeps one object per
 subspace, so equal results are one object already, and a subspace in a key
-hashes and compares by identity.  The one store beside the entries, keyed
-on (field, n) (``memo_shared``), holds the subspace enumeration every
-tensor of that shape reads (``lattice._enumeration``).
-``lattice.lattice_profile.cache_info()`` reports on the entries;
-``cache_clear()`` empties them and that store, and lets ``linalg`` free the
-enumerated subspaces nothing else holds.
+hashes and compares by identity.  The subspace enumeration every tensor of
+one (field, n) reads is not kept here but in ``linalg``, in the store of
+that F^n.  ``lattice.lattice_profile.cache_info()`` reports on the entries;
+``cache_clear()`` empties them and drops the stores, so ``linalg`` can free
+the enumerated subspaces nothing else holds.
 
 Finding an entry hashes both tensors, which over Q means a Python-level
 ``Fraction.__hash__`` per entry.  So the first lookup stashes a weak
@@ -62,7 +61,6 @@ from .linalg import _forget_enumerations
 
 _MISSING = object()
 _STASH = "_cache_entry"  # the algebra attribute holding the weak reference
-_SHARED: dict = {}  # the (field, n) store
 
 
 class _Entry(dict):
@@ -112,19 +110,10 @@ def canonical_tensors(field, dot_tensor: tuple, bracket_tensor: tuple) -> tuple:
     return entry.tensors
 
 
-def memo_shared(key, compute):
-    """``memo`` in the (field, n) store."""
-    result = _SHARED.get(key, _MISSING)
-    if result is _MISSING:
-        result = _SHARED[key] = compute()
-    return result
-
-
 def cache_clear() -> None:
-    """Empty the per-tensor entries and the (field, n) store, and make the
-    subspace tables weak again (``linalg._forget_enumerations``)."""
+    """Empty the per-tensor entries and drop the (field, n) stores
+    (``linalg._forget_enumerations``)."""
     _structure.cache_clear()
-    _SHARED.clear()
     _forget_enumerations()
 
 

@@ -519,7 +519,8 @@ def _close(alg: PoissonAlgebra, seed: Subspace, against: Subspace | None = None)
     bilinearity, commutativity and antisymmetry cover the rest.  The
     products reduced modulo the space span a complement of it in the next
     space, so their basis is the next frontier, one row per added
-    dimension; a round that finds no product outside ends the closure.
+    dimension; a round that finds no product outside ends the closure.  A
+    masked space reduces only the products its mask does not hold.
     Terminates because the dimension strictly increases.
     """
     space = seed
@@ -527,9 +528,10 @@ def _close(alg: PoissonAlgebra, seed: Subspace, against: Subspace | None = None)
     dot, bracket = _products(alg)
     while frontier:
         others = (space if against is None else against).rows()
-        outside = [p for p in (space.reduce_vector(alg._mul(rows, a, b))
-                               for a in frontier for b in others for rows in (dot, bracket))
-                   if any(p)]
+        products = (alg._mul(rows, a, b) for a in frontier for b in others for rows in (dot, bracket))
+        if space.mask is not None:
+            products = [p for p in products if not space.contains_vector(p)]
+        outside = [p for p in map(space.reduce_vector, products) if any(p)]
         if not outside:
             break
         frontier = Subspace.span(alg.field, alg.dim, outside).rows()

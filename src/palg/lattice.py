@@ -18,14 +18,13 @@ carries the bitmask of its projective points, and the profile keeps the
 masks and dimensions beside the subspaces.  Containment in the maximal
 scans is then ``m & big == m`` on ints, and the closure flags are bit
 tests whose product bits are carried along the enumeration order.  The
-enumeration fills the subspace table of F^n (see ``linalg.Subspace``), so
-every subspace of F^n, however it is built later (a closure, a kernel, a
+enumeration becomes the store of F^n (``linalg._Store``), so every
+subspace of F^n, however it is built later (a closure, a kernel, a
 product), is the enumerated object, mask included: ``Subspace.contains``
 in the minimal-ideal scan and in the checks is an int test too, and
 ``subspace_intersect`` a lookup.  The subspaces, masks and dimensions
-depend on (field, n) alone: ``_enumeration`` keeps them once per (field,
-n) in ``_cache``, and each profile checks its own budget before it reads
-them.
+depend on (field, n) alone: ``_enumeration`` reads them from the store,
+and each profile checks its own budget before it reads them.
 
 Discovery results are cached in the one per-tensor cache of ``_cache``: the
 entry is keyed on (field, dot tensor, bracket tensor), the fields of the
@@ -42,7 +41,7 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from ._cache import cache_clear, cache_info, memo, memo_shared
+from ._cache import cache_clear, cache_info, memo
 from .algebra import (
     BudgetExceededError,
     PoissonAlgebra,
@@ -63,10 +62,9 @@ from .fields import FieldError, FieldSpec, _Frozen
 from .linalg import (
     Subspace,
     _canonical,
-    _SPANS,
-    _enumeration_table,
+    _STORES,
     _matrix,
-    _record_enumeration,
+    _publish,
     _set_mask,
     _subspace,
     subspace_intersect,
@@ -159,16 +157,15 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
     order is deterministic and each basis is born in reduced echelon form.
 
     Each subspace carries its point ``mask`` (see ``Subspace``), built from
-    one yielded earlier: dropping the first basis row r leaves the basis of a
+    one built earlier: dropping the first basis row r leaves the basis of a
     subspace S' of one dimension less, and the points r adds are r + v for v
     in S', already normalised because v vanishes up to r's pivot.
 
-    The loop fills the table of F^n (``linalg._enumeration_table``): a
-    subspace already in it, built earlier by some other constructor, is
-    yielded itself and gets its mask here; any other is built in the table
-    with the trusted ``linalg._subspace``, since its basis is in RREF with
-    known pivots.  One ``dict.get`` per subspace, where interning each
-    through the constructors would cost a weak-table insertion.
+    The loop builds every subspace with the trusted ``linalg._subspace``,
+    outside the tables, since its basis is in RREF with known pivots;
+    ``linalg._publish`` then makes them the store of F^n (a live subspace
+    built some other way takes its copy's place), unless F^n has one, and
+    the stored objects are yielded.  So no table keyed on bases is filled.
     """
     _check_enumeration_budget(field, n, budget)
     q = field.order
@@ -202,12 +199,10 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
             out.append(tuple(row))
         return out
 
-    spaces = _enumeration_table(field, n)
-    get, setdefault = spaces.get, spaces.setdefault
     point_bit = {pack(line.rows()[0]): 1 << i for i, line in enumerate(enumerate_lines(field, n))}
     s = _canonical(n, _matrix(field, 0, n, ()), ())
     _set_mask(s, 0)
-    yield s
+    built, cells = [s], {(): (0, ())}
     # basis -> (mask, packed elements) for the subspaces of the previous
     # dimension; only those with no pivot in column 0 are kept, because only
     # they are what remains of a later basis without its first row
@@ -218,8 +213,12 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
             # A basis with these pivots picks each row independently, so the
             # bases are the product of the row choices; it runs the free
             # entries in the same lexicographic order, and bases share rows.
-            choices = [rows_with(p, [j for j in range(p + 1, n) if j not in pivots])
-                       for p in pivots]
+            free = [[j for j in range(p + 1, n) if j not in pivots] for p in pivots]
+            choices = [rows_with(p, cols) for p, cols in zip(pivots, free)]
+            # the cell's first position and its free entries as base-q digits
+            places = [(r, j) for r, cols in enumerate(free) for j in cols]
+            cells[pivots] = (len(built), tuple(
+                (r, j, q ** d) for d, (r, j) in enumerate(reversed(places))))
             for first in choices[0]:
                 packed = pack(first)
                 multiples = [pack([c * x % q for x in first]) for c in elems] if pivots[0] else None
@@ -231,12 +230,10 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
                     basis = (first,) + rest
                     if multiples:
                         spans[basis] = (mask, [reduce(m + v) for m in multiples for v in elements])
-                    s = get(basis)
-                    if s is None:
-                        # setdefault: another thread may have entered it since
-                        s = setdefault(basis, _subspace(n, _matrix(field, k, n, basis), pivots))
+                    s = _subspace(n, _matrix(field, k, n, basis), pivots)
                     _set_mask(s, mask)
-                    yield s
+                    built.append(s)
+    yield from _publish(field, n, built, cells).subspaces
 
 
 def enumerate_lines(field: FieldSpec, n: int):
@@ -302,14 +299,14 @@ def lattice_profile(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET)
 
 
 def _enumeration(field: FieldSpec, n: int, budget: LatticeBudget) -> tuple:
-    """The subspaces of F^n with their masks and dimensions, enumerated once
-    per (field, n); the caller checks its own budget first."""
-    def compute():
-        subspaces = tuple(enumerate_subspaces(field, n, budget))
-        masks = tuple(s.mask for s in subspaces)
-        _record_enumeration(field, n, subspaces, masks)
-        return subspaces, masks, tuple(s.basis.nrows for s in subspaces)
-    return memo_shared(("subspaces", field, n), compute)
+    """The subspaces of F^n with their masks and dimensions, from its store,
+    enumerated on first use; the caller checks its own budget first."""
+    key = (field.modulus, n)
+    if key not in _STORES:
+        for _ in enumerate_subspaces(field, n, budget):
+            pass
+    store = _STORES[key]
+    return store.subspaces, store.masks, store.dims
 
 
 class _Table(dict):
@@ -333,7 +330,7 @@ def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
     is set only on a subalgebra.
 
     A product lies in S iff its point bit lies in S's mask, read from the
-    point table of F^n (``linalg._Spans``); the zero product has no point,
+    point table of F^n (``linalg._Store``); the zero product has no point,
     so its bit is 0 and it always lies in S.  Every RREF row and every basis
     vector is a normalised point, at position ``bit.bit_length() - 1``, so
     each product is looked up by the positions of its two points,
@@ -348,8 +345,8 @@ def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
     commutative or alternating.  The ideal test reads, per row, the OR of
     the bits of its products with every basis vector.
     """
-    spans = _SPANS[(alg.field.modulus, alg.dim)]
-    bit, lines = spans.points, spans.lines
+    store = _STORES[(alg.field.modulus, alg.dim)]
+    bit, lines = store.points, store.lines
     width = len(lines)
     everywhere = (1 << width) - 1  # complements are taken in it: a negative int is slower
 

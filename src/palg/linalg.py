@@ -16,17 +16,17 @@ entrywise operations form each entry, before its one ``% p``; the
 eliminations reduce each entry as they update it, because they test entries
 for zero as they go.  The generic ``FieldSpec`` bodies are the tests' oracle.
 
-Once ``lattice`` has enumerated F^n, two tables per (field, n) answer most
-questions about its vectors without elimination (see :class:`_Spans`).  A
-point table maps every vector of F^n to the bit of its projective point, so
-:meth:`Subspace.contains_vector` on a subspace with a point mask is one int
-test.  A span table maps a set of points, as a mask, to the subspace they
-span, so :meth:`Subspace.span` ORs its vectors' bits and looks the mask up;
-a span depends only on the points its vectors lie on.  The span table is a
-cache in front of ``rref``, which stays the one elimination routine: a miss
-runs it once and stores the answer.  Vectors the point table does not hold,
-those over Q, of a (field, n) never enumerated or of the wrong length, take
-the elimination path as before.
+Once ``lattice`` has enumerated F^n, one store per (field, n) holds every
+subspace of F^n, finds one by the position of its basis in the enumeration
+and answers most questions about its vectors without elimination (see
+:class:`_Store`).  It maps every vector of F^n to the bit of its projective
+point, so :meth:`Subspace.contains_vector` on a subspace with a point mask
+is one int test, and a set of points, as a mask, to the subspace they span,
+so :meth:`Subspace.span` ORs its vectors' bits and looks the mask up: a
+span depends only on the points its vectors lie on.  That map is a cache in
+front of ``rref``, which stays the one elimination routine.  Vectors the
+point table does not hold, those over Q, of a (field, n) never enumerated
+or of the wrong length, take the elimination path as before.
 """
 
 from __future__ import annotations
@@ -285,24 +285,25 @@ class Subspace(_Frozen):
     """A subspace of F^n held as a canonical RREF basis (no zero rows).
 
     There is one object per subspace value: every constructor, the checked
-    ``Subspace(n, basis)`` included, returns the object its (field, n) table
-    holds for the basis (see :func:`_canonical`).  So equality and hashing
-    are the inherited identity tests, at C speed, and a subspace held as a
-    cache key costs no hashing of its basis.
+    ``Subspace(n, basis)`` included, returns the object its (field, n) store
+    or weak table holds for the basis (see :func:`_canonical`).  So equality
+    and hashing are the inherited identity tests, at C speed, and a subspace
+    held as a cache key costs no hashing of its basis.
 
     ``pivots``, the pivot column of each basis row, is derived from the
     basis when the subspace is built.  ``mask`` is the bitmask of the
     projective points the subspace contains, a point's bit being its
     position in ``lattice.enumerate_lines`` order.
-    ``lattice.enumerate_subspaces`` sets it on every subspace of F^n as its
-    loop reaches it, so once F^n has been enumerated every subspace of F^n
-    carries it, whichever way it was built; before that, and over Q, it is
-    None.  Neither takes part in repr.
+    ``lattice.enumerate_subspaces`` sets it on every subspace of F^n it
+    stores, so once F^n has been enumerated every subspace of F^n carries
+    it, whichever way it was built; before that, and over Q, it is None.
+    Neither takes part in repr.
 
-    ``Subspace(n, basis)`` re-checks that the basis is in RREF, for bases
-    from outside.  Code that has just built the RREF itself goes through
-    the trusted :func:`_canonical` instead: :meth:`span`, which trusts what
-    ``rref`` has produced, and ``lattice.enumerate_lines``.
+    ``Subspace(n, basis)`` re-checks that the basis is in RREF, each GF(p)
+    entry an int in ``range(p)``, for bases from outside.  Code that has just
+    built the RREF itself goes through the trusted :func:`_canonical`
+    instead: :meth:`span`, which trusts what ``rref`` has produced, and
+    ``lattice.enumerate_lines``.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots", "mask", "__weakref__")
@@ -319,6 +320,10 @@ class Subspace(_Frozen):
     def __post_init__(self) -> None:
         if self.basis.ncols != self.ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
+        p = self.basis.field.modulus
+        if p and any(x.__class__ is not int or not 0 <= x < p
+                     for row in self.basis.entries for x in row):
+            raise ValueError(f"basis entry not an int in range({p})")
         pivots = []
         for i in range(self.basis.nrows):
             row = self.basis.row(i)
@@ -339,28 +344,25 @@ class Subspace(_Frozen):
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        m = Matrix.from_rows(field, vectors, ncols=ambient_dim)
-        return Subspace(ambient_dim, rref(m))
+        return Subspace.span(field, ambient_dim, Matrix.from_rows(field, vectors, ambient_dim).entries)
 
     @staticmethod
     def span(field: FieldSpec, ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
         """The span of vectors whose entries are already field elements.
 
-        ``from_vectors`` without the coercion of every entry and without the
-        constructor's re-check of the basis: ``rref`` has just built it, and
-        the pivots are read off its rows.  For internal use only.
+        ``from_vectors`` without the coercion of every entry.  Neither
+        re-checks the basis: ``rref`` has just built it, and the pivots are
+        read off its rows.  For internal use only.
 
-        Over an enumerated F^n the span is looked up in the span table under
-        the OR of its vectors' point bits, and ``rref`` runs only on the
-        first span of each such mask.  Two threads that miss at once both
-        store the one object of that span, because the strong table already
-        holds every subspace of F^n; so the table needs no lock.
+        Over an enumerated F^n the span is looked up in its store under the
+        OR of its vectors' point bits, and ``rref`` runs only on the first
+        span of each such mask.
         """
         rows = tuple(vectors)
-        spans = _SPANS.get((field.modulus, ambient_dim))
+        store = _STORES.get((field.modulus, ambient_dim))
         mask = None
-        if spans is not None:
-            points = spans.points
+        if store is not None:
+            points = store.points
             try:
                 mask = 0
                 for v in rows:
@@ -368,12 +370,12 @@ class Subspace(_Frozen):
             except (KeyError, TypeError):  # not a vector of F^n: eliminate
                 mask = None
             else:
-                found = spans.get(mask)
+                found = store.get(mask)
                 if found is not None:
                     return found
         s = _canonical(ambient_dim, rref(_matrix(field, len(rows), ambient_dim, rows)))
         if mask is not None:
-            spans[mask] = s
+            store[mask] = s
         return s
 
     @staticmethod
@@ -428,9 +430,9 @@ class Subspace(_Frozen):
         ``reduce_vector``."""
         mask = self.mask
         if mask is not None:
-            spans = _SPANS.get((self.basis.field.modulus, self.ambient_dim))
-            if spans is not None:
-                bit = spans.points.get(v) if v.__class__ is tuple else None
+            store = _STORES.get((self.basis.field.modulus, self.ambient_dim))
+            if store is not None:
+                bit = store.points.get(v) if v.__class__ is tuple else None
                 if bit is not None:
                     return bit & mask == bit
         return vec_is_zero(self.reduce_vector(v))
@@ -459,9 +461,9 @@ _set_ambient_dim, _set_basis, _set_pivots, _set_mask = (
 
 def _subspace(ambient_dim: int, basis: Matrix, pivots: tuple) -> Subspace:
     """A new ``Subspace`` object without the RREF re-check and outside the
-    tables: only :func:`_canonical` and the loop of
-    ``lattice.enumerate_subspaces`` call it, and each enters what it builds
-    in the table at once."""
+    tables: only :func:`_canonical`, which enters it in a table at once, and
+    the loop of ``lattice.enumerate_subspaces``, whose subspaces
+    :func:`_publish` makes the store, call it."""
     s = object.__new__(Subspace)
     _set_ambient_dim(s, ambient_dim)
     _set_basis(s, basis)
@@ -474,93 +476,103 @@ def _subspace(ambient_dim: int, basis: Matrix, pivots: tuple) -> Subspace:
 # the subspace tables: one object per subspace
 # ---------------------------------------------------------------------------
 
-# The subspaces of F^n by basis rows, one table per (modulus, n), the
-# modulus standing for the field (None for Q): a WeakValueDictionary, until
-# ``lattice.enumerate_subspaces`` runs for F^n and makes it a plain dict
-# that keeps every subspace of F^n alive.  ``_SPANS`` holds the point and
-# span tables of each completed enumeration (a ``_Spans``).  Tables are
-# replaced under the lock, never emptied, so an object stays the one object
-# of its value as long as it lives.  Entries are added under the lock too:
-# over Q a lookup runs ``Fraction``'s Python ``__hash__`` and ``__eq__``, so
-# two threads could otherwise both miss and enter two objects.
+# The subspaces of F^n by basis rows, one WeakValueDictionary per (modulus,
+# n), the modulus standing for the field (None for Q); and the store of each
+# enumerated F^n, which holds every subspace of F^n, so that its weak table
+# gains nothing while the store lives.  Tables are never emptied, so an
+# object stays the one object of its value as long as it lives.  Entries are
+# added, and stores published, under the lock: over Q a lookup runs
+# ``Fraction``'s Python ``__hash__`` and ``__eq__``, so two threads could
+# otherwise both miss and enter two objects.
 _TABLES: dict = {}
-_SPANS: dict = {}
+_STORES: dict = {}
 _LOCK = threading.Lock()
 _NONE: dict = {}  # the table of a (field, n) nothing has been built in
 
 
-class _Spans(dict):
-    """The span table of an enumerated F^n: a point mask -> the subspace
-    those points span, filled with every subspace under its own mask when
-    the enumeration completes (so a meet of two masked subspaces, whose mask
-    is the AND of theirs, is a lookup) and with other masks as
-    ``Subspace.span`` meets them.  Beside it, ``points`` maps every vector of
-    F^n to the bit of its projective point, the zero vector to 0, and
-    ``lines`` holds the normalised vector of each point in bit order."""
+class _Store(dict):
+    """The enumeration of one F^n: ``subspaces`` in ``enumerate_subspaces``
+    order, their ``masks`` and ``dims``; ``points``, every vector of F^n ->
+    the bit of its projective point (the zero vector 0); ``lines``, the
+    normalised vector of each point in bit order; ``cells``, each pivot
+    tuple -> the position of its Schubert cell and the (row, column, weight)
+    of its free entries.  As a dict, a point mask -> the subspace those
+    points span: every subspace under its own mask (so a meet of masked
+    subspaces is a lookup), and other masks as ``Subspace.span`` meets them;
+    threads that miss a span at once all store its one object."""
 
-    __slots__ = ("points", "lines")
+    __slots__ = ("subspaces", "masks", "dims", "points", "lines", "cells")
 
-
-def _enter(s: Subspace) -> Subspace:
-    """s, entered in its table; or the equal subspace another thread
-    entered first."""
-    key = (s.basis.field.modulus, s.ambient_dim)
-    with _LOCK:
-        spaces = _TABLES.get(key)
-        if spaces is None:
-            spaces = _TABLES[key] = weakref.WeakValueDictionary()
-        return spaces.setdefault(s.basis.entries, s)
+    def position(self, rows: tuple, pivots: tuple) -> int:
+        """The position of the RREF basis ``rows``, of reduced scalars: its
+        cell's start plus its free entries, row by row, as base-q digits,
+        the order the enumeration runs them in."""
+        position, free = self.cells[pivots or tuple([row.index(1) for row in rows])]
+        for r, j, weight in free:
+            position += rows[r][j] * weight
+        return position
 
 
 def _canonical(ambient_dim: int, basis: Matrix, pivots: tuple | None = None) -> Subspace:
     """The one subspace with this basis, which its caller has just built in
-    RREF (with these pivots, when given); built, without the RREF re-check,
-    only when no subspace with the basis exists."""
-    found = _TABLES.get((basis.field.modulus, ambient_dim), _NONE).get(basis.entries)
-    if found is not None:
-        return found
-    if pivots is None:
-        pivots = tuple(map(_first_nonzero, basis.entries))
-    return _enter(_subspace(ambient_dim, basis, pivots))
+    RREF (with these pivots, when given): the stored one at its position, or
+    the one in the weak table; else built without the RREF re-check and
+    entered there, unless another thread entered or published it first."""
+    key = (basis.field.modulus, ambient_dim)
+    store = _STORES.get(key)
+    if store is None:
+        found = _TABLES.get(key, _NONE).get(basis.entries)
+        if found is not None:
+            return found
+        s = _subspace(ambient_dim, basis, pivots or tuple(map(_first_nonzero, basis.entries)))
+        with _LOCK:
+            store = _STORES.get(key)
+            if store is None:
+                spaces = _TABLES.get(key)
+                if spaces is None:
+                    spaces = _TABLES[key] = weakref.WeakValueDictionary()
+                return spaces.setdefault(basis.entries, s)
+    return store.subspaces[store.position(basis.entries, pivots)]
 
 
-def _enumeration_table(field: FieldSpec, n: int) -> dict:
-    """The table of F^n as a plain dict, for ``lattice.enumerate_subspaces``
-    to fill: made on first use from the weak table, whose live subspaces it
-    takes over, so that each keeps being the one object of its value."""
-    key = (field.modulus, n)
-    with _LOCK:
-        spaces = _TABLES.get(key, _NONE)
-        if spaces.__class__ is not dict or spaces is _NONE:
-            spaces = _TABLES[key] = dict(spaces.items())
-    return spaces
-
-
-def _record_enumeration(field: FieldSpec, n: int, subspaces: tuple, masks: tuple) -> None:
-    """Record the completed enumeration of F^n, in ``enumerate_subspaces``
-    order with its masks, as the span and point tables of F^n.  The lines
-    come right after the zero subspace, in the order of their bits."""
+def _publish(field: FieldSpec, n: int, subspaces: list, cells: dict) -> _Store:
+    """The store of F^n, made from the subspaces ``lattice.enumerate_subspaces``
+    builds outside the tables, with their masks and its ``cells``; or the
+    store another thread published first.  A subspace live in the weak
+    table takes its copy's place and mask, to stay the one object of its
+    value.  The lines come right after the zero subspace, in bit order."""
     p = field.modulus
-    spans = _Spans(zip(masks, subspaces))
-    spans.lines = tuple(s.basis.entries[0] for s in subspaces[1:1 + (p ** n - 1) // (p - 1)])
-    points = spans.points = {(0,) * n: 0}
-    for i, v in enumerate(spans.lines):
-        for c in range(1, p):
-            points[tuple([c * x % p for x in v])] = 1 << i
-    _SPANS[(p, n)] = spans
+    store = _Store(zip([s.mask for s in subspaces], subspaces))
+    store.masks = tuple(store)  # one subspace per mask, so its keys are the masks in order
+    store.dims = tuple(s.basis.nrows for s in subspaces)
+    store.cells = cells
+    store.lines = tuple(s.basis.entries[0] for s in subspaces[1:1 + (p ** n - 1) // (p - 1)])
+    store.points = {tuple([c * x % p for x in v]): 1 << i
+                    for i, v in enumerate(store.lines) for c in range(1, p)}
+    store.points[(0,) * n] = 0
+    with _LOCK:
+        if (p, n) in _STORES:
+            return _STORES[(p, n)]
+        for s in _TABLES.get((p, n), _NONE).values():
+            i = store.position(s.basis.entries, s.pivots)
+            if s.basis.entries == subspaces[i].basis.entries:  # not a span of too-long rows
+                _set_mask(s, store.masks[i])
+                store[s.mask] = subspaces[i] = s
+        store.subspaces = tuple(subspaces)
+        _STORES[(p, n)] = store
+    return store
 
 
 def _forget_enumerations() -> None:
-    """Make every plain-dict table weak again and drop every enumeration's
-    span and point tables, so the enumerated subspaces nothing else holds
-    can be freed; the live ones stay in their tables, masks and all, because
-    a mask depends only on (field, n) and the subspace.  Until F^n is
+    """Drop every store, handing its subspaces back to the weak table of its
+    F^n, so those nothing else holds can be freed; the live ones keep their
+    masks, which depend only on (field, n) and the subspace.  Until F^n is
     enumerated again, its spans and memberships take the elimination path."""
     with _LOCK:
-        for key, spaces in _TABLES.items():
-            if spaces.__class__ is dict:
-                _TABLES[key] = weakref.WeakValueDictionary(spaces)
-        _SPANS.clear()
+        for key, store in _STORES.items():
+            spaces = _TABLES.setdefault(key, weakref.WeakValueDictionary())
+            spaces.update((s.basis.entries, s) for s in store.subspaces)
+        _STORES.clear()
 
 
 def _first_nonzero(row: Sequence) -> int | None:
@@ -583,7 +595,7 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     """u meet v; the smaller one itself when one holds the other.  Else,
     when both carry masks, the enumerated subspace whose mask is the meet of
-    theirs (from the span table), a point lying in both exactly when it lies
+    theirs (from the store), a point lying in both exactly when it lies
     in their meet; else by Zassenhaus: reduce [U|U; V|0] and read the
     intersection off the right block."""
     _check_compatible(u, v)
@@ -599,9 +611,9 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
             return v
         if m == um:
             return u
-        spans = _SPANS.get((u.basis.field.modulus, u.ambient_dim))
-        if spans is not None:
-            return spans[m]
+        store = _STORES.get((u.basis.field.modulus, u.ambient_dim))
+        if store is not None:
+            return store[m]
     f, n = u.field, u.ambient_dim
     z = f.zero()
     rows = [tuple(r) + tuple(r) for r in u.rows()]

@@ -344,6 +344,29 @@ def test_closures_are_the_lattice_meets(alg):
         assert closure_ideal(alg, seed) == meet
 
 
+def test_a_closure_over_an_enumerated_space_reduces_only_the_products_outside(monkeypatch):
+    alg = next(a for a in curated_corpus() if a.name == "heisenberg-gf3")
+    profile = lattice_profile(alg)  # every subspace of GF(3)^3 now carries its mask
+    reduced, products = [], [0]
+    reduce_vector, mul = Subspace.reduce_vector, PoissonAlgebra._mul
+
+    def recording(space, v):
+        reduced.append((space, v))
+        return reduce_vector(space, v)
+
+    def counting(*args):
+        products[0] += 1
+        return mul(*args)
+    monkeypatch.setattr(Subspace, "reduce_vector", recording)
+    monkeypatch.setattr(PoissonAlgebra, "_mul", counting)
+    for seed in profile.subspaces:
+        closure_subalgebra(alg, seed)
+        closure_ideal(alg, seed)
+    assert 0 < len(reduced) < products[0] // 4
+    monkeypatch.undo()
+    assert all(not space.contains_vector(v) for space, v in reduced)
+
+
 # ---------------------------------------------------------------------------
 # quotients, direct sums
 # ---------------------------------------------------------------------------

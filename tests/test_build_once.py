@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from palg import _cache, algebra, lattice
+from palg import _cache, algebra, lattice, linalg
 from palg.algebra import (
     _close,
     _left_bracket_matrix,
@@ -221,7 +221,7 @@ def test_a_tight_budget_raises_after_a_generous_one_filled_the_enumeration(tight
     first, second = _named("heisenberg-gf3"), _named("zero-d3-gf3")
     assert (first.dim, second.dim) == (3, 3)
     assert len(lattice_profile(first, LatticeBudget()).subspaces) == 28
-    assert _cache._SHARED
+    assert linalg._STORES
     for alg in (first, second):  # the same tensor, and another of the same (field, n)
         for _ in range(2):
             with pytest.raises(BudgetExceededError):
@@ -249,7 +249,7 @@ def test_threads_filling_the_enumeration_at_once_all_read_it_whole():
             assert not any(t.is_alive() for t in threads)
             assert len(results) == len(algebras)
             assert all(list(p.subspaces) == expected for p in results.values())
-            assert list(_cache._SHARED) == [("subspaces", GF3, 2)]
+            assert list(linalg._STORES) == [(3, 2)]
     finally:
         sys.setswitchinterval(interval)
 
@@ -261,9 +261,9 @@ def test_cache_clear_empties_the_enumeration(monkeypatch):
                         lambda *args: calls.append(args[:2]) or original(*args))
     alg = _named("heisenberg-gf2")
     before = lattice_profile(alg).subspaces
-    assert calls == [(GF2, 3)] and _cache._SHARED
+    assert calls == [(GF2, 3)] and linalg._STORES
     lattice_profile.cache_clear()
-    assert _cache._SHARED == {} and lattice_profile.cache_info().currsize == 0
+    assert linalg._STORES == {} and lattice_profile.cache_info().currsize == 0
     after = lattice_profile(alg).subspaces
     assert calls == [(GF2, 3)] * 2
     assert after == before and after is not before

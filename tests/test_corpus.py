@@ -36,7 +36,7 @@ from palg.corpus import (
     zero_algebra,
 )
 from palg.fields import FieldSpec
-from palg import _cache, algebra
+from palg import algebra, linalg
 from palg.lattice import BudgetExceededError, lattice_profile
 
 GF2 = FieldSpec.prime(2)
@@ -180,7 +180,7 @@ def test_enumerate_validate_and_the_format_multiply_nothing(monkeypatch):
     assert calls == []
     info = lattice_profile.cache_info()
     assert (info.misses, info.currsize) == (0, 0)
-    assert _cache._SHARED == {}
+    assert linalg._STORES == {}
 
 
 @pytest.mark.parametrize("source", ["enumerate-2-2", "enumerate-2-3", "enumerate-2-5",

@@ -425,3 +425,15 @@ def test_kernel_and_image_are_what_they_claim(m):
     for j in range(m.ncols):
         assert img.contains_vector(m.column(j))
     assert ker.dim + img.dim == m.ncols
+
+
+@pytest.mark.parametrize("entry", [5, -1, Fraction(2), True], ids=repr)
+def test_the_checked_constructor_refuses_an_unreduced_gf_p_entry(entry):
+    # each once gave a second object for span((1, 2, 0)); a stored subspace
+    # is found by its entries as base-p digits, so they must be reduced
+    line = Subspace.from_vectors(GF3, 3, [(1, 2, 0)])
+    with pytest.raises(ValueError, match=r"range\(3\)"):
+        Subspace(3, Matrix(GF3, 1, 3, ((1, entry, 0),)))
+    assert Subspace(3, Matrix(GF3, 1, 3, ((1, 2, 0),))) is line
+    assert Subspace.from_vectors(GF3, 3, [(1, entry, 0)]) is Subspace.from_vectors(
+        GF3, 3, [(1, GF3.coerce(entry), 0)])  # from_vectors still reduces what it is given

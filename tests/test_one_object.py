@@ -10,8 +10,11 @@ elimination, written out below, for the meet.
 
 import ast
 import itertools
+import random
 import sys
 import threading
+import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from palg import lattice, linalg
 from palg.algebra import _reduction_matrix, closure_ideal, closure_subalgebra, quotient_maps
 from palg.corpus import curated_corpus, enumerate_poisson_structures
 from palg.fields import FieldSpec
-from palg.lattice import DEFAULT_BUDGET, lattice_profile
+from palg.lattice import DEFAULT_BUDGET, LatticeBudget, lattice_profile
 from palg.linalg import (
     Matrix,
     Subspace,
@@ -61,7 +64,7 @@ def _assert_all_pairs(spaces, meets_by_lookup: bool):
         assert meet.mask == u.mask & v.mask
         assert meet is Subspace.span(u.field, u.ambient_dim, meet.rows())
         if meets_by_lookup:
-            assert meet is linalg._SPANS[(u.field.modulus, u.ambient_dim)][u.mask & v.mask]
+            assert meet is linalg._STORES[(u.field.modulus, u.ambient_dim)][u.mask & v.mask]
 
 
 @pytest.mark.parametrize("field,n", [(GF2, 4), (GF3, 3)])
@@ -79,7 +82,7 @@ def test_mask_paths_match_the_reduce_and_zassenhaus_references(field, n):
     # until the next enumeration, and each object stays the one of its value
     held = subspaces
     lattice_profile.cache_clear()
-    assert (field.modulus, n) not in linalg._SPANS
+    assert (field.modulus, n) not in linalg._STORES
     assert all(Subspace.from_vectors(field, n, s.rows()) is s for s in held)
     _assert_all_pairs(held, meets_by_lookup=False)
     again, _, _ = lattice._enumeration(field, n, DEFAULT_BUDGET)
@@ -202,3 +205,98 @@ def test_no_module_builds_a_subspace_outside_the_tables():
         "lattice.py": ["enumerate_subspaces/loop"]}
     # the guard sees the raw builds linalg does make
     assert {"_subspace", "_canonical"} <= {fn for fn, _ in _raw_builds(SRC / "linalg.py")}
+
+
+_STATE = {"_STORES", "_TABLES"}
+_WRITES = {"pop", "popitem", "clear", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def _names_state(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in _STATE
+            or isinstance(node, ast.Attribute) and node.attr in _STATE
+            or isinstance(node, ast.alias) and node.name in _STATE)
+
+
+def _state_writes(path: Path) -> list:
+    """Lines of the file that assign into, delete from, pop from or clear
+    ``_STORES`` or ``_TABLES``, or rebind either name."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        if any(_names_state(t.value if isinstance(t, ast.Subscript) else t) for t in targets):
+            out.append(node.lineno)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _WRITES and _names_state(node.func.value)):
+            out.append(node.lineno)
+    return out
+
+
+def test_only_linalg_writes_the_stores_and_tables():
+    found = {path.name: _state_writes(path)
+             for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert len(_state_writes(SRC / "linalg.py")) >= 4  # the guard sees linalg's own
+    cache = ast.parse((SRC / "_cache.py").read_text(encoding="utf-8"))
+    assert not any(map(_names_state, ast.walk(cache)))
+
+
+@pytest.mark.parametrize("field,n", [(GF2, 5), (GF3, 4), (FieldSpec.prime(5), 3)], ids=str)
+def test_the_position_of_a_stored_basis_finds_the_stored_object(field, n):
+    lattice_profile.cache_clear()
+    subspaces, _, _ = lattice._enumeration(field, n, LatticeBudget(max_q=5))
+    store = linalg._STORES[(field.modulus, n)]
+    for i, s in enumerate(subspaces):
+        rows = s.rows()
+        assert store.position(rows, s.pivots) == store.position(rows, None) == i
+        assert Subspace(n, Matrix(field, len(rows), n, rows)) is s
+        assert Subspace.span(field, n, rows[::-1]) is s
+        assert linalg._canonical(n, linalg._matrix(field, len(rows), n, rows)) is s
+    assert all(t.__class__ is weakref.WeakValueDictionary for t in linalg._TABLES.values())
+
+
+def test_spans_built_while_another_thread_enumerates_are_the_stored_objects():
+    # the span threads enter subspaces of GF(3)^4 in its weak table until
+    # the enumeration publishes its store, and look them up there after
+    field, n, spanners = GF3, 4, 3
+    lattice_profile.cache_clear()
+    assert (field.modulus, n) not in linalg._STORES
+    rng = random.Random(4)
+    vectors = list(itertools.product(range(field.order), repeat=n))
+    bases = [[rng.choice(vectors) for _ in range(rng.randrange(1, 4))] for _ in range(200)]
+    start, done = threading.Barrier(spanners), threading.Event()
+    built = [[] for _ in range(spanners)]
+
+    def span(slot: int):
+        start.wait()  # so the first pass of each starts before the enumeration
+        for _ in range(200):
+            built[slot].extend(Subspace.span(field, n, rows) for rows in bases)
+            if done.is_set():
+                break
+
+    def enumerate_space():
+        while not all(built):
+            time.sleep(1e-4)
+        lattice._enumeration(field, n, DEFAULT_BUDGET)
+        done.set()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=span, args=(i,)) for i in range(spanners)]
+        workers.append(threading.Thread(target=enumerate_space))
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers) and done.is_set()
+    store = linalg._STORES[(field.modulus, n)]
+    for s in itertools.chain.from_iterable(built):
+        assert s is store.subspaces[store.position(s.rows(), s.pivots)] and s.mask is not None
+    assert all(t.__class__ is weakref.WeakValueDictionary for t in linalg._TABLES.values())

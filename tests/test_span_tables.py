@@ -15,7 +15,7 @@ import pytest
 
 from palg import lattice, linalg
 from palg.corpus import curated_corpus, enumerate_poisson_structures
-from palg.fields import FieldSpec
+from palg.fields import FieldError, FieldSpec
 from palg.lattice import DEFAULT_BUDGET, lattice_profile
 from palg.linalg import Subspace, rref, vec_is_zero
 from palg.theorems import run_suite
@@ -74,9 +74,9 @@ def test_span_and_membership_match_rref_and_reduce_vector(field, n, monkeypatch)
     early = [Subspace.span(field, n, [linalg.basis_vector(field, n, i)]) for i in range(n)]
     early.append(Subspace.span(field, n, [linalg.basis_vector(field, n, 0),
                                           linalg.basis_vector(field, n, n - 1)]))
-    assert (field.modulus, n) not in linalg._SPANS
+    assert (field.modulus, n) not in linalg._STORES
     subspaces, masks, _ = lattice._enumeration(field, n, DEFAULT_BUDGET)
-    spans = linalg._SPANS[(field.modulus, n)]
+    spans = linalg._STORES[(field.modulus, n)]
     # the point table: every vector of F^n, its point's bit, the zero vector 0
     assert len(spans.points) == field.order ** n and spans.points[(0,) * n] == 0
     for i, v in enumerate(spans.lines):
@@ -97,7 +97,7 @@ def test_span_and_membership_match_rref_and_reduce_vector(field, n, monkeypatch)
     # eliminate again
     held = subspaces
     lattice_profile.cache_clear()
-    assert (field.modulus, n) not in linalg._SPANS
+    assert (field.modulus, n) not in linalg._STORES
     assert all(s.mask is not None for s in held)
     _assert_tables_match_the_references(field, n, held, seed=n + 1)
     before = calls[0]
@@ -116,6 +116,26 @@ def test_a_repeated_span_on_heisenberg_runs_no_rref(monkeypatch):
     calls = _count_rref(monkeypatch)
     assert [Subspace.span(alg.field, alg.dim, p) for p in products] == first
     assert calls == [0]
+
+
+def test_a_repeated_from_vectors_on_heisenberg_runs_no_rref(monkeypatch):
+    alg = next(a for a in curated_corpus() if a.name == "heisenberg-gf3")
+    f, n = alg.field, alg.dim
+    profile = lattice_profile(alg)
+    rows = [[list(r) for r in s.rows()][::-1] for s in profile.subspaces]
+    assert [Subspace.from_vectors(f, n, r) for r in rows] == list(profile.subspaces)
+    calls = _count_rref(monkeypatch)
+    assert [Subspace.from_vectors(f, n, r) for r in rows] == list(profile.subspaces)
+    assert calls == [0]
+    # its entries are still coerced and its shape checked first
+    assert Subspace.from_vectors(f, n, [(4, -1, Fraction(1, 2))]) is Subspace.span(
+        f, n, [(1, 2, 2)])
+    with pytest.raises(ValueError, match="ragged"):
+        Subspace.from_vectors(f, n, [(1, 0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="ragged"):
+        Subspace.from_vectors(f, n, [(1, 0, 0, 0)])
+    with pytest.raises(FieldError, match="floating"):
+        Subspace.from_vectors(f, n, [(1.0, 0, 0)])
 
 
 def test_the_suite_runs_less_than_half_the_eliminations(monkeypatch):
@@ -145,6 +165,16 @@ def test_a_kernel_over_an_enumerated_space_eliminates_only_its_matrix(field, n, 
     assert calls == [len(matrices)]
 
 
+def test_a_span_of_too_long_rows_does_not_take_a_stored_place():
+    # rref reads n columns, so these rows leave a 4-wide basis in the weak
+    # table of GF(3)^3, at the position of the line (1, 0, 0)
+    lattice_profile.cache_clear()
+    odd = Subspace.span(GF3, 3, [(1, 0, 0, 0)])
+    subspaces, _, _ = lattice._enumeration(GF3, 3, DEFAULT_BUDGET)
+    assert all(len(r) == 3 for s in subspaces for r in s.rows()) and odd.rows() == ((1, 0, 0, 0),)
+    assert Subspace.span(GF3, 3, [(1, 0, 0)]).rows() == ((1, 0, 0),)
+
+
 def test_vectors_outside_the_point_table_take_the_elimination_path():
     subspaces, _, _ = lattice._enumeration(GF3, 3, DEFAULT_BUDGET)
     plane = next(s for s in subspaces if s.dim == 2)
@@ -168,7 +198,7 @@ def test_spans_and_membership_over_q_are_unchanged():
         assert s is ref_span(Q, n, rows) and s.mask is None
         v = tuple(rng.choice(scalars) for _ in range(n))
         assert s.contains_vector(v) == ref_contains_vector(s, v)
-    assert (None, 2) not in linalg._SPANS
+    assert (None, 2) not in linalg._STORES
     line = Subspace.span(Q, 2, [(Fraction(1), Fraction(2))])
     assert line.contains_vector((2, 4)) and not line.contains_vector((1, 0))
 
