@@ -63,7 +63,6 @@ from .linalg import (
     Subspace,
     _canonical,
     _STORES,
-    _matrix,
     _publish,
     _set_mask,
     _subspace,
@@ -164,10 +163,15 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
     The loop builds every subspace with the trusted ``linalg._subspace``,
     outside the tables, since its basis is in RREF with known pivots;
     ``linalg._publish`` then makes them the store of F^n (a live subspace
-    built some other way takes its copy's place), unless F^n has one, and
-    the stored objects are yielded.  So no table keyed on bases is filled.
+    built some other way takes its copy's place), unless another thread
+    published one first, and the stored objects are yielded.  So no table
+    keyed on bases is filled.  A stored F^n is yielded without a build.
     """
     _check_enumeration_budget(field, n, budget)
+    store = _STORES.get((field.modulus, n))
+    if store is not None:
+        yield from store.subspaces
+        return
     q = field.order
     elems = list(field.elements())
     one = field.one()
@@ -200,7 +204,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
         return out
 
     point_bit = {pack(line.rows()[0]): 1 << i for i, line in enumerate(enumerate_lines(field, n))}
-    s = _canonical(n, _matrix(field, 0, n, ()), ())
+    s = _canonical(field, n, (), ())
     _set_mask(s, 0)
     built, cells = [s], {(): (0, ())}
     # basis -> (mask, packed elements) for the subspaces of the previous
@@ -230,7 +234,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAUL
                     basis = (first,) + rest
                     if multiples:
                         spans[basis] = (mask, [reduce(m + v) for m in multiples for v in elements])
-                    s = _subspace(n, _matrix(field, k, n, basis), pivots)
+                    s = _subspace(field, n, basis, pivots)
                     _set_mask(s, mask)
                     built.append(s)
     yield from _publish(field, n, built, cells).subspaces
@@ -246,7 +250,7 @@ def enumerate_lines(field: FieldSpec, n: int):
         tail = n - lead - 1
         for rest in itertools.product(elems, repeat=tail):
             row = (zero,) * lead + (one,) + rest
-            yield _canonical(n, _matrix(field, 1, n, (row,)), (lead,))
+            yield _canonical(field, n, (row,), (lead,))
 
 
 def enumerate_elements(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET):

@@ -1,7 +1,7 @@
 """Exact dense linear algebra: matrices, canonical subspaces, operators.
 
 Everything here is pure and immutable.  Vectors are plain tuples of scalars;
-a :class:`Subspace` is identified with its reduced-row-echelon basis, and
+a :class:`Subspace` holds the rows of its reduced-row-echelon basis, and
 there is one ``Subspace`` object per basis: every constructor returns the
 object a table per (field, n) holds for that basis.  So two subspaces are
 equal iff they are the same object, and equality and hashing are identity.
@@ -282,7 +282,8 @@ def rref(m: Matrix) -> Matrix:
 
 
 class Subspace(_Frozen):
-    """A subspace of F^n held as a canonical RREF basis (no zero rows).
+    """A subspace of F^n held as its field and its canonical RREF basis rows
+    (no zero rows), with no ``Matrix``: ``basis`` builds one on each read.
 
     There is one object per subspace value: every constructor, the checked
     ``Subspace(n, basis)`` included, returns the object its (field, n) store
@@ -291,7 +292,7 @@ class Subspace(_Frozen):
     held as a cache key costs no hashing of its basis.
 
     ``pivots``, the pivot column of each basis row, is derived from the
-    basis when the subspace is built.  ``mask`` is the bitmask of the
+    rows when the subspace is built.  ``mask`` is the bitmask of the
     projective points the subspace contains, a point's bit being its
     position in ``lattice.enumerate_lines`` order.
     ``lattice.enumerate_subspaces`` sets it on every subspace of F^n it
@@ -306,36 +307,31 @@ class Subspace(_Frozen):
     ``lattice.enumerate_lines``.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "mask", "__weakref__")
+    __slots__ = ("ambient_dim", "field", "_rows", "pivots", "mask", "__weakref__")
     _fields = ("ambient_dim", "basis")
 
     def __new__(cls, ambient_dim: int, basis: Matrix) -> "Subspace":
-        s = object.__new__(cls)
-        _set_ambient_dim(s, ambient_dim)
-        _set_basis(s, basis)
-        _set_mask(s, None)
+        if basis.ncols != ambient_dim:
+            raise ValueError("basis width does not match ambient dimension")
+        s = _subspace(basis.field, ambient_dim, basis.entries, None)
         s.__post_init__()  # looked up per call, so a wrapper set on the class sees it
-        return _canonical(ambient_dim, basis, s.pivots)
+        return _canonical(basis.field, ambient_dim, basis.entries, s.pivots)
 
     def __post_init__(self) -> None:
-        if self.basis.ncols != self.ambient_dim:
-            raise ValueError("basis width does not match ambient dimension")
-        p = self.basis.field.modulus
-        if p and any(x.__class__ is not int or not 0 <= x < p
-                     for row in self.basis.entries for x in row):
+        rows, p = self._rows, self.field.modulus
+        if p and any(x.__class__ is not int or not 0 <= x < p for row in rows for x in row):
             raise ValueError(f"basis entry not an int in range({p})")
         pivots = []
-        for i in range(self.basis.nrows):
-            row = self.basis.row(i)
+        for i, row in enumerate(rows):
             piv = _first_nonzero(row)
             if piv is None:
                 raise ValueError("zero row in a subspace basis")
             if pivots and piv <= pivots[-1]:
                 raise ValueError("pivots not strictly increasing")
-            if row[piv] != self.basis.field.one():
+            if row[piv] != self.field.one():
                 raise ValueError("pivot entry is not one")
-            for r in range(self.basis.nrows):
-                if r != i and self.basis.entries[r][piv] != 0:
+            for r, other in enumerate(rows):
+                if r != i and other[piv] != 0:
                     raise ValueError("nonzero entry above or below a pivot")
             pivots.append(piv)
         _set_pivots(self, tuple(pivots))
@@ -373,7 +369,7 @@ class Subspace(_Frozen):
                 found = store.get(mask)
                 if found is not None:
                     return found
-        s = _canonical(ambient_dim, rref(_matrix(field, len(rows), ambient_dim, rows)))
+        s = _canonical(field, ambient_dim, rref(_matrix(field, len(rows), ambient_dim, rows)).entries)
         if mask is not None:
             store[mask] = s
         return s
@@ -381,22 +377,23 @@ class Subspace(_Frozen):
     @staticmethod
     @lru_cache(maxsize=1024)
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(field, 0, ambient_dim, ()))
+        return _canonical(field, ambient_dim, (), ())
 
     @staticmethod
     @lru_cache(maxsize=1024)
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(field, ambient_dim))
+        rows = tuple(basis_vector(field, ambient_dim, i) for i in range(ambient_dim))
+        return _canonical(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
     # -- queries -------------------------------------------------------------
 
     @property
-    def field(self) -> FieldSpec:
-        return self.basis.field
+    def basis(self) -> Matrix:
+        return _matrix(self.field, len(self._rows), self.ambient_dim, self._rows)
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self._rows)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -405,14 +402,14 @@ class Subspace(_Frozen):
         return self.dim == self.ambient_dim
 
     def rows(self) -> tuple:
-        return self.basis.entries
+        return self._rows
 
     def reduce_vector(self, v: Vector) -> Vector:
         """Eliminate the pivot coordinates of v; result is zero iff v lies here."""
-        p = self.basis.field.modulus
+        p = self.field.modulus
         n = self.ambient_dim
         v = list(v)
-        for row, piv in zip(self.basis.entries, self.pivots):
+        for row, piv in zip(self._rows, self.pivots):
             c = v[piv]
             if c == 0:
                 continue
@@ -430,7 +427,7 @@ class Subspace(_Frozen):
         ``reduce_vector``."""
         mask = self.mask
         if mask is not None:
-            store = _STORES.get((self.basis.field.modulus, self.ambient_dim))
+            store = _STORES.get((self.field.modulus, self.ambient_dim))
             if store is not None:
                 bit = store.points.get(v) if v.__class__ is tuple else None
                 if bit is not None:
@@ -443,7 +440,7 @@ class Subspace(_Frozen):
         # pairs go through the compatibility check.
         um, vm = self.mask, other.mask
         if (um is not None and vm is not None and self.ambient_dim == other.ambient_dim
-                and self.basis.field is other.basis.field):
+                and self.field is other.field):
             return vm & um == vm
         _check_compatible(self, other)
         return _holds(self, other)
@@ -455,18 +452,19 @@ class Subspace(_Frozen):
         return tuple(v[p] for p in self.pivots)
 
 
-_set_ambient_dim, _set_basis, _set_pivots, _set_mask = (
-    Subspace.__dict__[name].__set__ for name in ("ambient_dim", "basis", "pivots", "mask"))
+_set_ambient_dim, _set_space_field, _set_rows, _set_pivots, _set_mask = (
+    Subspace.__dict__[name].__set__ for name in ("ambient_dim", "field", "_rows", "pivots", "mask"))
 
 
-def _subspace(ambient_dim: int, basis: Matrix, pivots: tuple) -> Subspace:
+def _subspace(field: FieldSpec, ambient_dim: int, rows: tuple, pivots: tuple | None) -> Subspace:
     """A new ``Subspace`` object without the RREF re-check and outside the
-    tables: only :func:`_canonical`, which enters it in a table at once, and
-    the loop of ``lattice.enumerate_subspaces``, whose subspaces
-    :func:`_publish` makes the store, call it."""
+    tables: only :func:`_canonical`, which enters it in a table at once,
+    ``Subspace(n, basis)``, which checks it first, and the enumeration loop,
+    whose subspaces :func:`_publish` makes the store, call it."""
     s = object.__new__(Subspace)
     _set_ambient_dim(s, ambient_dim)
-    _set_basis(s, basis)
+    _set_space_field(s, field)
+    _set_rows(s, rows)
     _set_pivots(s, pivots)
     _set_mask(s, None)
     return s
@@ -513,26 +511,26 @@ class _Store(dict):
         return position
 
 
-def _canonical(ambient_dim: int, basis: Matrix, pivots: tuple | None = None) -> Subspace:
-    """The one subspace with this basis, which its caller has just built in
-    RREF (with these pivots, when given): the stored one at its position, or
-    the one in the weak table; else built without the RREF re-check and
+def _canonical(field: FieldSpec, n: int, rows: tuple, pivots: tuple | None = None) -> Subspace:
+    """The one subspace of F^n with these rows, just built in RREF by the
+    caller (with these pivots, when given): the stored one at its position,
+    or the one in the weak table; else built without the RREF re-check and
     entered there, unless another thread entered or published it first."""
-    key = (basis.field.modulus, ambient_dim)
+    key = (field.modulus, n)
     store = _STORES.get(key)
     if store is None:
-        found = _TABLES.get(key, _NONE).get(basis.entries)
+        found = _TABLES.get(key, _NONE).get(rows)
         if found is not None:
             return found
-        s = _subspace(ambient_dim, basis, pivots or tuple(map(_first_nonzero, basis.entries)))
+        s = _subspace(field, n, rows, pivots or tuple(map(_first_nonzero, rows)))
         with _LOCK:
             store = _STORES.get(key)
             if store is None:
                 spaces = _TABLES.get(key)
                 if spaces is None:
                     spaces = _TABLES[key] = weakref.WeakValueDictionary()
-                return spaces.setdefault(basis.entries, s)
-    return store.subspaces[store.position(basis.entries, pivots)]
+                return spaces.setdefault(rows, s)
+    return store.subspaces[store.position(rows, pivots)]
 
 
 def _publish(field: FieldSpec, n: int, subspaces: list, cells: dict) -> _Store:
@@ -544,9 +542,9 @@ def _publish(field: FieldSpec, n: int, subspaces: list, cells: dict) -> _Store:
     p = field.modulus
     store = _Store(zip([s.mask for s in subspaces], subspaces))
     store.masks = tuple(store)  # one subspace per mask, so its keys are the masks in order
-    store.dims = tuple(s.basis.nrows for s in subspaces)
+    store.dims = tuple(len(s._rows) for s in subspaces)
     store.cells = cells
-    store.lines = tuple(s.basis.entries[0] for s in subspaces[1:1 + (p ** n - 1) // (p - 1)])
+    store.lines = tuple(s._rows[0] for s in subspaces[1:1 + (p ** n - 1) // (p - 1)])
     store.points = {tuple([c * x % p for x in v]): 1 << i
                     for i, v in enumerate(store.lines) for c in range(1, p)}
     store.points[(0,) * n] = 0
@@ -554,8 +552,8 @@ def _publish(field: FieldSpec, n: int, subspaces: list, cells: dict) -> _Store:
         if (p, n) in _STORES:
             return _STORES[(p, n)]
         for s in _TABLES.get((p, n), _NONE).values():
-            i = store.position(s.basis.entries, s.pivots)
-            if s.basis.entries == subspaces[i].basis.entries:  # not a span of too-long rows
+            i = store.position(s._rows, s.pivots)
+            if s._rows == subspaces[i]._rows:  # not a span of too-long rows
                 _set_mask(s, store.masks[i])
                 store[s.mask] = subspaces[i] = s
         store.subspaces = tuple(subspaces)
@@ -571,7 +569,7 @@ def _forget_enumerations() -> None:
     with _LOCK:
         for key, store in _STORES.items():
             spaces = _TABLES.setdefault(key, weakref.WeakValueDictionary())
-            spaces.update((s.basis.entries, s) for s in store.subspaces)
+            spaces.update((s._rows, s) for s in store.subspaces)
         _STORES.clear()
 
 
@@ -611,13 +609,12 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
             return v
         if m == um:
             return u
-        store = _STORES.get((u.basis.field.modulus, u.ambient_dim))
+        store = _STORES.get((u.field.modulus, u.ambient_dim))
         if store is not None:
             return store[m]
     f, n = u.field, u.ambient_dim
-    z = f.zero()
-    rows = [tuple(r) + tuple(r) for r in u.rows()]
-    rows += [tuple(r) + tuple(z for _ in range(n)) for r in v.rows()]
+    zeros = (f.zero(),) * n
+    rows = [r + r for r in u._rows] + [r + zeros for r in v._rows]
     reduced = rref(_matrix(f, len(rows), 2 * n, tuple(rows)))
     inter_rows = [row[n:] for row in reduced.entries if vec_is_zero(row[:n])]
     return Subspace.span(f, n, inter_rows)
@@ -641,8 +638,7 @@ def _holds(u: Subspace, v: Subspace) -> bool:
 def _check_compatible(u: Subspace, v: Subspace) -> None:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    uf, vf = u.basis.field, v.basis.field
-    if uf is not vf and uf != vf:
+    if u.field is not v.field and u.field != v.field:
         raise ValueError("field mismatch")
 
 

@@ -229,6 +229,25 @@ def test_a_tight_budget_raises_after_a_generous_one_filled_the_enumeration(tight
     assert len(lattice_profile(second, LatticeBudget()).subspaces) == 28
 
 
+def test_a_second_enumeration_of_a_stored_space_builds_nothing(monkeypatch):
+    lattice_profile.cache_clear()
+    built = [0]
+    raw = lattice._subspace
+
+    def counted(*args):
+        built[0] += 1
+        return raw(*args)
+    monkeypatch.setattr(lattice, "_subspace", counted)
+    first = list(lattice.enumerate_subspaces(GF2, 5))
+    assert built == [lattice.count_subspaces(5, 2) - 1] == [373]  # the zero space is not raw
+    second = list(lattice.enumerate_subspaces(GF2, 5))
+    assert built == [373]
+    assert len(second) == len(first) and all(s is t for s, t in zip(first, second))
+    # the budget is still checked first
+    with pytest.raises(BudgetExceededError):
+        next(lattice.enumerate_subspaces(GF2, 5, LatticeBudget(max_dim=4)))
+
+
 def test_threads_filling_the_enumeration_at_once_all_read_it_whole():
     # the --jobs threads share the store: a race may enumerate twice, but
     # every profile must read a complete, correct enumeration

@@ -621,7 +621,7 @@ def _unmasked(candidates):
     # raw copies outside the subspace tables, without a mask, so containment
     # between them goes through the pivots and reduce_vector; being other
     # objects, they compare with the candidates by their rows
-    return [_subspace(s.ambient_dim, s.basis, s.pivots) for s in candidates]
+    return [_subspace(s.field, s.ambient_dim, s.rows(), s.pivots) for s in candidates]
 
 
 def _rows(spaces) -> list:

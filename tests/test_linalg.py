@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -202,7 +205,7 @@ def test_contains_matches_reduce_only_reference(field, n):
     # enumerated subspaces carry point masks; raw copies built outside the
     # tables do not, so a mixed pair takes the reduce_vector path
     spaces = list(enumerate_subspaces(field, n))
-    copies = [_subspace(n, s.basis, s.pivots) for s in spaces]
+    copies = [_subspace(field, n, s.rows(), s.pivots) for s in spaces]
     assert all(s.mask is not None for s in spaces)
     assert all(c.mask is None for c in copies)
     for big, big_copy in zip(spaces, copies):
@@ -273,10 +276,28 @@ def test_equal_fields_that_are_distinct_objects_are_compatible():
     # the identity test of fields is only a shortcut before the equality
     # test; the named constructors share one object per field, direct
     # construction not, and a raw copy outside the tables keeps its own
-    w = _subspace(2, Matrix(FieldSpec(PRIME, 3), 1, 2, ((1, 1),)), (0,))
+    w = _subspace(FieldSpec(PRIME, 3), 2, ((1, 1),), (0,))
     assert u.field is not w.field
     assert u.contains(w) and not w.contains(u)
     assert subspace_intersect(u, w) is w and subspace_sum(u, w) is u
+
+
+@pytest.mark.parametrize("field,n", [(GF2, 4), (GF3, 3)])
+def test_a_subspace_holds_its_rows_and_no_matrix(field, n):
+    spaces = list(enumerate_subspaces(field, n))
+    spaces += [Subspace.span(field, n, s.rows()[::-1]) for s in spaces]
+    spaces += [Subspace.zero(field, n), Subspace.full(field, n)]
+    assert "basis" not in Subspace.__slots__
+    for s in spaces:
+        assert not any(isinstance(r, Matrix) for r in gc.get_referents(s)), s
+        assert s.basis == Matrix(s.field, s.dim, s.ambient_dim, s.rows())
+        assert repr(s) == f"Subspace(ambient_dim={n}, basis={s.basis!r})"
+        assert copy.copy(s) is s and copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) is s
+    with pytest.raises(ValueError, match="width"):
+        Subspace(3, Matrix(GF3, 0, 2, ()))
+    with pytest.raises(ValueError, match="width"):
+        Subspace(3, Matrix(GF3, 1, 2, ((1, 0),)))
 
 
 def test_public_matrix_constructor_keeps_its_shape_check():

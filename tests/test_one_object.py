@@ -207,6 +207,21 @@ def test_no_module_builds_a_subspace_outside_the_tables():
     assert {"_subspace", "_canonical"} <= {fn for fn, _ in _raw_builds(SRC / "linalg.py")}
 
 
+def _basis_reads(source: str) -> list:
+    """Lines of the source that read an attribute named ``basis``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "basis"]
+
+
+def test_no_module_but_linalg_reads_a_subspace_basis():
+    # a Subspace holds its rows, and ``basis`` builds a Matrix on each read,
+    # so code outside linalg reads ``rows()`` and ``field`` instead
+    found = {path.name: _basis_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _basis_reads("s.basis.entries\ns.basis_element(0)") == [1]  # the guard sees one
+
+
 _STATE = {"_STORES", "_TABLES"}
 _WRITES = {"pop", "popitem", "clear", "setdefault", "update", "__setitem__", "__delitem__"}
 
@@ -255,7 +270,7 @@ def test_the_position_of_a_stored_basis_finds_the_stored_object(field, n):
         assert store.position(rows, s.pivots) == store.position(rows, None) == i
         assert Subspace(n, Matrix(field, len(rows), n, rows)) is s
         assert Subspace.span(field, n, rows[::-1]) is s
-        assert linalg._canonical(n, linalg._matrix(field, len(rows), n, rows)) is s
+        assert linalg._canonical(field, n, rows) is s
     assert all(t.__class__ is weakref.WeakValueDictionary for t in linalg._TABLES.values())
 
 

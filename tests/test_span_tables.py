@@ -27,7 +27,7 @@ def ref_span(field, n, rows) -> Subspace:
     """The span as it was formed before the span table, unchecked matrix
     and all."""
     rows = tuple(rows)
-    return linalg._canonical(n, rref(linalg._matrix(field, len(rows), n, rows)))
+    return linalg._canonical(field, n, rref(linalg._matrix(field, len(rows), n, rows)).entries)
 
 
 def ref_contains_vector(s: Subspace, v) -> bool:
@@ -157,7 +157,7 @@ def test_a_kernel_over_an_enumerated_space_eliminates_only_its_matrix(field, n, 
         return tuple(rng.randrange(field.order) for _ in range(n))
     matrices = [linalg.Matrix(field, k, n, tuple(row() for _ in range(k)))
                 for k in range(n + 2) for _ in range(40)]
-    expected = [linalg._canonical(n, linalg._kernel_basis(m)) for m in matrices]
+    expected = [linalg._canonical(field, n, linalg._kernel_basis(m).entries) for m in matrices]
     assert [linalg.kernel(m) for m in matrices] == expected
     # once the span table holds each null-vector mask, only m is eliminated
     calls = _count_rref(monkeypatch)
