@@ -25,6 +25,7 @@ from .linalg import (
     _matrix,
     basis_vector,
     kernel,
+    reduction_matrix,
     rref,  # unused here; kept because perfbench/test_tracer.py asserts this binding
     stack_rows,
     subspace_sum,
@@ -80,15 +81,6 @@ class DialgebraTensors(_Frozen):
         object.__setattr__(self, "dot", dot)
         object.__setattr__(self, "bracket", bracket)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.field, self.dim, self.dot, self.bracket)
-                    == (other.field, other.dim, other.dot, other.bracket))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.dim, self.dot, self.bracket))
-
 
 def tensors_from_maps(field: FieldSpec, dim: int, dot_map: dict, bracket_map: dict) -> DialgebraTensors:
     """Build dense tensors from sparse {(i, j, k): coefficient} maps.
@@ -130,18 +122,6 @@ class PoissonAlgebra(_Frozen):
         vars(self).update(field=field, dim=dim, dot_tensor=dot_tensor,
                           bracket_tensor=bracket_tensor, name=name, basis_labels=basis_labels,
                           meta=meta)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.field, self.dim, self.dot_tensor, self.bracket_tensor, self.name,
-                     self.basis_labels, self.meta)
-                    == (other.field, other.dim, other.dot_tensor, other.bracket_tensor,
-                        other.name, other.basis_labels, other.meta))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.dim, self.dot_tensor, self.bracket_tensor, self.name,
-                     self.basis_labels, self.meta))
 
     # -- element helpers -----------------------------------------------------
 
@@ -259,12 +239,6 @@ def _contraction(alg: PoissonAlgebra, rows: list, a: Sequence, left: bool) -> Ma
                     m[k][j] += ai * c
     entries = tuple([tuple([x % p for x in row]) for row in m] if p else map(tuple, m))
     return _matrix(alg.field, n, n, entries)
-
-
-def _operator(alg: PoissonAlgebra, linear_map: Callable) -> Matrix:
-    """Matrix of a linear map of the algebra: column j is the image of e_j."""
-    cols = [linear_map(alg.basis_element(j)) for j in range(alg.dim)]
-    return Matrix(alg.field, alg.dim, alg.dim, tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -553,22 +527,18 @@ class QuotientData(NamedTuple):
 
 def quotient_maps(alg: PoissonAlgebra, ideal: Subspace) -> QuotientData:
     """Quotient algebra on the coset representatives e_j, j outside the
-    ideal's pivot columns."""
+    ideal's pivot columns.  The projection is the rows of the ideal's
+    reduction matrix at those columns: x reduced mod the ideal, read there."""
     if ideal_defect(alg, ideal) is not None:
         raise ValueError("quotient by a subspace that is not an ideal")
     f, n = alg.field, alg.dim
     pivots = set(ideal.pivots)
     reps = [j for j in range(n) if j not in pivots]
     m = len(reps)
-
-    def project(v):
-        reduced = ideal.reduce_vector(v)
-        return tuple(reduced[j] for j in reps)
-
-    q_alg = _induced(alg, ("quotient", ideal), [alg.basis_element(j) for j in reps], project,
-                     f"{alg.name}/[dim {ideal.dim}]" if alg.name else "")
-    images = [project(alg.basis_element(i)) for i in range(n)]
-    proj = Matrix(f, m, n, tuple(zip(*images)))
+    reduced = reduction_matrix(ideal).entries
+    proj = _matrix(f, m, n, tuple(reduced[j] for j in reps))
+    q_alg = _induced(alg, ("quotient", ideal), [alg.basis_element(j) for j in reps],
+                     proj.mat_vec, f"{alg.name}/[dim {ideal.dim}]" if alg.name else "")
     z = f.zero()
     lift = Matrix(f, n, m, tuple(tuple(f.one() if i == reps[c] else z for c in range(m))
                                  for i in range(n)))
@@ -677,18 +647,13 @@ def centre(alg: PoissonAlgebra) -> Subspace:
     return annihilator(alg, alg.full_space())
 
 
-def _reduction_matrix(alg: PoissonAlgebra, u: Subspace) -> Matrix:
-    """Matrix of v -> v reduced mod u; its kernel is exactly u."""
-    return _operator(alg, u.reduce_vector)
-
-
 def _preimage_condition(alg: PoissonAlgebra, u: Subspace, maps: Iterable[Matrix]) -> Subspace:
     """Largest subspace X with M x in u for every listed map M (M x = 0 when
     u is zero, with no reduction)."""
     f, n = alg.field, alg.dim
     blocks = list(maps)
     if not u.is_zero():
-        reduce_mod = _reduction_matrix(alg, u)
+        reduce_mod = reduction_matrix(u)
         blocks = [reduce_mod.matmul(m) for m in blocks]
     if not blocks:
         return Subspace.full(f, n)

@@ -145,8 +145,11 @@ def _sha256(path: str) -> str:
     # hashlib maps in OpenSSL, about 4 MB of RSS, for one digest per input
     try:
         from _sha256 import sha256
-    except ImportError:  # CPython 3.12 renamed it _sha2
-        from hashlib import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256  # its name from CPython 3.12 on
+        except ImportError:
+            from hashlib import sha256
     return sha256(Path(path).read_bytes()).hexdigest()
 
 

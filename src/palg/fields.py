@@ -9,6 +9,7 @@ arithmetic so that nothing downstream ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Union
 
 Scalar = Union[int, Fraction]
@@ -37,19 +38,34 @@ def is_prime(p: int) -> bool:
 class _Frozen:
     """The base of palg's immutable value classes.
 
-    A subclass names its fields in ``_fields``, in constructor order, sets
-    them in ``__init__`` past its own ``__setattr__``, and defines ``__eq__``
-    and ``__hash__`` on them, as tuples of the fields and only against its
-    own class.  ``repr`` shows those fields, copies and pickles are rebuilt
-    through the constructor, and assigning or deleting any attribute raises
-    ``AttributeError``.  Plain result records are ``typing.NamedTuple``
-    classes instead.  Neither needs the standard library's class generator,
-    whose import loads ``inspect`` and ``ast`` and whose every class costs
-    about a millisecond of start-up.
+    A subclass names its fields in ``_fields``, in constructor order, and
+    sets them in ``__init__`` past its own ``__setattr__``.  Two values are
+    equal when they are of the same class and their fields, as a tuple, are
+    equal; the hash is that tuple's.  ``repr`` shows those fields, copies
+    and pickles are rebuilt through the constructor, and assigning or
+    deleting any attribute raises ``AttributeError``.  A subclass that
+    defines its own ``__eq__`` keeps it (``Subspace``, one object per value,
+    compares and hashes by identity).  Plain result records are
+    ``typing.NamedTuple`` classes instead.  Neither needs the standard
+    library's class generator, whose import loads ``inspect`` and ``ast``
+    and whose every class costs about a millisecond of start-up.
     """
 
     __slots__ = ()
     _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__eq__" not in vars(cls):
+            cls._values = attrgetter(*cls._fields)  # self -> the tuple of its fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -87,14 +103,6 @@ class FieldSpec(_Frozen):
             raise FieldError(f"unknown field kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.modulus) == (other.kind, other.modulus)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.modulus))
 
     # -- constructors ------------------------------------------------------
 

@@ -100,15 +100,6 @@ class LatticeBudget(_Frozen):
                 raise ValueError(f"{name} must be an int >= 0, got {value!r}")
             object.__setattr__(self, name, value)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.max_dim, self.max_q, self.max_subspaces, self.max_elements)
-                    == (other.max_dim, other.max_q, other.max_subspaces, other.max_elements))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.max_dim, self.max_q, self.max_subspaces, self.max_elements))
-
 
 DEFAULT_BUDGET = LatticeBudget()
 

@@ -93,15 +93,6 @@ class Matrix(_Frozen):
         _set_ncols(self, ncols)
         _set_entries(self, entries)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.field, self.nrows, self.ncols, self.entries)
-                    == (other.field, other.nrows, other.ncols, other.entries))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.nrows, self.ncols, self.entries))
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -288,8 +279,9 @@ class Subspace(_Frozen):
     There is one object per subspace value: every constructor, the checked
     ``Subspace(n, basis)`` included, returns the object its (field, n) store
     or weak table holds for the basis (see :func:`_canonical`).  So equality
-    and hashing are the inherited identity tests, at C speed, and a subspace
-    held as a cache key costs no hashing of its basis.
+    and hashing are ``object``'s identity tests, at C speed, in place of the
+    field comparison of ``_Frozen``, and a subspace held as a cache key
+    costs no hashing of its basis.
 
     ``pivots``, the pivot column of each basis row, is derived from the
     rows when the subspace is built.  ``mask`` is the bitmask of the
@@ -309,6 +301,7 @@ class Subspace(_Frozen):
 
     __slots__ = ("ambient_dim", "field", "_rows", "pivots", "mask", "__weakref__")
     _fields = ("ambient_dim", "basis")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, ambient_dim: int, basis: Matrix) -> "Subspace":
         if basis.ncols != ambient_dim:
@@ -690,6 +683,17 @@ def subspace_image(m: Matrix, u: Subspace) -> Subspace:
     """The image m(u) as a subspace of F^nrows: a subspace pushed through a
     quotient projection or a subalgebra embedding."""
     return Subspace.span(m.field, m.nrows, [m.mat_vec(r) for r in u.rows()])
+
+
+def reduction_matrix(u: Subspace) -> Matrix:
+    """The matrix of ``u.reduce_vector``, v -> v reduced mod u, whose kernel
+    is u: column i is e_i, less the basis row that leads at i when i is a
+    pivot (the rows are zero at each other's pivots)."""
+    f, n = u.field, u.ambient_dim
+    cols = [basis_vector(f, n, i) for i in range(n)]
+    for row, piv in zip(u.rows(), u.pivots):
+        cols[piv] = vec_sub(f, cols[piv], row)
+    return _matrix(f, n, n, tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------

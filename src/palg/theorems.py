@@ -98,18 +98,6 @@ class TheoremResult(_Frozen):
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "detail", detail)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.theorem, self.algebra, self.status, self.exercised, self.witness,
-                     self.detail)
-                    == (other.theorem, other.algebra, other.status, other.exercised,
-                        other.witness, other.detail))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.theorem, self.algebra, self.status, self.exercised, self.witness,
-                     self.detail))
-
     def to_json(self) -> dict:
         out = {"theorem": self.theorem, "algebra": self.algebra, "status": self.status,
                "exercised": self.exercised}

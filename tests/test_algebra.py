@@ -24,6 +24,7 @@ from palg.algebra import (
     kernel_of,
     lie_idealiser,
     quotient,
+    quotient_maps,
     subalgebra_algebra,
     subspace_product_bracket,
     subspace_product_dot,
@@ -517,6 +518,33 @@ def test_the_kernel_of_each_quotient_map_is_its_ideal(alg):
         q_alg, proj = quotient(alg, ideal)
         kern = kernel_of(proj, alg, q_alg)
         assert kern == ideal and is_ideal(alg, kern)
+
+
+def _reference_quotient(alg, ideal):
+    """The projection and the quotient tensors, each vector reduced mod the
+    ideal one by one and read at the coset representatives."""
+    reps = [j for j in range(alg.dim) if j not in ideal.pivots]
+
+    def project(v):
+        reduced = ideal.reduce_vector(v)
+        return tuple(reduced[j] for j in reps)
+
+    images = [project(alg.basis_element(i)) for i in range(alg.dim)]
+    proj = Matrix(alg.field, len(reps), alg.dim, tuple(zip(*images)) if reps else ())
+    e = alg.basis_element
+    tensors = tuple(tuple(tuple(project(mul(e(a), e(b))) for b in reps) for a in reps)
+                    for mul in (alg.mul_dot, alg.mul_bracket))
+    return proj, tensors
+
+
+@pytest.mark.parametrize("alg", [a for a in curated_corpus() if a.field.is_finite],
+                         ids=lambda a: a.name)
+def test_the_quotient_projection_matches_reducing_each_basis_vector(alg):
+    for ideal in lattice_profile(alg).ideals():
+        data = quotient_maps(alg, ideal)
+        proj, tensors = _reference_quotient(alg, ideal)
+        assert data.projection == proj
+        assert (data.algebra.dot_tensor, data.algebra.bracket_tensor) == tensors
 
 
 # ---------------------------------------------------------------------------

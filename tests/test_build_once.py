@@ -17,7 +17,6 @@ from palg.algebra import (
     _left_bracket_matrix,
     _left_dot_matrix,
     _preimage_condition,
-    _reduction_matrix,
     annihilator,
     closure_ideal,
     closure_subalgebra,
@@ -33,6 +32,7 @@ from palg.linalg import (
     Subspace,
     _matrix,
     kernel,
+    reduction_matrix,
     rref,
     stack_rows,
     subspace_intersect,
@@ -430,7 +430,7 @@ def test_annihilator_and_preimage_match_the_stacked_kernels(alg):
                   for m in (_left_dot_matrix(alg, row), _left_bracket_matrix(alg, row))]
         expected = kernel(stack_rows(f, blocks, n)) if blocks else Subspace.full(f, n)
         assert annihilator(alg, b) == expected
-        reduce_mod = _reduction_matrix(alg, b)
+        reduce_mod = reduction_matrix(b)
         reduced = [reduce_mod.matmul(m) for m in blocks]
         expected = kernel(stack_rows(f, reduced, n)) if reduced else Subspace.full(f, n)
         assert _preimage_condition(alg, b, blocks) == expected

@@ -6,7 +6,7 @@ matrices read off the tensors, the ``Matrix`` arithmetic, ``rref`` and
 ``% p`` once per coordinate over GF(p), ``Fraction`` operators over Q.  The
 ``ref_*`` functions below are their bodies written with the ``FieldSpec``
 methods, one call per term, and the operators' reference is the matrix of
-basis images (``algebra._operator``) of the generic product; every fast path
+basis images (``basis_images`` below) of the generic product; every fast path
 must give the same scalars, of the same types, and never a float.  ``Subspace.span`` must give the subspace
 ``from_vectors`` gives, with a basis the checked constructor accepts, and
 ``find_axiom_violation``'s table of basis products must report what
@@ -26,7 +26,6 @@ from palg.algebra import (
     PoissonAlgebra,
     _left_bracket_matrix,
     _left_dot_matrix,
-    _operator,
     direct_sum,
     evaluate_axiom,
     find_axiom_violation,
@@ -589,6 +588,12 @@ def assert_same_first_violation(alg):
     return found.axiom
 
 
+def basis_images(alg, linear_map):
+    """Matrix of a linear map of the algebra: column j is the image of e_j."""
+    cols = [linear_map(alg.basis_element(j)) for j in range(alg.dim)]
+    return Matrix(alg.field, alg.dim, alg.dim, tuple(zip(*cols)))
+
+
 def assert_operators_match_basis_images(alg, a):
     """The four operators of a, read off the tensors, against the matrices of
     basis images of the generic product: a y and [a, y] on the left, x b and
@@ -599,9 +604,9 @@ def assert_operators_match_basis_images(alg, a):
                                (_left_dot_matrix(alg, a), alg.dot_tensor, False),
                                (_left_bracket_matrix(alg, a), alg.bracket_tensor, False)):
         if left:
-            reference = _operator(alg, lambda y: ref_mul(f, n, tensor, a, y))
+            reference = basis_images(alg, lambda y: ref_mul(f, n, tensor, a, y))
         else:
-            reference = _operator(alg, lambda x: ref_mul(f, n, tensor, x, a))
+            reference = basis_images(alg, lambda x: ref_mul(f, n, tensor, x, a))
         assert (fast.nrows, fast.ncols) == (n, n)
         assert typed(fast.entries) == typed(reference.entries)
         assert_reduced(f, fast.entries)

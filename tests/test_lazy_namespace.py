@@ -3,6 +3,7 @@ what that submodule imports, and every exported name still resolves to the
 object its defining module holds.  Each case runs in a fresh interpreter,
 because the modules one test loads stay loaded for the next."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -44,17 +45,32 @@ def test_importing_the_corpus_loads_neither_the_lattice_nor_the_checks():
 
 
 def test_importing_the_cli_does_not_load_openssl():
-    # nor does writing a report, where the interpreter has _sha256 (below)
+    # nor does writing a report, where the interpreter has _sha256 or _sha2 (below)
     code = "import json, sys, palg.cli; print(json.dumps('hashlib' in sys.modules))"
     assert _run(code) is False
 
 
-@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
-                    reason="no _sha256 module (CPython 3.12 renamed it); hashlib is used")
-@pytest.mark.parametrize("command", ["check", "analyze"])
-def test_a_whole_command_runs_without_openssl(tmp_path, command):
-    # the input hashes come from the builtin sha256 module, not from hashlib
-    code = f"""
+# CPython's builtin sha256 module: _sha256, renamed _sha2 in CPython 3.12
+BUILTIN_SHA256 = pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")),
+    reason="neither _sha256 nor _sha2 exists; hashlib is used")
+
+# an interpreter laid out as CPython 3.12's: no _sha256, the same sha256 in _sha2
+SHA2_ONLY = """
+import sys, types
+try:
+    from _sha256 import sha256
+except ImportError:
+    from _sha2 import sha256
+sys.modules["_sha256"] = None
+sys.modules["_sha2"] = types.SimpleNamespace(sha256=sha256)
+"""
+
+
+def _run_command(tmp_path, command, prelude=""):
+    """Run palg check or analyze on one document in a fresh interpreter;
+    return its exit code and whether OpenSSL got loaded."""
+    code = prelude + f"""
 import json, sys
 from palg.corpus import heisenberg_zero_dot, serialize_document, serialize_manifest
 from palg.fields import FieldSpec
@@ -66,8 +82,24 @@ target = {str(tmp_path / "manifest.json")!r} if {command!r} == "check" else doc
 code = main([{command!r}, target, "--format", "json", "--out", {str(tmp_path / "report")!r}])
 print(json.dumps({{"code": code, "openssl": "_hashlib" in sys.modules}}))
 """
-    assert _run(code) == {"code": 0, "openssl": False}
+    return _run(code)
+
+
+@BUILTIN_SHA256
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_a_whole_command_runs_without_openssl(tmp_path, command):
+    # the input hashes come from the builtin sha256 module, not from hashlib
+    assert _run_command(tmp_path, command) == {"code": 0, "openssl": False}
     assert json.loads((tmp_path / "report").read_text())["inputs"][0]["sha256"]
+
+
+@BUILTIN_SHA256
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_the_builtin_sha256_under_its_new_name_keeps_openssl_out(tmp_path, command):
+    assert _run_command(tmp_path, command, prelude=SHA2_ONLY) == {"code": 0, "openssl": False}
+    inputs = json.loads((tmp_path / "report").read_text())["inputs"]
+    assert inputs and all(entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes())
+                          .hexdigest() for entry in inputs)
 
 
 # the standard library's class generator and what it imports: together

@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from palg.linalg import (
     image,
     kernel,
     poly_eval_matrix,
+    reduction_matrix,
     roots_in_field,
     _subspace,
     rref,
@@ -312,6 +314,49 @@ def test_public_matrix_constructor_keeps_its_shape_check():
     m = M(GF3, [[1, 2, 0], [2, 1, 1]])
     for built in (m.transpose(), m.matmul(m.transpose()), rref(m)):
         assert Matrix(built.field, built.nrows, built.ncols, built.entries) == built
+
+
+# ---------------------------------------------------------------------------
+# reduction matrices
+# ---------------------------------------------------------------------------
+
+Q_SPACES = [
+    (3, []),
+    (3, [[1, 2, 3]]),
+    (3, [[Fraction(1, 2), 0, -1], [0, 3, Fraction(2, 3)]]),
+    (4, [[1, 1, 0, 0], [0, 0, 1, Fraction(-5, 7)]]),
+    (4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+]
+
+
+def _spaces_with_their_vectors():
+    """Every subspace of GF(2)^4 and GF(3)^3 and a few of Q^3 and Q^4, each
+    with the standard basis and seeded random vectors of its ambient space."""
+    rng = random.Random(40)
+    finite = [(u, [tuple(rng.randrange(f.modulus) for _ in range(n)) for _ in range(8)])
+              for f, n in ((GF2, 4), (GF3, 3)) for u in enumerate_subspaces(f, n)]
+    rational = [(Subspace.from_vectors(Q, n, rows),
+                 [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+                  for _ in range(8)]) for n, rows in Q_SPACES]
+    for u, vectors in finite + rational:
+        n = u.ambient_dim
+        yield u, [tuple(u.field.from_int(int(i == j)) for j in range(n)) for i in range(n)] + vectors
+
+
+def test_the_reduction_matrix_reduces_every_vector_as_reduce_vector_does():
+    count = 0
+    for u, vectors in _spaces_with_their_vectors():
+        r = reduction_matrix(u)
+        assert (r.field, r.nrows, r.ncols) == (u.field, u.ambient_dim, u.ambient_dim)
+        for v in vectors:
+            assert r.mat_vec(v) == u.reduce_vector(v)
+        count += 1
+    assert count == 67 + 28 + len(Q_SPACES)  # the subspaces of GF(2)^4 and GF(3)^3
+
+
+def test_the_kernel_of_a_reduction_matrix_is_its_subspace():
+    for u, _ in _spaces_with_their_vectors():
+        assert kernel(reduction_matrix(u)) is u
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from palg import lattice, linalg
-from palg.algebra import _reduction_matrix, closure_ideal, closure_subalgebra, quotient_maps
+from palg.algebra import closure_ideal, closure_subalgebra, quotient_maps
 from palg.corpus import curated_corpus, enumerate_poisson_structures
 from palg.fields import FieldSpec
 from palg.lattice import DEFAULT_BUDGET, LatticeBudget, lattice_profile
@@ -29,6 +29,7 @@ from palg.linalg import (
     Matrix,
     Subspace,
     kernel,
+    reduction_matrix,
     rref,
     subspace_image,
     subspace_intersect,
@@ -104,7 +105,7 @@ def test_every_constructor_returns_the_enumerated_object():
         assert_enumerated(Subspace(n, Matrix(f, len(rows), n, rows)))
         assert_enumerated(closure_subalgebra(alg, s))
         assert_enumerated(closure_ideal(alg, s))
-        assert kernel(_reduction_matrix(alg, s)) is s  # v -> v mod s has kernel s
+        assert kernel(reduction_matrix(s)) is s  # v -> v mod s has kernel s
     for x in map(alg.basis_element, range(n)):
         assert_enumerated(kernel(alg.p_operator(x)))
         assert_enumerated(kernel(alg.q_operator(x)))

@@ -10,16 +10,18 @@ refusal of assignment.  The
 twins below are those dataclasses, rebuilt field by field, as the reference.
 """
 
+import ast
 import copy
 import dataclasses
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
 from palg.algebra import DialgebraTensors, PoissonAlgebra, QuotientData
 from palg.engel import EngelPair, SplitPair
-from palg.fields import FieldSpec
+from palg.fields import FieldSpec, _Frozen
 from palg.lattice import (
     ChiefFactor,
     Classification,
@@ -191,3 +193,38 @@ def test_a_check_row_is_not_a_tuple():
     # palg check writes rows through json.dump's default=TheoremResult.to_json,
     # which json.dump would skip for a tuple and write a list instead
     assert not isinstance(TheoremResult("Thm-1", "a", "pass"), tuple)
+
+
+
+def _equality_and_hash_bindings():
+    """(module, class, name, what it binds) for each ``__eq__`` or
+    ``__hash__`` a class body in palg's source defines: "def" for a method,
+    else the source of the assigned value."""
+    found = set()
+    for path in sorted(Path(inspect.getfile(_Frozen)).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for stmt in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(stmt, ast.FunctionDef):
+                    pairs = [(stmt.name, "def")]
+                elif isinstance(stmt, ast.Assign):
+                    pairs = [(t.id, ast.unparse(v)) for target in stmt.targets for t, v in (
+                        zip(target.elts, stmt.value.elts) if isinstance(target, ast.Tuple)
+                        else [(target, stmt.value)]) if isinstance(t, ast.Name)]
+                else:
+                    pairs = []
+                found |= {(path.stem, cls.name, name, bound) for name, bound in pairs
+                          if name in ("__eq__", "__hash__")}
+    return found
+
+
+def test_only_the_base_defines_equality_and_hashing():
+    # one value protocol: every value class takes == and hash from
+    # _Frozen's fields, and Subspace alone swaps in object's identity tests
+    assert _equality_and_hash_bindings() == {
+        ("fields", "_Frozen", "__eq__", "def"), ("fields", "_Frozen", "__hash__", "def"),
+        ("linalg", "Subspace", "__eq__", "object.__eq__"),
+        ("linalg", "Subspace", "__hash__", "object.__hash__")}
+    assert Subspace.__eq__ is object.__eq__ and Subspace.__hash__ is object.__hash__
+    for cls in TWINS:
+        if issubclass(cls, _Frozen) and cls is not Subspace:
+            assert (cls.__eq__, cls.__hash__) == (_Frozen.__eq__, _Frozen.__hash__), cls
