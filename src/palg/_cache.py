@@ -6,19 +6,21 @@ what every cached result reads; name, basis labels and meta are left out, so
 the renamed quotient, subalgebra and summand copies the checks build share
 one entry.  Inside the entry each result sits under its own key:
 
-* lattice discovery (``lattice``) stores under ``(name, budget)``, because
-  the budget decides whether a computation raises, and a result computed
-  under a generous budget must not stop a tighter one from raising;
+* lattice discovery (``lattice``) stores under ``(name, budget)``, the
+  maximal scans under ``("maximal", flag tuple, budget)`` and F and phi
+  under ``("frattini", products, budget)``, because the budget decides
+  whether a computation raises, and a result computed under a generous
+  budget must not stop a tighter one from raising;
 * whole-algebra series verdicts (``series``) and the ideal closures of
   lines (``lattice._line_ideal_closures``, read by ``minimal_ideals``,
   ``radical`` and ``nilradical`` after each checks its own budget) store
   under a name alone, because they never read a budget;
-* the subspace products, closure witnesses and kernels (``algebra``) store
-  under ``("dot", u, v)``, ``("bracket", u, v)``, ``("subalgebra_defect",
-  u)``, ``("ideal_defect", u)``, ``("annihilator", b)`` and
-  ``("lie_idealiser", u)``, the Engel and eigenvalue-part spaces
-  (``engel``) under ``("engel_assoc" | "engel_lie" | "s_space", a)``, ``a``
-  a projective point.  They read the tensors and their arguments only: no
+* the subspace products (named by ``algebra.KINDS``), closure witnesses
+  and kernels (``algebra``) store under ``("dot", u, v)``, ``("bracket",
+  u, v)``, ``("subalgebra_defect", u)``, ``("ideal_defect", u)``,
+  ``("annihilator", b)`` and ``("lie_idealiser", u)``, the Engel and
+  eigenvalue-part spaces (``engel``) under ``("engel_assoc" | "engel_lie"
+  | "s_space", a)``, ``a`` a projective point.  They read the tensors and their arguments only: no
   budget, no enumeration, no way to raise on one, so no budget in the key;
 * the induced structures (``algebra._induced``) store their tensors under
   ``("restrict", u)`` and ``("quotient", ideal)``, as the (dot, bracket)

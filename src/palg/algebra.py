@@ -36,6 +36,12 @@ from .linalg import (
 
 AXIOMS = ("commutativity", "associativity", "alternating", "jacobi", "leibniz")
 
+# Which products an operation reads, as indexes into ``_products``: both,
+# the dot alone, the bracket alone.  KINDS names each product in defect
+# witnesses; the subspace-product cache keys use the same names.
+BOTH, DOT, BRACKET = (0, 1), (0,), (1,)
+KINDS = ("dot", "bracket")
+
 
 class AxiomViolation(Exception):
     """A failed defining identity, with the basis indices that witness it.
@@ -376,37 +382,33 @@ def _axiom_witnesses(n: int) -> tuple:
 
 def subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all pairwise dot products of basis vectors of u and v; cached
-    per tensor, the product itself is _subspace_product_dot.  ``memo``
-    written out, without a closure per call: the checks ask for products
-    tens of thousands of times, mostly hits."""
+    per tensor, the product itself is _product_span.  ``memo`` written out,
+    without a closure per call: the checks ask for products tens of
+    thousands of times, mostly hits."""
     entry = _entry(alg)
     key = ("dot", u, v)
     result = entry.get(key)
     if result is None:
-        result = entry[key] = _subspace_product_dot(alg, u, v)
+        result = entry[key] = _product_span(alg, 0, u, v)
     return result
-
-
-def _subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    rows = _products(alg)[0]
-    prods = [alg._mul(rows, a, b) for a in u.rows() for b in v.rows()]
-    return Subspace.span(alg.field, alg.dim, prods)
 
 
 def subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all pairwise brackets of basis vectors of u and v; cached per
-    tensor, the product itself is _subspace_product_bracket (looked up as in
+    tensor, the product itself is _product_span (looked up as in
     ``subspace_product_dot``)."""
     entry = _entry(alg)
     key = ("bracket", u, v)
     result = entry.get(key)
     if result is None:
-        result = entry[key] = _subspace_product_bracket(alg, u, v)
+        result = entry[key] = _product_span(alg, 1, u, v)
     return result
 
 
-def _subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    rows = _products(alg)[1]
+def _product_span(alg: PoissonAlgebra, t: int, u: Subspace, v: Subspace) -> Subspace:
+    """Span of the products of u's and v's basis rows in product t, an index
+    into ``_products`` (0 the dot, 1 the bracket)."""
+    rows = _products(alg)[t]
     prods = [alg._mul(rows, a, b) for a in u.rows() for b in v.rows()]
     return Subspace.span(alg.field, alg.dim, prods)
 
@@ -428,7 +430,7 @@ def _subalgebra_defect(alg: PoissonAlgebra, u: Subspace):
 def _defect(alg: PoissonAlgebra, u: Subspace, others: Sequence):
     """The first (a, b, kind, product) with a in u's basis and b in others
     whose dot or bracket leaves u, or None."""
-    kinds = tuple(zip(("dot", "bracket"), _products(alg)))
+    kinds = tuple(zip(KINDS, _products(alg)))
     for a in u.rows():
         for b in others:
             for kind, rows in kinds:
@@ -616,14 +618,10 @@ def direct_sum(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _left_dot_matrix(alg: PoissonAlgebra, b) -> Matrix:
-    """Matrix of x -> x . b."""
-    return _contraction(alg, _products(alg)[0], b, left=False)
-
-
-def _left_bracket_matrix(alg: PoissonAlgebra, b) -> Matrix:
-    """Matrix of x -> [x, b]."""
-    return _contraction(alg, _products(alg)[1], b, left=False)
+def _right_multiplication(alg: PoissonAlgebra, t: int, b) -> Matrix:
+    """Matrix of x -> x . b (t = 0) or x -> [x, b] (t = 1), t an index into
+    ``_products``."""
+    return _contraction(alg, _products(alg)[t], b, left=False)
 
 
 def annihilator(alg: PoissonAlgebra, b: Subspace) -> Subspace:
@@ -638,8 +636,7 @@ def annihilator(alg: PoissonAlgebra, b: Subspace) -> Subspace:
 
 
 def _annihilator(alg: PoissonAlgebra, b: Subspace) -> Subspace:
-    maps = [m for row in b.rows()
-            for m in (_left_dot_matrix(alg, row), _left_bracket_matrix(alg, row))]
+    maps = [_right_multiplication(alg, t, row) for row in b.rows() for t in BOTH]
     return _preimage_condition(alg, alg.zero_space(), maps)
 
 
@@ -662,7 +659,8 @@ def _preimage_condition(alg: PoissonAlgebra, u: Subspace, maps: Iterable[Matrix]
 
 def idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
     """{x : x . u + [x, u] in U for all u in U} (the combined condition)."""
-    maps = [_left_dot_matrix(alg, row).add(_left_bracket_matrix(alg, row)) for row in u.rows()]
+    maps = [_right_multiplication(alg, 0, row).add(_right_multiplication(alg, 1, row))
+            for row in u.rows()]
     return _preimage_condition(alg, u, maps)
 
 
@@ -673,7 +671,7 @@ def lie_idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
 
 
 def _lie_idealiser(alg: PoissonAlgebra, u: Subspace) -> Subspace:
-    maps = [_left_bracket_matrix(alg, row) for row in u.rows()]
+    maps = [_right_multiplication(alg, 1, row) for row in u.rows()]
     return _preimage_condition(alg, u, maps)
 
 

@@ -363,7 +363,7 @@ def cmd_check(args) -> int:
     try:
         budget = _budget_from(args)
         check_suite_request(args.theorem, args.jobs)
-    except ValueError as exc:  # a negative --budget-* value, --jobs below 1, an unknown --theorem
+    except ValueError as exc:  # a negative --budget-* value, --jobs out of range, an unknown --theorem
         return _usage_error(exc)
     manifest_path = Path(args.manifest)
     members = parse_manifest(_read_text(manifest_path))

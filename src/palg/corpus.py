@@ -30,7 +30,7 @@ from .algebra import (
     validate,
 )
 from .fields import FieldError, FieldSpec
-from .linalg import _kernel_basis, _matrix
+from .linalg import _matrix, kernel
 
 SCHEMA_VERSION = "1"
 # The largest dimension a document may state, checked before anything is
@@ -460,7 +460,7 @@ def _leibniz_brackets(field: FieldSpec, n: int, dot_map: dict, positions: Sequen
                                               for row in _leibniz_rows(n, dot_map, positions))
                  if any(row))
     solutions = [(0,) * ncols]
-    for row in _kernel_basis(_matrix(field, len(rows), ncols, rows)).entries:
+    for row in kernel(_matrix(field, len(rows), ncols, rows)).rows():
         solutions = [tuple((a + c * b) % q for a, b in zip(v, row))
                      for v in solutions for c in range(q)]
     return solutions

@@ -81,11 +81,7 @@ def engel_assoc_space(alg: PoissonAlgebra, a) -> Subspace:
 
 def engel_lie_space(alg: PoissonAlgebra, a) -> Subspace:
     """Generalized null space of Q_a, cached per projective point."""
-    return _per_point(alg, "engel_lie", a, lambda b: _engel_lie_space(alg, b))
-
-
-def _engel_lie_space(alg: PoissonAlgebra, a) -> Subspace:
-    return fitting_null(alg.q_operator(a))
+    return _per_point(alg, "engel_lie", a, lambda b: fitting_null(alg.q_operator(b)))
 
 
 def engel(alg: PoissonAlgebra, a) -> EngelPair:

@@ -43,6 +43,9 @@ from typing import NamedTuple
 
 from ._cache import cache_clear, cache_info, memo
 from .algebra import (
+    BOTH,
+    BRACKET,
+    DOT,
     BudgetExceededError,
     PoissonAlgebra,
     closure_ideal,
@@ -53,10 +56,9 @@ from .algebra import (
     quotient_maps,
     subalgebra_algebra,
     subspace_product_dot,
-    _left_bracket_matrix,
-    _left_dot_matrix,
     _preimage_condition,
     _products,
+    _right_multiplication,
 )
 from .fields import FieldError, FieldSpec, _Frozen
 from .linalg import (
@@ -434,36 +436,37 @@ def _maximal_positions(masks, dims, positions) -> list:
     return sorted(found)
 
 
-def _maximal(alg: PoissonAlgebra, budget: LatticeBudget, flags: str) -> list:
-    """Maximal members among the proper subspaces whose profile flag
-    (``subalgebra_flags``, ``assoc_flags`` or ``lie_flags``) is set, found
-    on the profile's masks.  The scan is cached under the flag tuple itself,
-    so flags that coincide (all three, on an algebra with zero products)
-    share one scan."""
-    def compute():
-        profile = lattice_profile(alg, budget)
-        flagged = getattr(profile, flags)
+# The profile flags of the subspaces closed under each choice of products.
+_CLOSED = {BOTH: "subalgebra_flags", DOT: "assoc_flags", BRACKET: "lie_flags"}
 
-        def scan():
-            dims = profile.dims
-            members = [i for i, f in enumerate(flagged) if f and dims[i] != alg.dim]
-            return tuple(profile.subspaces[i]
-                         for i in _maximal_positions(profile.masks, dims, members))
-        return memo(alg, ("maximal", flagged, budget), scan)
-    return list(memo(alg, (flags, budget), compute))
+
+def _maximal(alg: PoissonAlgebra, budget: LatticeBudget, products: tuple) -> list:
+    """Maximal members among the proper subspaces closed under ``products``,
+    found on the profile's masks.  The scan is cached under the flag tuple,
+    so flags that coincide (all three, on zero products) share one scan; no
+    other tag keys a flag tuple, since a flag tuple (True,) equals (1,)."""
+    profile = lattice_profile(alg, budget)
+    flagged = getattr(profile, _CLOSED[products])
+
+    def scan():
+        dims = profile.dims
+        members = [i for i, f in enumerate(flagged) if f and dims[i] != alg.dim]
+        return tuple(profile.subspaces[i]
+                     for i in _maximal_positions(profile.masks, dims, members))
+    return list(memo(alg, ("maximal", flagged, budget), scan))
 
 
 def maximal_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> list:
     """All maximal members among the proper subalgebras."""
-    return _maximal(alg, budget, "subalgebra_flags")
+    return _maximal(alg, budget, BOTH)
 
 
 def maximal_assoc_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> list:
-    return _maximal(alg, budget, "assoc_flags")
+    return _maximal(alg, budget, DOT)
 
 
 def maximal_lie_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> list:
-    return _maximal(alg, budget, "lie_flags")
+    return _maximal(alg, budget, BRACKET)
 
 
 # ---------------------------------------------------------------------------
@@ -471,24 +474,16 @@ def maximal_lie_subalgebras(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT
 # ---------------------------------------------------------------------------
 
 
-def _intersect_all(field: FieldSpec, n: int, spaces) -> Subspace:
-    return functools.reduce(subspace_intersect, spaces or [Subspace.full(field, n)])
+def ideal_core(alg: PoissonAlgebra, w: Subspace, products: tuple = BOTH) -> Subspace:
+    """Largest ideal of the algebra inside w for ``products``: for BOTH an
+    ideal, for DOT a dot-ideal, for BRACKET a bracket-ideal.
 
-
-def ideal_core(alg: PoissonAlgebra, w: Subspace, dot: bool = True, bracket: bool = True) -> Subspace:
-    """Largest ideal (dot-ideal, bracket-ideal) of the algebra inside w.
-
-    Fixed-point iteration of W -> {x in W : x.P (and/or) [x,P] inside W};
-    each step is one exact kernel computation, and any ideal inside w
+    Fixed-point iteration of W -> {x in W : x . P and/or [x, P] inside W};
+    each step is one exact kernel computation, and any such ideal inside w
     survives every step, so the fixed point is the ideal core.
     """
-    maps = []
-    for i in range(alg.dim):
-        b = alg.basis_element(i)
-        if dot:
-            maps.append(_left_dot_matrix(alg, b))
-        if bracket:
-            maps.append(_left_bracket_matrix(alg, b))
+    maps = [_right_multiplication(alg, t, alg.basis_element(i))
+            for i in range(alg.dim) for t in products]
     current = w
     while True:
         nxt = subspace_intersect(current, _preimage_condition(alg, current, maps))
@@ -497,25 +492,28 @@ def ideal_core(alg: PoissonAlgebra, w: Subspace, dot: bool = True, bracket: bool
         current = nxt
 
 
-def _frattini_pair(alg: PoissonAlgebra, maximal: list, dot: bool, bracket: bool) -> tuple:
-    f_space = _intersect_all(alg.field, alg.dim, maximal)
-    return f_space, ideal_core(alg, f_space, dot=dot, bracket=bracket)
+def _frattini(alg: PoissonAlgebra, budget: LatticeBudget, products: tuple) -> tuple:
+    """(F, phi) for ``products``: the intersection of the maximal
+    subalgebras for them (the whole space when there is none) and its ideal
+    core for them."""
+    def compute():
+        maximal = _maximal(alg, budget, products)
+        f_space = functools.reduce(subspace_intersect, maximal or [alg.full_space()])
+        return f_space, ideal_core(alg, f_space, products)
+    return memo(alg, ("frattini", products, budget), compute)
 
 
 def frattini(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> tuple:
     """(F, phi): the intersection of the maximal subalgebras and its ideal core."""
-    return memo(alg, ("frattini", budget), lambda: _frattini_pair(
-        alg, maximal_subalgebras(alg, budget), True, True))
+    return _frattini(alg, budget, BOTH)
 
 
 def frattini_assoc(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> tuple:
-    return memo(alg, ("frattini_assoc", budget), lambda: _frattini_pair(
-        alg, maximal_assoc_subalgebras(alg, budget), True, False))
+    return _frattini(alg, budget, DOT)
 
 
 def frattini_lie(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> tuple:
-    return memo(alg, ("frattini_lie", budget), lambda: _frattini_pair(
-        alg, maximal_lie_subalgebras(alg, budget), False, True))
+    return _frattini(alg, budget, BRACKET)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +530,7 @@ def minimal_ideals(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) 
     def compute():
         _check_field_budget(alg.field, alg.dim, budget, "minimal-ideal discovery")
         closures = _line_ideal_closures(alg)
-        return tuple(sorted(_minimal_members(closures), key=_subspace_sort_key))
+        return tuple(sorted(_minimal_members(closures), key=lambda s: (s.dim, s.rows())))
     return list(memo(alg, ("minimal_ideals", budget), compute))
 
 
@@ -549,15 +547,6 @@ def _line_ideal_closures(alg: PoissonAlgebra) -> tuple:
 def _minimal_members(candidates) -> list:
     return [s for s in candidates
             if not any(other.dim < s.dim and s.contains(other) for other in candidates)]
-
-
-def _subspace_sort_key(s: Subspace):
-    return (s.dim, tuple(tuple(_scalar_key(x) for x in row) for row in s.rows()))
-
-
-def _scalar_key(x):
-    # Fraction and int both expose numerator/denominator.
-    return (x.numerator, x.denominator) if hasattr(x, "denominator") else (x, 1)
 
 
 def socle(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:

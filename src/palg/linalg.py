@@ -647,14 +647,6 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace.span(m.field, m.ncols, _null_vectors(m))
 
 
-def _kernel_basis(m: Matrix) -> Matrix:
-    """The RREF basis of the null space of m, outside the subspace tables:
-    ``palg enumerate`` reads the rows of a kernel per dot and keeps none of
-    them, so entering each in a table would be work for nothing."""
-    vectors = _null_vectors(m)
-    return rref(_matrix(m.field, len(vectors), m.ncols, tuple(vectors)))
-
-
 def _null_vectors(m: Matrix) -> list:
     """A basis of the null space of m, not in RREF: for each free column of
     m's RREF, the null vector with 1 there and 0 at the other free columns."""

@@ -860,12 +860,13 @@ def run_suite(corpus: Sequence[PoissonAlgebra], theorem_filter: str | None = Non
 
 
 def check_suite_request(theorem_filter: str | None, jobs: int) -> None:
-    """Raise ValueError for a worker count that is not an int >= 1 or a
-    theorem_filter naming no registered check.  ``run_suite`` checks both
-    first; ``palg check`` checks them before it reads the corpus, so a typo
-    fails fast."""
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
+    """Raise ValueError for a worker count that is not an int from 1 to 32
+    or a theorem_filter naming no registered check.  The pool starts one
+    thread per queued task up to its size, and 32 is ``ThreadPoolExecutor``'s
+    own default ceiling.  ``run_suite`` checks both first; ``palg check``
+    checks them before it reads the corpus, so a typo fails fast."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or not 1 <= jobs <= 32:
+        raise ValueError(f"jobs must be an int from 1 to 32, got {jobs!r}")
     if theorem_filter is not None and theorem_filter not in _BY_ID:
         raise ValueError(f"unknown check {theorem_filter!r}; palg check --list names them")
 

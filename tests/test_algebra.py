@@ -7,8 +7,8 @@ from palg.algebra import (
     AxiomViolation,
     DialgebraTensors,
     PoissonAlgebra,
-    _left_dot_matrix,
     _preimage_condition,
+    _right_multiplication,
     annihilator,
     centre,
     closure_ideal,
@@ -478,7 +478,7 @@ def test_lie_idealiser_of_y_line():
 
 def assoc_idealiser(alg, u):
     """{x : x . u in U for all u in U}."""
-    maps = [_left_dot_matrix(alg, row) for row in u.rows()]
+    maps = [_right_multiplication(alg, 0, row) for row in u.rows()]
     return _preimage_condition(alg, u, maps)
 
 

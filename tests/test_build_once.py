@@ -14,9 +14,8 @@ import pytest
 from palg import _cache, algebra, lattice, linalg
 from palg.algebra import (
     _close,
-    _left_bracket_matrix,
-    _left_dot_matrix,
     _preimage_condition,
+    _right_multiplication,
     annihilator,
     closure_ideal,
     closure_subalgebra,
@@ -427,7 +426,7 @@ def test_annihilator_and_preimage_match_the_stacked_kernels(alg):
     f, n = alg.field, alg.dim
     for b in _seeds(alg):
         blocks = [m for row in b.rows()
-                  for m in (_left_dot_matrix(alg, row), _left_bracket_matrix(alg, row))]
+                  for m in (_right_multiplication(alg, 0, row), _right_multiplication(alg, 1, row))]
         expected = kernel(stack_rows(f, blocks, n)) if blocks else Subspace.full(f, n)
         assert annihilator(alg, b) == expected
         reduce_mod = reduction_matrix(b)

@@ -195,7 +195,8 @@ def test_check_unknown_theorem_is_a_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("flags,message", [(("--theorem", "Bogus"), "unknown check 'Bogus'"),
                                            (("--jobs", "0"), "jobs"),
-                                           (("--theorem", ""), "unknown check ''")])
+                                           (("--theorem", ""), "unknown check ''"),
+                                           (("--jobs", "33"), "jobs")])
 def test_check_rejects_bad_flags_before_reading_members(capsys, tmp_path, flags, message):
     # the member does not exist, so reading it first would fail differently
     manifest = tmp_path / "manifest.json"
@@ -215,10 +216,13 @@ def test_check_determinism_across_jobs(capsys, tmp_path):
     manifest = _write_corpus(tmp_path, [zero_algebra(GF2, 2), two_dim_nonabelian(GF2),
                                         heisenberg_zero_dot(GF2)])
     _, out1, _ = run_cli(capsys, "check", str(manifest), "--format", "json", "--jobs", "1")
-    _, out4, _ = run_cli(capsys, "check", str(manifest), "--format", "json", "--jobs", "4")
-    a, b = json.loads(out1), json.loads(out4)
-    a.pop("elapsed_ms"), b.pop("elapsed_ms")
-    assert a == b
+    a = json.loads(out1)
+    a.pop("elapsed_ms")
+    for jobs in ("4", "32"):  # 32 is the largest --jobs accepted
+        _, out, _ = run_cli(capsys, "check", str(manifest), "--format", "json", "--jobs", jobs)
+        b = json.loads(out)
+        b.pop("elapsed_ms")
+        assert a == b, jobs
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])

@@ -24,8 +24,7 @@ from hypothesis import given, strategies as st
 
 from palg.algebra import (
     PoissonAlgebra,
-    _left_bracket_matrix,
-    _left_dot_matrix,
+    _right_multiplication,
     direct_sum,
     evaluate_axiom,
     find_axiom_violation,
@@ -601,8 +600,8 @@ def assert_operators_match_basis_images(alg, a):
     f, n = alg.field, alg.dim
     for fast, tensor, left in ((alg.p_operator(a), alg.dot_tensor, True),
                                (alg.q_operator(a), alg.bracket_tensor, True),
-                               (_left_dot_matrix(alg, a), alg.dot_tensor, False),
-                               (_left_bracket_matrix(alg, a), alg.bracket_tensor, False)):
+                               (_right_multiplication(alg, 0, a), alg.dot_tensor, False),
+                               (_right_multiplication(alg, 1, a), alg.bracket_tensor, False)):
         if left:
             reference = basis_images(alg, lambda y: ref_mul(f, n, tensor, a, y))
         else:
@@ -638,7 +637,7 @@ def test_a_non_commutative_dot_has_different_sides():
     alg = _broken_commutativity()  # e0 . e1 = e1, e1 . e0 = 0
     e0 = alg.basis_element(0)
     assert alg.p_operator(e0).entries == ((0, 0), (0, 1))
-    assert _left_dot_matrix(alg, e0).entries == ((0, 0), (0, 0))
+    assert _right_multiplication(alg, 0, e0).entries == ((0, 0), (0, 0))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

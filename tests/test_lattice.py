@@ -1,11 +1,21 @@
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from palg.algebra import PoissonAlgebra, direct_sum, is_ideal, is_subalgebra, subspace_square
+from palg.algebra import (
+    BOTH,
+    BRACKET,
+    DOT,
+    PoissonAlgebra,
+    direct_sum,
+    is_ideal,
+    is_subalgebra,
+    subspace_square,
+)
 from palg.corpus import (
     curated_corpus,
     enumerate_poisson_structures,
@@ -30,6 +40,7 @@ from palg.lattice import (
     frattini_assoc,
     frattini_lie,
     gaussian_binomial,
+    ideal_core,
     idempotents,
     lattice_profile,
     maximal_assoc_subalgebras,
@@ -150,6 +161,48 @@ def test_heisenberg_single_multiplication_frattini():
     assert fa.is_zero() and phi_a.is_zero()  # zero dot: every subspace closes
     fl, phi_l = frattini_lie(h)
     assert fl == span(h, (0, 0, 1)) and phi_l == fl
+
+
+def _dim3_gf2_sample(k: int) -> list:
+    """A seeded sample of k of the 1,408 valid structures of dim 3 over GF(2)."""
+    return random.Random(42).sample(enumerate_poisson_structures(3, 2, cap=2 ** 27), k)
+
+
+def _without(alg, t: int):
+    """The algebra with product t (0 the dot, 1 the bracket) set to zero."""
+    zero = (((alg.field.zero(),) * alg.dim,) * alg.dim,) * alg.dim
+    dot, bracket = (zero, alg.bracket_tensor) if t == 0 else (alg.dot_tensor, zero)
+    return PoissonAlgebra(alg.field, alg.dim, dot, bracket, name=alg.name)
+
+
+def test_frattini_for_one_product_is_frattini_with_the_other_zero():
+    # with the bracket zero every subspace is bracket-closed and every
+    # dot-ideal is an ideal, so F and phi for the dot alone are F and phi
+    algebras = ([a for a in curated_corpus() if a.field.is_finite]
+                + [a for n, q in ((1, 2), (1, 3), (2, 2), (2, 3))
+                   for a in enumerate_poisson_structures(n, q)]
+                + _dim3_gf2_sample(60))
+    mismatches = [alg.name for alg in algebras
+                  if frattini_assoc(alg) != frattini(_without(alg, 1))
+                  or frattini_lie(alg) != frattini(_without(alg, 0))]
+    assert not mismatches
+
+
+def test_ideal_core_is_the_largest_closed_subspace_inside():
+    # brute force over the lattice: the subspaces closed under x -> x . e_i
+    # and/or x -> [x, e_i], and for each w the largest of them inside w
+    for alg in SMALL_FINITE + _dim3_gf2_sample(40):
+        spaces = list(enumerate_subspaces(alg.field, alg.dim))
+        basis = [alg.basis_element(i) for i in range(alg.dim)]
+        for products in (BOTH, DOT, BRACKET):
+            muls = [(alg.mul_dot, alg.mul_bracket)[t] for t in products]
+            closed = [s for s in spaces if all(s.contains_vector(mul(x, b))
+                                               for mul in muls for x in s.rows() for b in basis)]
+            for w in spaces:
+                inside = [s for s in closed if w.contains(s)]
+                core = ideal_core(alg, w, products)
+                assert core in inside, (alg.name, products, w)
+                assert all(core.contains(s) for s in inside), (alg.name, products, w)
 
 
 # ---------------------------------------------------------------------------

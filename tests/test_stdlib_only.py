@@ -145,3 +145,28 @@ def _unused_definitions() -> list:
 def test_every_helper_is_used_exported_or_an_oracle():
     # a helper listed above that gains a caller, or goes, leaves the table too
     assert set(_unused_definitions()) == set(UNUSED_BY_DESIGN)
+
+
+# One private function per products choice, not one per product: the words
+# that name a product, and the word each is folded to.
+PRODUCT_WORDS = {"bracket": "dot", "lie": "assoc"}
+
+
+def _product_twins() -> list:
+    """Groups of two or more top-level functions of the package that neither
+    ``__init__`` exports nor the benchmark tracer wraps, and whose names
+    differ only by dot/bracket or assoc/lie."""
+    public = _exports() | {target.partition(":")[2] for target in _tracer_targets()}
+    groups: dict = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name not in public:
+                folded = "_".join(PRODUCT_WORDS.get(w, w) for w in node.name.split("_"))
+                groups.setdefault(folded, []).append(f"{path.name}:{node.name}")
+    return [names for names in groups.values() if len(names) > 1]
+
+
+def test_no_private_function_has_a_twin_for_the_other_product():
+    # a private routine takes the product it reads as an argument
+    # (algebra.BOTH, DOT, BRACKET, or an index into algebra._products)
+    assert _product_twins() == []

@@ -90,6 +90,14 @@ def test_run_suite_rejects_jobs_below_one(bad):
         run_suite([two_dim_nonabelian(GF3)], theorem_filter="Prop-2.4", jobs=bad)
 
 
+def test_run_suite_rejects_more_than_32_jobs():
+    # the pool starts a thread per queued task up to its size, so a large
+    # jobs would start that many threads on a large corpus
+    with pytest.raises(ValueError, match="jobs must be an int from 1 to 32"):
+        run_suite([two_dim_nonabelian(GF3)], theorem_filter="Prop-2.4", jobs=33)
+    assert len(run_suite([two_dim_nonabelian(GF3)], theorem_filter="Prop-2.4", jobs=32)) == 1
+
+
 @pytest.mark.parametrize("bad", ["Bogus", "prop-2.4", "Prop-2.4 ", ""])
 def test_run_suite_rejects_an_unknown_check_id(bad):
     # an unknown id used to filter every check out and return no results
@@ -406,8 +414,8 @@ def test_per_ideal_properties_are_computed_once(monkeypatch, theorem_id, alg, pa
 def test_dot_powers_are_computed_once_per_subalgebra(monkeypatch, alg):
     expected = check_one("Lemma-2.1", alg)
     _cache.cache_clear()
-    seen = _record_calls(monkeypatch, algebra, "_subspace_product_dot",
-                         lambda alg, u, v: (*_tensors(alg), u, v))
+    seen = _record_calls(monkeypatch, algebra, "_product_span",
+                         lambda alg, t, u, v: (*_tensors(alg), u, v) if t == 0 else None)
     assert check_one("Lemma-2.1", alg) == expected
     assert seen
     assert max(Counter(seen).values()) == 1
@@ -417,7 +425,12 @@ def _lemma_2_1_every_iteration(alg) -> tuple:
     """Test oracle: Lemma-2.1's loop without the stop at a zero power, every
     n up to dim + 1 computed; (exercised, iterations at a zero power, first
     failing (b, c, n) or None)."""
-    dot, bracket = algebra._subspace_product_dot, algebra._subspace_product_bracket
+    def dot(alg, u, v):
+        return algebra._product_span(alg, 0, u, v)
+
+    def bracket(alg, u, v):
+        return algebra._product_span(alg, 1, u, v)
+
     subs = theorems._subalgebra_configs(alg, DEFAULT_BUDGET)
     exercised = trivial = 0
     for b, c in list(theorems._diagonal_pairs(subs))[:theorems.CONFIG_LIMIT]:
