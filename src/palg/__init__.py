@@ -6,9 +6,9 @@ splittings of dialgebras carrying a commutative associative dot and a
 compatible Lie bracket, and mechanically checks a registry of structure
 statements against algebra corpora.
 
-The namespace is lazy (PEP 562): each name below is imported from its
-submodule on first access, so ``import palg.corpus`` loads neither the
-lattice nor the check layers.
+The namespace is lazy (PEP 562): each name below is read from its
+submodule on every access and never stored here, so ``import palg.corpus``
+loads neither the lattice nor the check layers.
 """
 
 import importlib
@@ -64,9 +64,7 @@ def __getattr__(name):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
-    globals()[name] = value
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
 
 
 def __dir__():

@@ -15,9 +15,10 @@ one entry.  Inside the entry each result sits under its own key:
   lines (``lattice._line_ideal_closures``, read by ``minimal_ideals``,
   ``radical`` and ``nilradical`` after each checks its own budget) store
   under a name alone, because they never read a budget;
-* the subspace products (named by ``algebra.KINDS``), closure witnesses
-  and kernels (``algebra``) store under ``("dot", u, v)``, ``("bracket",
-  u, v)``, ``("subalgebra_defect", u)``, ``("ideal_defect", u)``,
+* the subspace products, closure witnesses and kernels (``algebra``)
+  store under ``(products, u, v)`` (``products`` one of ``algebra.BOTH``,
+  ``DOT`` and ``BRACKET``, the only keys that do not start with a string),
+  ``("subalgebra_defect", u)``, ``("ideal_defect", u)``,
   ``("annihilator", b)`` and ``("lie_idealiser", u)``, the Engel and
   eigenvalue-part spaces (``engel``) under ``("engel_assoc" | "engel_lie"
   | "s_space", a)``, ``a`` a projective point.  They read the tensors and their arguments only: no

@@ -28,7 +28,6 @@ from .linalg import (
     reduction_matrix,
     rref,  # unused here; kept because perfbench/test_tracer.py asserts this binding
     stack_rows,
-    subspace_sum,
     vec_is_zero,
     vec_sub,
     zero_vector,
@@ -37,8 +36,8 @@ from .linalg import (
 AXIOMS = ("commutativity", "associativity", "alternating", "jacobi", "leibniz")
 
 # Which products an operation reads, as indexes into ``_products``: both,
-# the dot alone, the bracket alone.  KINDS names each product in defect
-# witnesses; the subspace-product cache keys use the same names.
+# the dot alone, the bracket alone.  The subspace-product cache keys start
+# with the selector.  KINDS names each product in defect witnesses.
 BOTH, DOT, BRACKET = (0, 1), (0,), (1,)
 KINDS = ("dot", "bracket")
 
@@ -381,40 +380,39 @@ def _axiom_witnesses(n: int) -> tuple:
 
 
 def subspace_product_dot(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """Span of all pairwise dot products of basis vectors of u and v; cached
-    per tensor, the product itself is _product_span.  ``memo`` written out,
-    without a closure per call: the checks ask for products tens of
-    thousands of times, mostly hits."""
-    entry = _entry(alg)
-    key = ("dot", u, v)
-    result = entry.get(key)
-    if result is None:
-        result = entry[key] = _product_span(alg, 0, u, v)
-    return result
+    """Span of all pairwise dot products of basis vectors of u and v."""
+    return _product(alg, DOT, u, v)
 
 
 def subspace_product_bracket(alg: PoissonAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """Span of all pairwise brackets of basis vectors of u and v; cached per
-    tensor, the product itself is _product_span (looked up as in
-    ``subspace_product_dot``)."""
-    entry = _entry(alg)
-    key = ("bracket", u, v)
-    result = entry.get(key)
-    if result is None:
-        result = entry[key] = _product_span(alg, 1, u, v)
-    return result
-
-
-def _product_span(alg: PoissonAlgebra, t: int, u: Subspace, v: Subspace) -> Subspace:
-    """Span of the products of u's and v's basis rows in product t, an index
-    into ``_products`` (0 the dot, 1 the bracket)."""
-    rows = _products(alg)[t]
-    prods = [alg._mul(rows, a, b) for a in u.rows() for b in v.rows()]
-    return Subspace.span(alg.field, alg.dim, prods)
+    """Span of all pairwise brackets of basis vectors of u and v."""
+    return _product(alg, BRACKET, u, v)
 
 
 def subspace_square(alg: PoissonAlgebra, u: Subspace) -> Subspace:
-    return subspace_sum(subspace_product_dot(alg, u, u), subspace_product_bracket(alg, u, u))
+    """u . u + [u, u]."""
+    return _product(alg, BOTH, u, u)
+
+
+def _product(alg: PoissonAlgebra, products: tuple, u: Subspace, v: Subspace) -> Subspace:
+    """Span of the products of u's and v's basis rows under ``products``
+    (BOTH, DOT or BRACKET); cached per tensor under ``(products, u, v)``,
+    the span itself is _product_span.  ``memo`` written out, without a
+    closure per call: the checks ask for products tens of thousands of
+    times, mostly hits."""
+    entry = _entry(alg)
+    key = (products, u, v)
+    result = entry.get(key)
+    if result is None:
+        result = entry[key] = _product_span(alg, products, u, v)
+    return result
+
+
+def _product_span(alg: PoissonAlgebra, products: tuple, u: Subspace, v: Subspace) -> Subspace:
+    """The uncached body of ``_product``."""
+    tensors = _products(alg)
+    prods = [alg._mul(tensors[t], a, b) for t in products for a in u.rows() for b in v.rows()]
+    return Subspace.span(alg.field, alg.dim, prods)
 
 
 def subalgebra_defect(alg: PoissonAlgebra, u: Subspace):
@@ -465,11 +463,6 @@ def is_assoc_subalgebra(alg: PoissonAlgebra, u: Subspace) -> bool:
 
 def is_lie_subalgebra(alg: PoissonAlgebra, u: Subspace) -> bool:
     return all(u.contains_vector(alg.mul_bracket(a, b)) for a in u.rows() for b in u.rows())
-
-
-def is_zero_subspace_product(alg: PoissonAlgebra, u: Subspace) -> bool:
-    """True when u . u and [u, u] both vanish (a zero subalgebra)."""
-    return subspace_square(alg, u).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ from .fields import FieldError, _is_decimal
 from .lattice import (
     BudgetExceededError,
     LatticeBudget,
+    StructureInconsistencyError,
     StructureReport,
     structure_report,
 )
 from .linalg import Subspace
-from .series import SERIES_KINDS, SeriesReport, series_by_kind
+from .series import SERIES_KINDS, SeriesConsistencyError, SeriesReport, series_by_kind
 from .theorems import REGISTRY, TheoremResult, check_suite_request, run_suite, summarise
 
 EXIT_OK = 0
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except AxiomViolation as exc:
+    except (AxiomViolation, SeriesConsistencyError, StructureInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except (OSError, CorpusFormatError, FieldError) as exc:

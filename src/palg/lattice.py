@@ -51,11 +51,11 @@ from .algebra import (
     closure_ideal,
     ideal_defect,
     is_ideal,
-    is_zero_subspace_product,
     preimage_subspace,
     quotient_maps,
     subalgebra_algebra,
     subspace_product_dot,
+    subspace_square,
     _preimage_condition,
     _products,
     _right_multiplication,
@@ -555,7 +555,7 @@ def socle(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspa
 
 def zero_socle(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET) -> Subspace:
     return memo(alg, ("zero_socle", budget), lambda: _sum_all(
-        alg, [b for b in minimal_ideals(alg, budget) if is_zero_subspace_product(alg, b)]))
+        alg, [b for b in minimal_ideals(alg, budget) if subspace_square(alg, b).is_zero()]))
 
 
 def _sum_all(alg: PoissonAlgebra, spaces) -> Subspace:

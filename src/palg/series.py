@@ -1,10 +1,11 @@
 """Descending series and the solvability / nilpotency predicates read off them.
 
 Six series kinds are supported: the two-multiplication derived and lower
-central series, and the four single-multiplication variants.  A series is
-computed until it repeats; the report's last two terms are equal unless the
-last term is zero.  All series accept an optional starting subspace so they
-double as series of subalgebras in ambient coordinates.
+central series, and the four single-multiplication variants, read off one
+table, ``_KINDS``, by one loop, ``_series``.  A series is computed until
+it repeats; the report's last two terms are equal unless the last term is
+zero.  All series accept an optional starting subspace so they double as
+series of subalgebras in ambient coordinates.
 
 The whole-algebra verdicts (``is_solvable`` and ``is_nilpotent`` without a
 start, and ``is_supersolvable``) are cached per (field, dot tensor, bracket
@@ -14,17 +15,10 @@ quotient and subalgebra copies the checks build are decided once.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from ._cache import memo
-from .algebra import (
-    PoissonAlgebra,
-    quotient_maps,
-    preimage_subspace,
-    subspace_product_bracket,
-    subspace_product_dot,
-    subspace_square,
-)
+from .algebra import BOTH, BRACKET, DOT, PoissonAlgebra, _product, quotient_maps, preimage_subspace
 from .linalg import Matrix, Subspace, kernel, roots_in_field, char_poly, subspace_intersect, subspace_sum
 
 DERIVED = "derived"
@@ -34,7 +28,11 @@ ASSOC_LOWER = "assoc-lower"
 LIE_DERIVED = "lie-derived"
 LIE_LOWER = "lie-lower"
 
-SERIES_KINDS = (DERIVED, LOWER_CENTRAL, ASSOC_DERIVED, ASSOC_LOWER, LIE_DERIVED, LIE_LOWER)
+# kind -> (products, partner): each step multiplies the last term by
+# terms[partner], itself (-1) or the first term (0).
+_KINDS = {DERIVED: (BOTH, -1), LOWER_CENTRAL: (BOTH, 0), ASSOC_DERIVED: (DOT, -1),
+          ASSOC_LOWER: (DOT, 0), LIE_DERIVED: (BRACKET, -1), LIE_LOWER: (BRACKET, 0)}
+SERIES_KINDS = tuple(_KINDS)
 
 
 class SeriesConsistencyError(RuntimeError):
@@ -63,65 +61,50 @@ class SeriesReport(NamedTuple):
         return self.terms[-1]
 
 
-def _run_series(kind: str, alg: PoissonAlgebra, start: Subspace | None,
-                step_fn: Callable) -> SeriesReport:
+def _series(alg: PoissonAlgebra, kind: str, start: Subspace | None) -> SeriesReport:
     """Step from start, the whole algebra when None, until a term is zero or repeats."""
+    products, partner = _KINDS[kind]
     terms = [alg.full_space() if start is None else start]
-    while True:
-        current = terms[-1]
-        if current.is_zero():
-            return SeriesReport(kind, tuple(terms), True, len(terms) - 1)
-        nxt = step_fn(terms)
-        if nxt == current:
-            terms.append(nxt)
-            return SeriesReport(kind, tuple(terms), False, len(terms) - 2)
+    while not terms[-1].is_zero():
+        nxt = _product(alg, products, terms[-1], terms[partner])
+        if kind == LOWER_CENTRAL:
+            # A^n.A + [A^n, A] against the full sum of the A^i A^{n+1-i}
+            full = nxt
+            for i in range(len(terms) - 1):
+                full = subspace_sum(full, _product(alg, BOTH, terms[i], terms[-1 - i]))
+            if full != nxt:
+                raise SeriesConsistencyError(len(terms) + 1, full, nxt)
+        if nxt == terms[-1]:
+            return SeriesReport(kind, (*terms, nxt), False, len(terms) - 1)
         terms.append(nxt)
+    return SeriesReport(kind, tuple(terms), True, len(terms) - 1)
 
 
 def derived_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
     """A^(n+1) = A^(n).A^(n) + [A^(n), A^(n)] until stabilisation."""
-    return _run_series(DERIVED, alg, start, lambda terms: subspace_square(alg, terms[-1]))
+    return _series(alg, DERIVED, start)
 
 
 def lower_central_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
-    """A^{n+1} as the full convolution sum, cross-checked against the
-    single-step product A^n.A + [A^n, A] valid for Poisson algebras."""
-
-    def step(terms):
-        whole = terms[0]
-        last = terms[-1]
-        shortcut = subspace_sum(subspace_product_dot(alg, last, whole),
-                                subspace_product_bracket(alg, last, whole))
-        full = shortcut
-        for i in range(len(terms) - 1):
-            a, b = terms[i], terms[len(terms) - 1 - i]
-            full = subspace_sum(full, subspace_product_dot(alg, a, b))
-            full = subspace_sum(full, subspace_product_bracket(alg, a, b))
-        if full != shortcut:
-            raise SeriesConsistencyError(len(terms) + 1, full, shortcut)
-        return shortcut
-
-    return _run_series(LOWER_CENTRAL, alg, start, step)
+    """A^{n+1} = A^n.A + [A^n, A], cross-checked against the full
+    convolution sum, which agrees with it for Poisson algebras."""
+    return _series(alg, LOWER_CENTRAL, start)
 
 
 def assoc_derived_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
-    return _run_series(ASSOC_DERIVED, alg, start,
-                       lambda terms: subspace_product_dot(alg, terms[-1], terms[-1]))
+    return _series(alg, ASSOC_DERIVED, start)
 
 
 def assoc_lower_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
-    return _run_series(ASSOC_LOWER, alg, start,
-                       lambda terms: subspace_product_dot(alg, terms[-1], terms[0]))
+    return _series(alg, ASSOC_LOWER, start)
 
 
 def lie_derived_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
-    return _run_series(LIE_DERIVED, alg, start,
-                       lambda terms: subspace_product_bracket(alg, terms[-1], terms[-1]))
+    return _series(alg, LIE_DERIVED, start)
 
 
 def lie_lower_series(alg: PoissonAlgebra, start: Subspace | None = None) -> SeriesReport:
-    return _run_series(LIE_LOWER, alg, start,
-                       lambda terms: subspace_product_bracket(alg, terms[-1], terms[0]))
+    return _series(alg, LIE_LOWER, start)
 
 
 def assoc_series(alg: PoissonAlgebra) -> tuple:
@@ -135,17 +118,9 @@ def lie_series(alg: PoissonAlgebra) -> tuple:
 
 
 def series_by_kind(alg: PoissonAlgebra, kind: str, start: Subspace | None = None) -> SeriesReport:
-    table = {
-        DERIVED: derived_series,
-        LOWER_CENTRAL: lower_central_series,
-        ASSOC_DERIVED: assoc_derived_series,
-        ASSOC_LOWER: assoc_lower_series,
-        LIE_DERIVED: lie_derived_series,
-        LIE_LOWER: lie_lower_series,
-    }
-    if kind not in table:
+    if kind not in _KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
-    return table[kind](alg, start)
+    return _series(alg, kind, start)
 
 
 # ---------------------------------------------------------------------------

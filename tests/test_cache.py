@@ -9,6 +9,8 @@ import pytest
 
 from palg import _cache
 from palg.algebra import (
+    BRACKET,
+    DOT,
     PoissonAlgebra,
     _ideal_defect,
     _subalgebra_defect,
@@ -75,8 +77,8 @@ def test_memo_matches_the_uncached_bodies(alg):
     spaces = _subspaces(alg)
     for _ in range(2):  # cold, then warm
         for u, v in itertools.product(spaces, repeat=2):
-            assert subspace_product_dot(alg, u, v) == _product_span(alg, 0, u, v)
-            assert subspace_product_bracket(alg, u, v) == _product_span(alg, 1, u, v)
+            assert subspace_product_dot(alg, u, v) == _product_span(alg, DOT, u, v)
+            assert subspace_product_bracket(alg, u, v) == _product_span(alg, BRACKET, u, v)
         for u in spaces:
             assert subalgebra_defect(alg, u) == _subalgebra_defect(alg, u)
             assert ideal_defect(alg, u) == _ideal_defect(alg, u)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from palg.algebra import PoissonAlgebra, tensors_from_maps
 from palg.cli import main
 from palg.corpus import (
     heisenberg_zero_dot,
@@ -108,6 +109,32 @@ def test_analyze_allow_invalid(capsys, bad_file):
                            "--allow-invalid", "--budget-q", "5")
     assert code == 0
     assert "radical              span(x, y, z)" in out
+
+
+# Commutative dots with a zero bracket that are not associative: the lower
+# central cross-check fails on the first, the idempotent splitting the
+# structure report verifies on the second.
+INCONSISTENT = [
+    (FieldSpec.prime(2), {(1, 1, 2): 1, (2, 2, 0): 1}, ("series", "analyze"),
+     "lower central series inconsistent at step 4"),
+    (FieldSpec.prime(3), {(0, 1, 1): 2, (1, 1, 1): 2, (1, 2, 1): 1, (2, 2, 1): 2},
+     ("analyze",), "idempotent line plus nilradical is not a direct sum"),
+]
+
+
+@pytest.mark.parametrize("field, dot, commands, message", INCONSISTENT,
+                         ids=["lower-central", "idempotent-splitting"])
+def test_allow_invalid_inconsistency_is_a_mathematical_failure(
+        capsys, tmp_path, field, dot, commands, message):
+    t = tensors_from_maps(field, 3, dot, {})
+    path = tmp_path / "bad.palg"
+    path.write_text(serialize_document(PoissonAlgebra(field, 3, t.dot, t.bracket, name="bad")),
+                    encoding="utf-8")
+    for command in commands:
+        extra = ("--kind", "lower-central") if command == "series" else ()
+        code, out, err = run_cli(capsys, command, str(path), *extra, "--allow-invalid")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
 
 
 def test_series_command(capsys, heis_file):

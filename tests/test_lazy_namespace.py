@@ -139,6 +139,19 @@ print(json.dumps([name for name in palg.__all__
     assert _run(code) == []
 
 
+def test_a_patched_and_restored_function_reads_through_the_package_as_its_module_holds_it(
+        monkeypatch):
+    # the package stores no name it resolves, so a wrapper installed on the
+    # module (as a tracer does) and taken off again leaves nothing behind
+    import palg
+    from palg import theorems
+    original = theorems.run_suite
+    monkeypatch.setattr(theorems, "run_suite", lambda *args, **kwargs: None)
+    assert palg.run_suite is theorems.run_suite is not original
+    monkeypatch.undo()
+    assert palg.run_suite is original
+
+
 @pytest.mark.parametrize("first", ["palg", "palg.cli", "palg.theorems", "palg.engel"])
 def test_palg_engel_is_the_function_in_every_import_order(first):
     code = f"""

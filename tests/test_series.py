@@ -3,8 +3,10 @@ from collections import Counter
 import pytest
 
 from palg import series
-from palg.algebra import PoissonAlgebra, is_ideal
+from palg.algebra import PoissonAlgebra, is_ideal, subspace_square
 from palg.corpus import (
+    curated_corpus,
+    enumerate_poisson_structures,
     fe_plus_nilpotent_line,
     heisenberg_zero_dot,
     idempotent_line,
@@ -13,10 +15,12 @@ from palg.corpus import (
     zero_algebra,
 )
 from palg.fields import FieldSpec
-from palg.lattice import lattice_profile
-from palg.linalg import Subspace
+from palg.lattice import enumerate_subspaces, lattice_profile
+from palg.linalg import Subspace, subspace_sum
 from palg.series import (
+    SERIES_KINDS,
     SeriesConsistencyError,
+    SeriesReport,
     assoc_series,
     derived_length,
     derived_series,
@@ -30,6 +34,7 @@ from palg.series import (
     lie_series,
     lower_central_series,
     nilpotency_class,
+    series_by_kind,
 )
 
 GF2 = FieldSpec.prime(2)
@@ -156,6 +161,65 @@ def test_a_series_inconsistency_is_not_cached():
     for _ in range(2):  # a cached verdict would silence the negative control
         with pytest.raises(SeriesConsistencyError):
             is_nilpotent(alg)
+
+
+# ---------------------------------------------------------------------------
+# every kind against its definition
+# ---------------------------------------------------------------------------
+
+# kind -> (the products one step forms, whether the last term is multiplied
+# by the first term rather than by itself), written out from the definitions
+DEFINITIONS = {
+    "derived": (("dot", "bracket"), False),
+    "lower-central": (("dot", "bracket"), True),
+    "assoc-derived": (("dot",), False),
+    "assoc-lower": (("dot",), True),
+    "lie-derived": (("bracket",), False),
+    "lie-lower": (("bracket",), True),
+}
+
+
+def _reference_product(alg, names, u, v):
+    """The span of the named products of u's and v's basis rows, uncached."""
+    mul = {"dot": alg.mul_dot, "bracket": alg.mul_bracket}
+    return Subspace.span(alg.field, alg.dim,
+                         [mul[name](a, b) for name in names for a in u.rows() for b in v.rows()])
+
+
+def _reference_series(alg, kind, start):
+    names, by_first = DEFINITIONS[kind]
+    terms = [start]
+    while not terms[-1].is_zero():
+        partner = terms[0] if by_first else terms[-1]
+        terms.append(_reference_product(alg, names, terms[-1], partner))
+        if terms[-1] == terms[-2]:
+            return SeriesReport(kind, tuple(terms), False, len(terms) - 2)
+    return SeriesReport(kind, tuple(terms), True, len(terms) - 1)
+
+
+FINITE_SERIES_CORPUS = [a for a in curated_corpus() if a.field.is_finite] + [
+    a for q in (2, 3) for n in (1, 2) for a in enumerate_poisson_structures(n, q)]
+RATIONAL_SERIES_CORPUS = [a for a in curated_corpus() if not a.field.is_finite]
+
+
+@pytest.mark.parametrize("alg", FINITE_SERIES_CORPUS + RATIONAL_SERIES_CORPUS,
+                         ids=lambda a: a.name)
+def test_every_kind_matches_its_definition_from_every_start(alg):
+    full = alg.full_space()
+    if alg.field.is_finite:  # the whole algebra and every ideal
+        spaces = list(enumerate_subspaces(alg.field, alg.dim))
+        starts = [u for u in spaces if is_ideal(alg, u)]
+    else:  # the whole algebra and every term of its series
+        starts = list(dict.fromkeys(
+            [full] + [t for kind in DEFINITIONS for t in _reference_series(alg, kind, full).terms]))
+        spaces = starts
+    assert full in starts and tuple(DEFINITIONS) == SERIES_KINDS
+    for start in starts:
+        for kind in SERIES_KINDS:
+            assert series_by_kind(alg, kind, start) == _reference_series(alg, kind, start), kind
+    for u in spaces:
+        assert subspace_square(alg, u) == subspace_sum(
+            _reference_product(alg, ("dot",), u, u), _reference_product(alg, ("bracket",), u, u))
 
 
 # ---------------------------------------------------------------------------

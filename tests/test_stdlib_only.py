@@ -152,21 +152,38 @@ def test_every_helper_is_used_exported_or_an_oracle():
 PRODUCT_WORDS = {"bracket": "dot", "lie": "assoc"}
 
 
-def _product_twins() -> list:
-    """Groups of two or more top-level functions of the package that neither
-    ``__init__`` exports nor the benchmark tracer wraps, and whose names
-    differ only by dot/bracket or assoc/lie."""
-    public = _exports() | {target.partition(":")[2] for target in _tracer_targets()}
+def _twins(public: bool) -> list:
+    """Groups of two or more top-level functions of the package, all public
+    (exported by ``__init__`` or wrapped by the benchmark tracer) or all
+    not, whose names differ only by dot/bracket or assoc/lie; each function
+    as (module file name, its AST node)."""
+    exported = _exports() | {target.partition(":")[2] for target in _tracer_targets()}
     groups: dict = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and node.name not in public:
+            if isinstance(node, ast.FunctionDef) and (node.name in exported) == public:
                 folded = "_".join(PRODUCT_WORDS.get(w, w) for w in node.name.split("_"))
-                groups.setdefault(folded, []).append(f"{path.name}:{node.name}")
-    return [names for names in groups.values() if len(names) > 1]
+                groups.setdefault(folded, []).append((path.name, node))
+    return [group for group in groups.values() if len(group) > 1]
 
 
 def test_no_private_function_has_a_twin_for_the_other_product():
     # a private routine takes the product it reads as an argument
     # (algebra.BOTH, DOT, BRACKET, or an index into algebra._products)
-    assert _product_twins() == []
+    assert [[f"{m}:{node.name}" for m, node in group] for group in _twins(False)] == []
+
+
+def _is_one_return(node: ast.FunctionDef) -> bool:
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # the docstring
+    return len(body) == 1 and isinstance(body[0], ast.Return)
+
+
+def test_public_twins_are_one_return_each():
+    # an exported or traced name keeps its signature, so its twin stays, but
+    # only as one return that hands the products to the shared routine
+    groups = _twins(True)
+    assert len(groups) == 10
+    assert [f"{m}:{node.name}" for group in groups for m, node in group
+            if not _is_one_return(node)] == []

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from palg.algebra import (
+    BRACKET,
+    DOT,
     PoissonAlgebra,
     direct_sum,
     is_assoc_subalgebra,
@@ -415,7 +417,7 @@ def test_dot_powers_are_computed_once_per_subalgebra(monkeypatch, alg):
     expected = check_one("Lemma-2.1", alg)
     _cache.cache_clear()
     seen = _record_calls(monkeypatch, algebra, "_product_span",
-                         lambda alg, t, u, v: (*_tensors(alg), u, v) if t == 0 else None)
+                         lambda alg, products, u, v: (*_tensors(alg), u, v) if products == DOT else None)
     assert check_one("Lemma-2.1", alg) == expected
     assert seen
     assert max(Counter(seen).values()) == 1
@@ -426,10 +428,10 @@ def _lemma_2_1_every_iteration(alg) -> tuple:
     n up to dim + 1 computed; (exercised, iterations at a zero power, first
     failing (b, c, n) or None)."""
     def dot(alg, u, v):
-        return algebra._product_span(alg, 0, u, v)
+        return algebra._product_span(alg, DOT, u, v)
 
     def bracket(alg, u, v):
-        return algebra._product_span(alg, 1, u, v)
+        return algebra._product_span(alg, BRACKET, u, v)
 
     subs = theorems._subalgebra_configs(alg, DEFAULT_BUDGET)
     exercised = trivial = 0
