@@ -255,8 +255,16 @@ def _validate_lines(results: list) -> Iterator[str]:
             yield f"{r['path']}: ERROR {r['message']}"
 
 
-def _load_algebra(path: str, allow_invalid: bool) -> PoissonAlgebra:
-    return parse_document(_read_text(path), allow_invalid=allow_invalid)
+def _load_algebra(path, allow_invalid: bool) -> PoissonAlgebra:
+    """The algebra of one document; a format error or an axiom violation
+    names the file, as ``_read_text``'s error for bytes that are not UTF-8
+    does."""
+    text = _read_text(path)
+    try:
+        return parse_document(text, allow_invalid=allow_invalid)
+    except (CorpusFormatError, AxiomViolation) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _usage_error(exc: Exception) -> int:
@@ -270,11 +278,7 @@ def cmd_analyze(args) -> int:
         budget = _budget_from(args)
     except ValueError as exc:  # a negative --budget-* value
         return _usage_error(exc)
-    try:
-        alg = _load_algebra(args.path, args.allow_invalid)
-    except AxiomViolation as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return EXIT_MATH
+    alg = _load_algebra(args.path, args.allow_invalid)
     report = structure_report(alg, budget)
     result = _report_json(report)
     _emit(args, _envelope("analyze", [args.path], result, started),
@@ -327,11 +331,7 @@ def _report_json(report: StructureReport) -> dict:
 
 def cmd_series(args) -> int:
     started = time.monotonic()
-    try:
-        alg = _load_algebra(args.path, args.allow_invalid)
-    except AxiomViolation as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return EXIT_MATH
+    alg = _load_algebra(args.path, args.allow_invalid)
     report = series_by_kind(alg, args.kind)
     result = _series_json(report)
     _emit(args, _envelope("series", [args.path], result, started),
@@ -373,7 +373,7 @@ def cmd_check(args) -> int:
     for member in members:
         member_path = manifest_path.parent / member
         inputs.append(str(member_path))
-        corpus.append(parse_document(_read_text(member_path), allow_invalid=args.allow_invalid))
+        corpus.append(_load_algebra(member_path, args.allow_invalid))
     results = run_suite(corpus, theorem_filter=args.theorem, budget=budget, jobs=args.jobs)
     counts = summarise(results)
     # the rows go into the report as they are; _emit encodes one at a time

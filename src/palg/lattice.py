@@ -18,7 +18,8 @@ carries the bitmask of its projective points, and the profile keeps the
 masks and dimensions beside the subspaces.  Containment in the maximal
 scans is then ``m & big == m`` on ints, and the closure flags are bit
 tests whose product bits are carried along the enumeration order.  The
-enumeration becomes the store of F^n (``linalg._Store``), so every
+enumeration is the store of F^n, which ``linalg`` alone builds, ranks and
+keeps (``linalg._store``); this module only reads it.  So every
 subspace of F^n, however it is built later (a closure, a kernel, a
 product), is the enumerated object, mask included: ``Subspace.contains``
 in the minimal-ideal scan and in the checks is an int test too, and
@@ -63,11 +64,9 @@ from .algebra import (
 from .fields import FieldError, FieldSpec, _Frozen
 from .linalg import (
     Subspace,
-    _canonical,
     _STORES,
-    _publish,
-    _set_mask,
-    _subspace,
+    _store,
+    enumerate_lines,
     subspace_intersect,
     subspace_sum,
     vec_is_zero,
@@ -142,108 +141,11 @@ def _check_enumeration_budget(field: FieldSpec, n: int, budget: LatticeBudget) -
 
 
 def enumerate_subspaces(field: FieldSpec, n: int, budget: LatticeBudget = DEFAULT_BUDGET):
-    """Every subspace of GF(q)^n exactly once, in canonical order.
-
-    Subspaces are keyed by pivot-column pattern (one Schubert cell per
-    pattern); within a cell the free entries run lexicographically, so the
-    order is deterministic and each basis is born in reduced echelon form.
-
-    Each subspace carries its point ``mask`` (see ``Subspace``), built from
-    one built earlier: dropping the first basis row r leaves the basis of a
-    subspace S' of one dimension less, and the points r adds are r + v for v
-    in S', already normalised because v vanishes up to r's pivot.
-
-    The loop builds every subspace with the trusted ``linalg._subspace``,
-    outside the tables, since its basis is in RREF with known pivots;
-    ``linalg._publish`` then makes them the store of F^n (a live subspace
-    built some other way takes its copy's place), unless another thread
-    published one first, and the stored objects are yielded.  So no table
-    keyed on bases is filled.  A stored F^n is yielded without a build.
-    """
+    """Every subspace of GF(q)^n exactly once, in canonical order: those of
+    the store of F^n, which ``linalg._store`` enumerates on first use (see
+    there for the order).  The budget is checked first."""
     _check_enumeration_budget(field, n, budget)
-    store = _STORES.get((field.modulus, n))
-    if store is not None:
-        yield from store.subspaces
-        return
-    q = field.order
-    elems = list(field.elements())
-    one = field.one()
-    zero = field.zero()
-    # A vector is packed into an int, one field of `width` bits per
-    # coordinate: the coordinatewise sum of two reduced vectors never
-    # carries, and adding `lift` sets a field's top bit (`tops`) exactly
-    # where the coordinate sum is >= q, which `reduce` then subtracts.
-    top = (2 * q - 2).bit_length()
-    width = top + 1
-    lift = sum(((1 << top) - q) << (j * width) for j in range(n))
-    tops = sum(1 << (top + j * width) for j in range(n))
-
-    def pack(v) -> int:
-        return sum(x << (j * width) for j, x in enumerate(v))
-
-    def reduce(u: int) -> int:
-        return u - (((u + lift) & tops) >> top) * q
-
-    def rows_with(pivot: int, free: list) -> list:
-        """The rows with a one at ``pivot`` and any entries at ``free``,
-        zero elsewhere, in lexicographic order of those entries."""
-        out = []
-        for values in itertools.product(elems, repeat=len(free)):
-            row = [zero] * n
-            row[pivot] = one
-            for j, x in zip(free, values):
-                row[j] = x
-            out.append(tuple(row))
-        return out
-
-    point_bit = {pack(line.rows()[0]): 1 << i for i, line in enumerate(enumerate_lines(field, n))}
-    s = _canonical(field, n, (), ())
-    _set_mask(s, 0)
-    built, cells = [s], {(): (0, ())}
-    # basis -> (mask, packed elements) for the subspaces of the previous
-    # dimension; only those with no pivot in column 0 are kept, because only
-    # they are what remains of a later basis without its first row
-    spans = {(): (0, [0])}
-    for k in range(1, n + 1):
-        below, spans = spans, {}
-        for pivots in itertools.combinations(range(n), k):
-            # A basis with these pivots picks each row independently, so the
-            # bases are the product of the row choices; it runs the free
-            # entries in the same lexicographic order, and bases share rows.
-            free = [[j for j in range(p + 1, n) if j not in pivots] for p in pivots]
-            choices = [rows_with(p, cols) for p, cols in zip(pivots, free)]
-            # the cell's first position and its free entries as base-q digits
-            places = [(r, j) for r, cols in enumerate(free) for j in cols]
-            cells[pivots] = (len(built), tuple(
-                (r, j, q ** d) for d, (r, j) in enumerate(reversed(places))))
-            for first in choices[0]:
-                packed = pack(first)
-                multiples = [pack([c * x % q for x in first]) for c in elems] if pivots[0] else None
-                for rest in itertools.product(*choices[1:]):
-                    mask, elements = below[rest]
-                    for v in elements:
-                        u = packed + v  # reduce(u), inlined: this is the hot loop
-                        mask |= point_bit[u - (((u + lift) & tops) >> top) * q]
-                    basis = (first,) + rest
-                    if multiples:
-                        spans[basis] = (mask, [reduce(m + v) for m in multiples for v in elements])
-                    s = _subspace(field, n, basis, pivots)
-                    _set_mask(s, mask)
-                    built.append(s)
-    yield from _publish(field, n, built, cells).subspaces
-
-
-def enumerate_lines(field: FieldSpec, n: int):
-    """The one-dimensional subspaces, via canonical spanning vectors whose
-    first nonzero coordinate is one."""
-    elems = list(field.elements())
-    one = field.one()
-    zero = field.zero()
-    for lead in range(n):
-        tail = n - lead - 1
-        for rest in itertools.product(elems, repeat=tail):
-            row = (zero,) * lead + (one,) + rest
-            yield _canonical(field, n, (row,), (lead,))
+    yield from _store(field, n).subspaces
 
 
 def enumerate_elements(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET):
@@ -296,13 +198,14 @@ def lattice_profile(alg: PoissonAlgebra, budget: LatticeBudget = DEFAULT_BUDGET)
 
 
 def _enumeration(field: FieldSpec, n: int, budget: LatticeBudget) -> tuple:
-    """The subspaces of F^n with their masks and dimensions, from its store,
-    enumerated on first use; the caller checks its own budget first."""
-    key = (field.modulus, n)
-    if key not in _STORES:
+    """The subspaces of F^n with their masks and dimensions, from its store;
+    a first enumeration is drawn through ``enumerate_subspaces``, so every
+    enumeration of F^n passes through it once.  The caller checks its own
+    budget first."""
+    if (field.modulus, n) not in _STORES:
         for _ in enumerate_subspaces(field, n, budget):
             pass
-    store = _STORES[key]
+    store = _store(field, n)
     return store.subspaces, store.masks, store.dims
 
 
@@ -342,7 +245,7 @@ def _closure_flags(alg: PoissonAlgebra, subspaces) -> tuple:
     commutative or alternating.  The ideal test reads, per row, the OR of
     the bits of its products with every basis vector.
     """
-    store = _STORES[(alg.field.modulus, alg.dim)]
+    store = _store(alg.field, alg.dim)
     bit, lines = store.points, store.lines
     width = len(lines)
     everywhere = (1 << width) - 1  # complements are taken in it: a negative int is slower

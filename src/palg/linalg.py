@@ -16,14 +16,16 @@ entrywise operations form each entry, before its one ``% p``; the
 eliminations reduce each entry as they update it, because they test entries
 for zero as they go.  The generic ``FieldSpec`` bodies are the tests' oracle.
 
-Once ``lattice`` has enumerated F^n, one store per (field, n) holds every
-subspace of F^n, finds one by the position of its basis in the enumeration
-and answers most questions about its vectors without elimination (see
-:class:`_Store`).  It maps every vector of F^n to the bit of its projective
-point, so :meth:`Subspace.contains_vector` on a subspace with a point mask
-is one int test, and a set of points, as a mask, to the subspace they span,
-so :meth:`Subspace.span` ORs its vectors' bits and looks the mask up: a
-span depends only on the points its vectors lie on.  That map is a cache in
+This module alone builds, ranks and keeps the subspaces of F^n:
+:func:`_store` enumerates F^n on first use (``lattice.enumerate_subspaces``
+asks for it), and then one store per (field, n) holds every subspace of
+F^n, finds one by the position of its basis in the enumeration and answers
+most questions about its vectors without elimination (see :class:`_Store`).
+It maps every vector of F^n to the bit of its projective point, so
+:meth:`Subspace.contains_vector` on a subspace with a point mask is one int
+test, and a set of points, as a mask, to the subspace they span, so
+:meth:`Subspace.span` ORs its vectors' bits and looks the mask up: a span
+depends only on the points its vectors lie on.  That map is a cache in
 front of ``rref``, which stays the one elimination routine.  Vectors the
 point table does not hold, those over Q, of a (field, n) never enumerated
 or of the wrong length, take the elimination path as before.
@@ -31,6 +33,7 @@ or of the wrong length, take the elimination path as before.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import threading
@@ -286,17 +289,16 @@ class Subspace(_Frozen):
     ``pivots``, the pivot column of each basis row, is derived from the
     rows when the subspace is built.  ``mask`` is the bitmask of the
     projective points the subspace contains, a point's bit being its
-    position in ``lattice.enumerate_lines`` order.
-    ``lattice.enumerate_subspaces`` sets it on every subspace of F^n it
-    stores, so once F^n has been enumerated every subspace of F^n carries
-    it, whichever way it was built; before that, and over Q, it is None.
-    Neither takes part in repr.
+    position in :func:`enumerate_lines` order.  :func:`_store` sets it on
+    every subspace of F^n it stores, so once F^n has been enumerated every
+    subspace of F^n carries it, whichever way it was built; before that,
+    and over Q, it is None.  Neither takes part in repr.
 
     ``Subspace(n, basis)`` re-checks that the basis is in RREF, each GF(p)
     entry an int in ``range(p)``, for bases from outside.  Code that has just
     built the RREF itself goes through the trusted :func:`_canonical`
     instead: :meth:`span`, which trusts what ``rref`` has produced, and
-    ``lattice.enumerate_lines``.
+    :func:`enumerate_lines`.
     """
 
     __slots__ = ("ambient_dim", "field", "_rows", "pivots", "mask", "__weakref__")
@@ -452,8 +454,8 @@ _set_ambient_dim, _set_space_field, _set_rows, _set_pivots, _set_mask = (
 def _subspace(field: FieldSpec, ambient_dim: int, rows: tuple, pivots: tuple | None) -> Subspace:
     """A new ``Subspace`` object without the RREF re-check and outside the
     tables: only :func:`_canonical`, which enters it in a table at once,
-    ``Subspace(n, basis)``, which checks it first, and the enumeration loop,
-    whose subspaces :func:`_publish` makes the store, call it."""
+    ``Subspace(n, basis)``, which checks it first, and :func:`_store`, which
+    publishes what it builds as the store of F^n, call it."""
     s = object.__new__(Subspace)
     _set_ambient_dim(s, ambient_dim)
     _set_space_field(s, field)
@@ -482,10 +484,10 @@ _NONE: dict = {}  # the table of a (field, n) nothing has been built in
 
 
 class _Store(dict):
-    """The enumeration of one F^n: ``subspaces`` in ``enumerate_subspaces``
-    order, their ``masks`` and ``dims``; ``points``, every vector of F^n ->
-    the bit of its projective point (the zero vector 0); ``lines``, the
-    normalised vector of each point in bit order; ``cells``, each pivot
+    """The enumeration of one F^n, built by :func:`_store`: ``subspaces``
+    in its order, their ``masks`` and ``dims``; ``points``, every vector of
+    F^n -> the bit of its projective point (the zero vector 0); ``lines``,
+    the normalised vector of each point in bit order; ``cells``, each pivot
     tuple -> the position of its Schubert cell and the (row, column, weight)
     of its free entries.  As a dict, a point mask -> the subspace those
     points span: every subspace under its own mask (so a meet of masked
@@ -526,32 +528,123 @@ def _canonical(field: FieldSpec, n: int, rows: tuple, pivots: tuple | None = Non
     return store.subspaces[store.position(rows, pivots)]
 
 
-def _publish(field: FieldSpec, n: int, subspaces: list, cells: dict) -> _Store:
-    """The store of F^n, made from the subspaces ``lattice.enumerate_subspaces``
-    builds outside the tables, with their masks and its ``cells``; or the
-    store another thread published first.  A subspace live in the weak
-    table takes its copy's place and mask, to stay the one object of its
-    value.  The lines come right after the zero subspace, in bit order."""
-    p = field.modulus
+def _store(field: FieldSpec, n: int) -> _Store:
+    """The store of F^n, enumerating F^n on first use; or the store another
+    thread published first.
+
+    The subspaces run by pivot-column pattern (one Schubert cell per
+    pattern); within a cell the free entries run lexicographically, so the
+    order is deterministic and each basis is born in reduced echelon form.
+    Each is built raw, outside the tables, with its point mask, built from
+    one built earlier: dropping the first basis row r leaves the basis of a
+    subspace S' of one dimension less, and the points r adds are r + v for v
+    in S', already normalised because v vanishes up to r's pivot.  When the
+    store is published, a subspace live in the weak table takes its copy's
+    place and mask, to stay the one object of its value.
+    """
+    key = (field.modulus, n)
+    store = _STORES.get(key)
+    if store is not None:
+        return store
+    q = field.order
+    elems = list(field.elements())
+    # A vector is packed into an int, one field of `width` bits per
+    # coordinate: the coordinatewise sum of two reduced vectors never
+    # carries, and adding `lift` sets a field's top bit (`tops`) exactly
+    # where the coordinate sum is >= q, which `reduce` then subtracts.
+    top = (2 * q - 2).bit_length()
+    width = top + 1
+    lift = sum(((1 << top) - q) << (j * width) for j in range(n))
+    tops = sum(1 << (top + j * width) for j in range(n))
+
+    def pack(v) -> int:
+        return sum(x << (j * width) for j, x in enumerate(v))
+
+    def reduce(u: int) -> int:
+        return u - (((u + lift) & tops) >> top) * q
+
+    lines = tuple(_line_rows(field, n))
+    point_bit = {pack(v): 1 << i for i, v in enumerate(lines)}
+    s = _subspace(field, n, (), ())
+    _set_mask(s, 0)
+    subspaces, cells = [s], {(): (0, ())}
+    # basis -> (mask, packed elements) for the subspaces of the previous
+    # dimension; only those with no pivot in column 0 are kept, because only
+    # they are what remains of a later basis without its first row
+    spans = {(): (0, [0])}
+    for k in range(1, n + 1):
+        below, spans = spans, {}
+        for pivots in itertools.combinations(range(n), k):
+            # A basis with these pivots picks each row independently, so the
+            # bases are the product of the row choices; it runs the free
+            # entries in the same lexicographic order, and bases share rows.
+            free = [[j for j in range(p + 1, n) if j not in pivots] for p in pivots]
+            choices = [_rows_with(field, n, p, cols) for p, cols in zip(pivots, free)]
+            # the cell's first position and its free entries as base-q digits
+            places = [(r, j) for r, cols in enumerate(free) for j in cols]
+            cells[pivots] = (len(subspaces), tuple(
+                (r, j, q ** d) for d, (r, j) in enumerate(reversed(places))))
+            for first in choices[0]:
+                packed = pack(first)
+                multiples = [pack([c * x % q for x in first]) for c in elems] if pivots[0] else None
+                for rest in itertools.product(*choices[1:]):
+                    mask, elements = below[rest]
+                    for v in elements:
+                        u = packed + v  # reduce(u), inlined: this is the hot loop
+                        mask |= point_bit[u - (((u + lift) & tops) >> top) * q]
+                    basis = (first,) + rest
+                    if multiples:
+                        spans[basis] = (mask, [reduce(m + v) for m in multiples for v in elements])
+                    s = _subspace(field, n, basis, pivots)
+                    _set_mask(s, mask)
+                    subspaces.append(s)
+
     store = _Store(zip([s.mask for s in subspaces], subspaces))
     store.masks = tuple(store)  # one subspace per mask, so its keys are the masks in order
     store.dims = tuple(len(s._rows) for s in subspaces)
     store.cells = cells
-    store.lines = tuple(s._rows[0] for s in subspaces[1:1 + (p ** n - 1) // (p - 1)])
-    store.points = {tuple([c * x % p for x in v]): 1 << i
-                    for i, v in enumerate(store.lines) for c in range(1, p)}
+    store.lines = lines
+    store.points = {tuple([c * x % q for x in v]): 1 << i
+                    for i, v in enumerate(lines) for c in range(1, q)}
     store.points[(0,) * n] = 0
     with _LOCK:
-        if (p, n) in _STORES:
-            return _STORES[(p, n)]
-        for s in _TABLES.get((p, n), _NONE).values():
+        if key in _STORES:
+            return _STORES[key]
+        for s in _TABLES.get(key, _NONE).values():
             i = store.position(s._rows, s.pivots)
             if s._rows == subspaces[i]._rows:  # not a span of too-long rows
                 _set_mask(s, store.masks[i])
                 store[s.mask] = subspaces[i] = s
         store.subspaces = tuple(subspaces)
-        _STORES[(p, n)] = store
+        _STORES[key] = store
     return store
+
+
+def _rows_with(field: FieldSpec, n: int, pivot: int, free) -> list:
+    """The rows of F^n with a one at ``pivot`` and any entries at ``free``,
+    zero elsewhere, in lexicographic order of those entries."""
+    out = []
+    for values in itertools.product(field.elements(), repeat=len(free)):
+        row = [field.zero()] * n
+        row[pivot] = field.one()
+        for j, x in zip(free, values):
+            row[j] = x
+        out.append(tuple(row))
+    return out
+
+
+def _line_rows(field: FieldSpec, n: int):
+    """The normalised vector of each projective point of F^n, its first
+    nonzero coordinate one: by that coordinate, then lexicographically, the
+    order of the point bits."""
+    for lead in range(n):
+        yield from _rows_with(field, n, lead, range(lead + 1, n))
+
+
+def enumerate_lines(field: FieldSpec, n: int):
+    """The one-dimensional subspaces of F^n, in point-bit order."""
+    for row in _line_rows(field, n):
+        yield _canonical(field, n, (row,))
 
 
 def _forget_enumerations() -> None:

@@ -179,6 +179,27 @@ def test_check_rejects_invalid_corpus_without_flag(capsys, tmp_path):
     assert code == 1 and "leibniz" in err
 
 
+def _xyz_document(coefficient: str) -> str:
+    doc = json.loads(serialize_document(xyz_algebra(GF5, allow_invalid=True)))
+    doc["dot"][0]["c"] = coefficient
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["analyze", "series", "check"])
+@pytest.mark.parametrize("coefficient, exit_code", [("1", 1), ("1/0", 2)],
+                         ids=["axiom-violation", "zero-denominator"])
+def test_a_document_error_names_its_file(capsys, tmp_path, command, coefficient, exit_code):
+    # check printed the member's error without its path, and analyze and
+    # series named the file for an axiom violation but not a format error
+    bad = tmp_path / "bad.palg"
+    bad.write_text(_xyz_document(coefficient), encoding="utf-8")
+    (tmp_path / "manifest.json").write_text(serialize_manifest([bad.name]), encoding="utf-8")
+    target = tmp_path / ("manifest.json" if command == "check" else "bad.palg")
+    code, out, err = run_cli(capsys, command, str(target))
+    assert (code, out) == (exit_code, "")
+    assert err.startswith(f"error: {bad}: "), err
+
+
 # Metadata is outside input: a row of the wrong length, and a digit that
 # str.isdigit accepts but int does not, used to end both commands with a
 # traceback (ValueError: ragged matrix; invalid literal for int()); a JSON
